@@ -51,11 +51,10 @@ namespace {
 // ---------------------------------------------------------------
 
 void
-foldRowScalarRange(uint64_t *planes, size_t stride,
-                   uint32_t plane_count, const uint64_t *row,
-                   size_t w0, size_t words)
+foldRowScalar(uint64_t *planes, size_t stride, uint32_t plane_count,
+              const uint64_t *row, size_t words)
 {
-    for (size_t w = w0; w < words; ++w) {
+    for (size_t w = 0; w < words; ++w) {
         uint64_t carry = row[w];
         if (!carry)
             continue;
@@ -69,31 +68,17 @@ foldRowScalarRange(uint64_t *planes, size_t stride,
     }
 }
 
-void
-foldRowScalar(uint64_t *planes, size_t stride, uint32_t plane_count,
-              const uint64_t *row, size_t words)
-{
-    foldRowScalarRange(planes, stride, plane_count, row, 0, words);
-}
-
-uint64_t
-orAccumulateScalarRange(uint64_t *dst, const uint64_t *src, size_t w0,
-                        size_t words)
+bool
+orAccumulateScalar(uint64_t *dst, const uint64_t *src, size_t words)
 {
     uint64_t changed = 0;
-    for (size_t w = w0; w < words; ++w) {
+    for (size_t w = 0; w < words; ++w) {
         uint64_t old = dst[w];
         uint64_t nw = old | src[w];
         changed |= old ^ nw;
         dst[w] = nw;
     }
-    return changed;
-}
-
-bool
-orAccumulateScalar(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    return orAccumulateScalarRange(dst, src, 0, words) != 0;
+    return changed != 0;
 }
 
 void
@@ -160,17 +145,16 @@ updateStripScalar(const UpdateStrip &s, uint32_t n)
 /**
  * The batched synaptic apply over lanes [begin, end) — the reference
  * for util/simd.hh's applyWord contract.  Every intermediate fits
- * int32: counts <= 2^8, |weight| <= 255 and |v| <= 2^30 (potential
- * rails cap at 31 bits), so pos/neg/delta stay under 2^18 and the
- * guard sums under 2^31.
+ * int32: counts <= numAxons, |weight| <= 255 and |v| <= 2^30
+ * (potential rails cap at 31 bits), so with fewer than 2^18 axons a
+ * core's pos/neg/delta stay under 2^28 and the guard sums under
+ * 2^31.
  */
 uint64_t
 applyWordScalarRange(const ApplyWord &a, uint32_t begin, uint32_t end)
 {
     uint64_t applied = 0;
     for (uint32_t b = begin; b < end; ++b) {
-        if ((a.forcedDivert >> b) & 1)
-            continue;
         int32_t delta = 0, pos = 0, neg = 0;
         for (unsigned g = 0; g < kApplyWordTypes; ++g) {
             if (!a.detUsed[g])
@@ -233,43 +217,6 @@ store256(void *p, __m256i x)
 {
     // nscs-lint: allow(raw-serialize): unaligned SIMD lane store
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), x);
-}
-
-__attribute__((target("avx2"))) void
-foldRowAvx2(uint64_t *planes, size_t stride, uint32_t plane_count,
-            const uint64_t *row, size_t words)
-{
-    size_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-        __m256i carry = load256(row + w);
-        if (_mm256_testz_si256(carry, carry))
-            continue;
-        size_t idx = w;
-        for (uint32_t p = 0; p < plane_count; ++p, idx += stride) {
-            __m256i old = load256(planes + idx);
-            store256(planes + idx, _mm256_xor_si256(old, carry));
-            carry = _mm256_and_si256(carry, old);
-            if (_mm256_testz_si256(carry, carry))
-                break;
-        }
-    }
-    foldRowScalarRange(planes, stride, plane_count, row, w, words);
-}
-
-__attribute__((target("avx2"))) bool
-orAccumulateAvx2(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    __m256i changed = _mm256_setzero_si256();
-    size_t w = 0;
-    for (; w + 4 <= words; w += 4) {
-        __m256i old = load256(dst + w);
-        __m256i nw = _mm256_or_si256(old, load256(src + w));
-        changed = _mm256_or_si256(changed,
-                                  _mm256_xor_si256(old, nw));
-        store256(dst + w, nw);
-    }
-    uint64_t tail = orAccumulateScalarRange(dst, src, w, words);
-    return !_mm256_testz_si256(changed, changed) || tail != 0;
 }
 
 __attribute__((target("avx2"))) void
@@ -416,16 +363,15 @@ applyWordAvx2(const ApplyWord &a, uint32_t n)
             neg = _mm256_add_epi32(neg, _mm256_min_epi32(d, zero));
         }
         const __m256i v0 = load256(a.v + c);
-        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo) && !divert,
-        // built from andnot of the inverted compares.
+        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo), built from
+        // andnot of the inverted compares.
         const __m256i ok = _mm256_andnot_si256(
             _mm256_cmpgt_epi32(_mm256_add_epi32(v0, pos),
                                load256(a.vHi + c)),
             _mm256_andnot_si256(
                 _mm256_cmpgt_epi32(load256(a.vLo + c),
                                    _mm256_add_epi32(v0, neg)),
-                _mm256_andnot_si256(laneMask256(a.forcedDivert, c),
-                                    _mm256_set1_epi32(-1))));
+                _mm256_set1_epi32(-1)));
         store256(a.v + c,
                  _mm256_blendv_epi8(v0, _mm256_add_epi32(v0, delta),
                                     ok));
@@ -440,43 +386,6 @@ applyWordAvx2(const ApplyWord &a, uint32_t n)
 // AVX-512 kernels: 8 x u64 / 16 x i32 per vector (AVX-512F only;
 // the VPOPCNTDQ popcount is probed separately at dispatch).
 // ---------------------------------------------------------------
-
-__attribute__((target("avx512f"))) void
-foldRowAvx512(uint64_t *planes, size_t stride, uint32_t plane_count,
-              const uint64_t *row, size_t words)
-{
-    size_t w = 0;
-    for (; w + 8 <= words; w += 8) {
-        __m512i carry = _mm512_loadu_si512(row + w);
-        if (_mm512_test_epi64_mask(carry, carry) == 0)
-            continue;
-        size_t idx = w;
-        for (uint32_t p = 0; p < plane_count; ++p, idx += stride) {
-            __m512i old = _mm512_loadu_si512(planes + idx);
-            _mm512_storeu_si512(planes + idx,
-                                _mm512_xor_si512(old, carry));
-            carry = _mm512_and_si512(carry, old);
-            if (_mm512_test_epi64_mask(carry, carry) == 0)
-                break;
-        }
-    }
-    foldRowScalarRange(planes, stride, plane_count, row, w, words);
-}
-
-__attribute__((target("avx512f"))) bool
-orAccumulateAvx512(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    __m512i changed = _mm512_setzero_si512();
-    size_t w = 0;
-    for (; w + 8 <= words; w += 8) {
-        __m512i old = _mm512_loadu_si512(dst + w);
-        __m512i nw = _mm512_or_si512(old, _mm512_loadu_si512(src + w));
-        changed = _mm512_or_si512(changed, _mm512_xor_si512(old, nw));
-        _mm512_storeu_si512(dst + w, nw);
-    }
-    uint64_t tail = orAccumulateScalarRange(dst, src, w, words);
-    return _mm512_test_epi64_mask(changed, changed) != 0 || tail != 0;
-}
 
 __attribute__((target("avx512f"))) void
 andWordsAvx512(uint64_t *dst, const uint64_t *src, size_t words)
@@ -622,7 +531,6 @@ applyWordAvx512(const ApplyWord &a, uint32_t n)
         ok = _mm512_mask_cmp_epi32_mask(
             ok, _mm512_add_epi32(v0, neg),
             _mm512_loadu_si512(a.vLo + c), _MM_CMPINT_NLT);
-        ok &= static_cast<__mmask16>(~(a.forcedDivert >> c));
         _mm512_mask_storeu_epi32(a.v + c, ok,
                                  _mm512_add_epi32(v0, delta));
         applied |= static_cast<uint64_t>(static_cast<uint16_t>(ok))
@@ -638,43 +546,6 @@ applyWordAvx512(const ApplyWord &a, uint32_t n)
 // ---------------------------------------------------------------
 // NEON kernels: 2 x u64 / 4 x i32 per vector (aarch64 baseline).
 // ---------------------------------------------------------------
-
-void
-foldRowNeon(uint64_t *planes, size_t stride, uint32_t plane_count,
-            const uint64_t *row, size_t words)
-{
-    size_t w = 0;
-    for (; w + 2 <= words; w += 2) {
-        uint64x2_t carry = vld1q_u64(row + w);
-        if (vmaxvq_u32(vreinterpretq_u32_u64(carry)) == 0)
-            continue;
-        size_t idx = w;
-        for (uint32_t p = 0; p < plane_count; ++p, idx += stride) {
-            uint64x2_t old = vld1q_u64(planes + idx);
-            vst1q_u64(planes + idx, veorq_u64(old, carry));
-            carry = vandq_u64(carry, old);
-            if (vmaxvq_u32(vreinterpretq_u32_u64(carry)) == 0)
-                break;
-        }
-    }
-    foldRowScalarRange(planes, stride, plane_count, row, w, words);
-}
-
-bool
-orAccumulateNeon(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    uint64x2_t changed = vdupq_n_u64(0);
-    size_t w = 0;
-    for (; w + 2 <= words; w += 2) {
-        uint64x2_t old = vld1q_u64(dst + w);
-        uint64x2_t nw = vorrq_u64(old, vld1q_u64(src + w));
-        changed = vorrq_u64(changed, veorq_u64(old, nw));
-        vst1q_u64(dst + w, nw);
-    }
-    uint64_t tail = orAccumulateScalarRange(dst, src, w, words);
-    return vmaxvq_u32(vreinterpretq_u32_u64(changed)) != 0 ||
-        tail != 0;
-}
 
 void
 andWordsNeon(uint64_t *dst, const uint64_t *src, size_t words)
@@ -795,13 +666,12 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
             neg = vaddq_s32(neg, vminq_s32(d, zero));
         }
         const int32x4_t v0 = vld1q_s32(a.v + c);
-        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo) && !divert.
-        const uint32x4_t ok = vandq_u32(
+        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo).
+        const uint32x4_t ok =
             vandq_u32(vcleq_s32(vaddq_s32(v0, pos),
                                 vld1q_s32(a.vHi + c)),
                       vcgeq_s32(vaddq_s32(v0, neg),
-                                vld1q_s32(a.vLo + c))),
-            vmvnq_u32(laneMask4(a.forcedDivert, c)));
+                                vld1q_s32(a.vLo + c)));
         vst1q_s32(a.v + c, vbslq_s32(ok, vaddq_s32(v0, delta), v0));
         applied |= static_cast<uint64_t>(
                        vaddvq_u32(vandq_u32(ok, bitsel)))
@@ -817,15 +687,18 @@ const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
                         updateStripScalar, applyWordScalar};
 
 #ifdef NSCS_SIMD_X86
-const Ops kAvx2Ops = {foldRowAvx2, orAccumulateAvx2, andWordsAvx2,
+// foldRow and orAccumulate stay scalar at every level: their vector
+// bodies measured slower than the scalar loops on the short rows the
+// simulator hands them.
+const Ops kAvx2Ops = {foldRowScalar, orAccumulateScalar, andWordsAvx2,
                       andPopcountAvx2, updateStripAvx2,
                       applyWordAvx2};
-const Ops kAvx512Ops = {foldRowAvx512, orAccumulateAvx512,
+const Ops kAvx512Ops = {foldRowScalar, orAccumulateScalar,
                         andWordsAvx512, andPopcountAvx512,
                         updateStripAvx512, applyWordAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
-const Ops kNeonOps = {foldRowNeon, orAccumulateNeon, andWordsNeon,
+const Ops kNeonOps = {foldRowScalar, orAccumulateScalar, andWordsNeon,
                       andPopcountNeon, updateStripNeon,
                       applyWordNeon};
 #endif

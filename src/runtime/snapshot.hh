@@ -4,8 +4,12 @@
  *
  * A snapshot captures the complete mutable state of a Simulator —
  * device (every neuron potential, scheduler slot, LFSR position,
- * event agenda and in-flight board packet), attached sources and the
- * output recorder — as a versioned JSON document.  Restoring a
+ * self-event heap and in-flight board packet), attached sources and
+ * the output recorder — as a versioned JSON document.  The Event
+ * engine's wake state is not stored: it is derived on restore from
+ * the scheduler slots and the self-event heaps, and v2 documents that
+ * still carry the former "agenda"/"lastWake" keys load with those
+ * keys ignored.  Restoring a
  * snapshot into a freshly constructed Simulator with the same model
  * and parameters, then running on, is bit-identical to having run
  * the original straight through: the restore point is invisible in

@@ -333,6 +333,47 @@ TEST(BoardLink, BudgetStallsSurfaceAsLateDeliveries)
     EXPECT_EQ(east.packets, board.counters().linkPackets);
 }
 
+TEST(BoardWake, LateWrappedDeliveriesWakeTheRelay)
+{
+    // The budget-stall scenario above on both engines: most of each
+    // 8-spike wave misses its delivery slot and waits a full
+    // scheduler wrap.  The Event engine must run the relay core on
+    // exactly the ticks it has spikes to integrate — wrapped ones
+    // included — and match the Clock engine spike for spike.
+    LinkParams link;
+    link.packetsPerTick = 1;
+    Board clock(relayBoardParams(link, EngineKind::Clock),
+                relayConfigs(8, 4, false));
+    Board event(relayBoardParams(link, EngineKind::Event),
+                relayConfigs(8, 4, false));
+    const Core &relay = event.chip(1).core(0);
+    uint64_t integrating_ticks = 0;
+    for (int t = 0; t < 60; ++t) {
+        const uint64_t sops = relay.counters().sops;
+        clock.tick();
+        event.tick();
+        integrating_ticks += relay.counters().sops > sops;
+    }
+    EXPECT_EQ(event.outputs(), clock.outputs());
+    EXPECT_GT(event.chip(1).counters().lateDeliveries, 0u);
+    for (uint32_t c = 0; c < 2; ++c) {
+        const Chip &ec = event.chip(c);
+        const Chip &cc = clock.chip(c);
+        EXPECT_EQ(ec.counters().lateDeliveries,
+                  cc.counters().lateDeliveries) << "chip " << c;
+        EXPECT_EQ(ec.core(0).counters().sops, cc.core(0).counters().sops)
+            << "chip " << c;
+        EXPECT_EQ(ec.core(0).counters().spikes,
+                  cc.core(0).counters().spikes) << "chip " << c;
+    }
+    // The pacemakers run only on their fire ticks 3, 7, ..., 59; the
+    // relay's neurons never self-fire, so it runs only to integrate.
+    EXPECT_EQ(event.chip(0).counters().coreActivations, 15u);
+    EXPECT_EQ(event.chip(1).counters().coreActivations,
+              integrating_ticks);
+    EXPECT_GT(integrating_ticks, 0u);
+}
+
 TEST(BoardLink, FullQueueDropsPackets)
 {
     LinkParams link;

@@ -207,6 +207,146 @@ TEST(SnapshotRoundTrip, FileRoundTrip)
     EXPECT_EQ(restored->recorder().spikes(), ref->recorder().spikes());
 }
 
+/** Copy of @p obj with member @p key replaced by @p value. */
+JsonValue
+withMember(JsonValue obj, const std::string &key, JsonValue value)
+{
+    obj.set(key, std::move(value));
+    return obj;
+}
+
+/** Copy of array @p arr with element @p i replaced by @p value. */
+JsonValue
+withElement(const JsonValue &arr, size_t i, JsonValue value)
+{
+    JsonValue out = JsonValue::array();
+    for (size_t k = 0; k < arr.size(); ++k)
+        out.append(k == i ? value : arr.at(k));
+    return out;
+}
+
+/** Copy of @p snap with lane 0 of core 0 replaced by @p lane. */
+JsonValue
+withCore0Lane0(const JsonValue &snap, JsonValue lane)
+{
+    const JsonValue &device = snap.at("device");
+    const JsonValue &core = device.at("cores").at(0);
+    JsonValue lanes = withElement(core.at("lanes"), 0, std::move(lane));
+    JsonValue cores = withElement(device.at("cores"), 0,
+                                  withMember(core, "lanes", lanes));
+    return withMember(snap, "device",
+                      withMember(device, "cores", cores));
+}
+
+/**
+ * A one-core Event chip whose 16 rising-leak neurons each hold a
+ * self-event prediction (neuron n fires at tick 29 + n), so the core's
+ * self-event heap is 16 deep with distinct ticks.
+ */
+std::unique_ptr<Simulator>
+selfEventSim()
+{
+    CoreGeometry g;
+    g.numAxons = 16;
+    g.numNeurons = 16;
+    g.delaySlots = 16;
+    CoreConfig cfg = CoreConfig::make(g);
+    for (uint32_t n = 0; n < g.numNeurons; ++n) {
+        cfg.neurons[n].leak = 1;
+        cfg.neurons[n].threshold = 30 + static_cast<int32_t>(n);
+        cfg.dests[n].kind = NeuronDest::Kind::Output;
+        cfg.dests[n].line = n;
+    }
+    ChipParams cp;
+    cp.width = 1;
+    cp.height = 1;
+    cp.coreGeom = g;
+    cp.engine = EngineKind::Event;
+    return std::make_unique<Simulator>(
+        cp, std::vector<CoreConfig>{cfg});
+}
+
+TEST(SnapshotRejects, SelfEventArrayOutOfHeapOrder)
+{
+    auto donor = selfEventSim();
+    donor->run(5);
+    JsonValue snap = donor->snapshot();
+    const JsonValue &lane =
+        snap.at("device").at("cores").at(0).at("lanes").at(0);
+    const JsonValue &heap = lane.at("selfEvents");
+    ASSERT_EQ(heap.size(), 32u);  // 16 (tick, neuron) pairs
+
+    // The untouched document restores.
+    std::string err;
+    ASSERT_TRUE(selfEventSim()->restore(snap, &err)) << err;
+
+    // Swapping two pairs breaks the heap order: pairs 0 and 1 put a
+    // later tick above an earlier one, pairs 2 and 3 likewise.
+    JsonValue swapped = JsonValue::array();
+    for (size_t pair : {1u, 0u, 3u, 2u}) {
+        swapped.append(heap.at(2 * pair));
+        swapped.append(heap.at(2 * pair + 1));
+    }
+    for (size_t k = 8; k < heap.size(); ++k)
+        swapped.append(heap.at(k));
+    JsonValue bad = withCore0Lane0(
+        snap, withMember(lane, "selfEvents", swapped));
+    err.clear();
+    EXPECT_FALSE(selfEventSim()->restore(bad, &err));
+    EXPECT_FALSE(err.empty());
+
+    // A heap whose top no longer matches its neuron's prediction is
+    // not a tick-boundary state either: the wake scan would have to
+    // pop it to find the core's next self-event.
+    const JsonValue &fire = lane.at("schedFire");
+    const auto top = static_cast<size_t>(heap.at(1).asInt());
+    JsonValue stale = withCore0Lane0(
+        snap, withMember(lane, "schedFire",
+                         withElement(fire, top, JsonValue::integer(-1))));
+    err.clear();
+    EXPECT_FALSE(selfEventSim()->restore(stale, &err));
+    EXPECT_FALSE(err.empty());
+}
+
+// Documents written while the chip kept a (tick, core) wake agenda
+// carry "agenda" and "lastWake" keys.  They load, the keys are
+// ignored, and the continuation matches a straight run — counters
+// included, so a stale agenda entry cannot add an activation.
+TEST(SnapshotRoundTrip, LegacyWakeKeysIgnored)
+{
+    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
+    auto ref = chipSim(w, EngineKind::Event, 0);
+    ref->run(kTicks);
+
+    auto donor = chipSim(w, EngineKind::Event, 0);
+    donor->run(kSplit);
+    JsonValue snap = donor->snapshot();
+    const JsonValue &device = snap.at("device");
+    EXPECT_FALSE(device.has("agenda"));
+    EXPECT_FALSE(device.has("lastWake"));
+
+    JsonValue agenda = JsonValue::array();
+    for (int64_t core = 0; core < 4; ++core) {
+        agenda.append(JsonValue::integer(kSplit + 3));
+        agenda.append(JsonValue::integer(core));
+    }
+    JsonValue last_wake = JsonValue::array();
+    for (int core = 0; core < 4; ++core)
+        last_wake.append(JsonValue::integer(-1));
+    JsonValue legacy = withMember(
+        snap, "device",
+        withMember(withMember(device, "agenda", agenda), "lastWake",
+                   last_wake));
+
+    auto restored = chipSim(w, EngineKind::Event, 0);
+    std::string err;
+    ASSERT_TRUE(restored->restore(legacy, &err)) << err;
+    restored->run(kTicks - kSplit);
+    EXPECT_EQ(restored->recorder().spikes(), ref->recorder().spikes());
+    EXPECT_EQ(restored->chip().counters().coreActivations,
+              ref->chip().counters().coreActivations);
+}
+
 TEST(SnapshotRejects, MissingFile)
 {
     bench::CorticalWorkload w = tappedWorkload(2, 2, 5);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "neuron/neuron.hh"
+#include "util/logging.hh"
 #include "util/saturate.hh"
 #include "util/simd.hh"
 
@@ -22,21 +23,11 @@ UpdateLanes::build(const std::vector<NeuronParams> &params)
     negAdd.resize(n);
     lo.resize(n);
     hi.resize(n);
-    deterministic = BitVec(n);
-    stochastic = BitVec(n);
-    leakStochFlag.resize(n);
-    maskBits.resize(n);
-    posLinear.resize(n);
-    leakSgn.resize(n);
-    leakAbs.resize(n);
+    stoch.clear();
+    narrow = true;
 
     for (size_t j = 0; j < n; ++j) {
         const NeuronParams &p = params[j];
-        leakStochFlag[j] = p.leakStochastic ? 1 : 0;
-        maskBits[j] = p.thresholdMaskBits;
-        posLinear[j] = p.resetMode == ResetMode::Linear ? 1 : 0;
-        leakSgn[j] = (p.leak > 0) - (p.leak < 0);
-        leakAbs[j] = p.leak < 0 ? -p.leak : p.leak;
         PotentialRange r = potentialRange(p);
         lo[j] = r.lo;
         hi[j] = r.hi;
@@ -79,57 +70,63 @@ UpdateLanes::build(const std::vector<NeuronParams> &params)
                 break;
             }
         }
-        if (!drawsPerTick(p))
-            deterministic.set(j);
-        else
-            stochastic.set(j);
-    }
-    narrow = true;
-    for (const NeuronParams &p : params)
+        if (drawsPerTick(p))
+            stoch.push_back({static_cast<uint32_t>(j), p.leakStochastic,
+                             p.thresholdMaskBits,
+                             p.resetMode == ResetMode::Linear});
         if (p.potentialBits > 30)
             narrow = false;
-
-    // Homogeneous-core detection: when every neuron projects to the
-    // same lane values the kernel's per-lane loads are redundant.
-    // Lane-value equality (not NeuronParams equality) is the right
-    // test — only the update-relevant projection must agree.
-    auto constant = [](const std::vector<int32_t> &lane) {
-        for (int32_t x : lane)
-            if (x != lane.front())
-                return false;
-        return true;
-    };
-    uniform = n > 0 && constant(leak) && constant(revSel) &&
-        constant(thr) && constant(negLim) && constant(posMul) &&
-        constant(posAdd) && constant(negMul) && constant(negAdd) &&
-        constant(lo) && constant(hi);
+    }
+    if (stoch.empty()) {
+        drawnLeak.clear();
+        drawnThr.clear();
+        drawnPosAdd.clear();
+    } else {
+        drawnLeak = leak;
+        drawnThr = thr;
+        drawnPosAdd = posAdd;
+    }
 }
 
 void
-precomputeStochDraws(const UpdateLanes &lanes,
-                     const std::vector<uint32_t> &stoch_list,
-                     Lfsr16 &rng, StochDraws &out)
+UpdateLanes::draw(Lfsr16 &rng)
 {
-    out.resize(lanes.size());
-    for (uint32_t j : stoch_list) {
+    for (const StochNeuron &s : stoch) {
         // Architectural draw order per neuron: leak byte first, then
         // the threshold mask (see endOfTickUpdate).  Outcomes depend
         // only on the draw position, never on the potential.
-        int32_t eff = lanes.leak[j];
-        if (lanes.leakStochFlag[j]) {
-            uint8_t rho = rng.nextByte();
-            eff = rho < lanes.leakAbs[j] ? lanes.leakSgn[j] : 0;
+        const uint32_t j = s.neuron;
+        int32_t eff = leak[j];
+        if (s.leakStochastic) {
+            const uint8_t rho = rng.nextByte();
+            eff = rho < (eff < 0 ? -eff : eff) ? (eff > 0) - (eff < 0)
+                                               : 0;
         }
-        int32_t eta = 0;
-        if (lanes.maskBits[j])
-            eta = rng.nextMasked(lanes.maskBits[j]);
-        out.leak[j] = eff;
-        out.thr[j] = lanes.thr[j] + eta;
+        const int32_t eta =
+            s.maskBits ? static_cast<int32_t>(rng.nextMasked(s.maskBits))
+                       : 0;
+        drawnLeak[j] = eff;
+        drawnThr[j] = thr[j] + eta;
         // Linear resets subtract (threshold + eta); Store and None
         // adds are draw-independent.
-        out.posAdd[j] = lanes.posLinear[j] ? lanes.posAdd[j] - eta
-                                           : lanes.posAdd[j];
+        drawnPosAdd[j] = s.linearReset ? posAdd[j] - eta : posAdd[j];
     }
+}
+
+UpdateLaneView
+UpdateLanes::view() const
+{
+    const bool drawn = !stoch.empty();
+    return {drawn ? drawnLeak.data() : leak.data(),
+            revSel.data(),
+            drawn ? drawnThr.data() : thr.data(),
+            negLim.data(),
+            posMul.data(),
+            drawn ? drawnPosAdd.data() : posAdd.data(),
+            negMul.data(),
+            negAdd.data(),
+            lo.data(),
+            hi.data()};
 }
 
 size_t
@@ -138,176 +135,48 @@ UpdateLanes::footprintBytes() const
     auto vec = [](const std::vector<int32_t> &v) {
         return v.capacity() * sizeof(int32_t);
     };
-    auto bvec = [](const std::vector<uint8_t> &v) {
-        return v.capacity();
-    };
     return vec(leak) + vec(revSel) + vec(thr) + vec(negLim) +
         vec(posMul) + vec(posAdd) + vec(negMul) + vec(negAdd) +
-        vec(lo) + vec(hi) + deterministic.footprintBytes() +
-        stochastic.footprintBytes() + bvec(leakStochFlag) +
-        bvec(maskBits) + bvec(posLinear) + vec(leakSgn) +
-        vec(leakAbs);
+        vec(lo) + vec(hi) + stoch.capacity() * sizeof(StochNeuron) +
+        vec(drawnLeak) + vec(drawnThr) + vec(drawnPosAdd);
 }
 
-namespace {
-
-template <typename W>
 void
-batchUpdateRangeT(const UpdateLanes &lanes, int32_t *v,
-                  uint32_t begin, uint32_t end, BitVec &fired_bits)
+batchUpdateRange(const UpdateLanes &lanes, int32_t *v, uint32_t begin,
+                 uint32_t end, BitVec &fired_bits)
 {
-    // Per 64-lane strip: a flat compute loop storing fired flags as
-    // bytes (no cross-lane dependency, so it can vectorize), then a
-    // scalar pack of the flags into the strip's fired word.
-    uint32_t j = begin;
-    while (j < end) {
-        const size_t word = j / 64;
-        const uint32_t base = j;
-        const uint32_t stop = std::min<uint32_t>(
-            end, static_cast<uint32_t>((word + 1) * 64));
-        uint8_t flags[64];
-        for (uint32_t k = 0; j < stop; ++j, ++k)
-            flags[k] = batchUpdateOneT<W>(lanes, v, j);
-        uint64_t bits = 0;
-        for (uint32_t k = 0; k < stop - base; ++k)
-            bits |= static_cast<uint64_t>(flags[k])
-                << ((base + k) % 64);
-        if (bits)
-            fired_bits.orWordAt(word, bits);
-    }
-}
-
-/**
- * Homogeneous-core variant: every lane value is hoisted into a
- * register before the strip loop, so the loop body reads nothing but
- * the potential array — the memory-bound 10-lane kernel becomes a
- * pure streaming pass (see ROADMAP: fused-lane follow-up).
- * Arithmetic is identical to batchUpdateOneV, value for value.
- */
-template <typename W>
-void
-batchUpdateUniformRangeT(const UpdateLanes &lanes, int32_t *v,
-                         uint32_t begin, uint32_t end,
-                         BitVec &fired_bits)
-{
-    const W leak = lanes.leak[0];
-    const W rev = lanes.revSel[0];
-    const W thr = lanes.thr[0];
-    const W neg_lim = lanes.negLim[0];
-    const W pos_mul = lanes.posMul[0];
-    const W pos_add = lanes.posAdd[0];
-    const W neg_mul = lanes.negMul[0];
-    const W neg_add = lanes.negAdd[0];
-    const W lo = lanes.lo[0];
-    const W hi = lanes.hi[0];
-
-    uint32_t j = begin;
-    while (j < end) {
-        const size_t word = j / 64;
-        const uint32_t base = j;
-        const uint32_t stop = std::min<uint32_t>(
-            end, static_cast<uint32_t>((word + 1) * 64));
-        uint8_t flags[64];
-        for (uint32_t k = 0; j < stop; ++j, ++k) {
-            W x = v[j];
-            W sg = (x > 0) - (x < 0);
-            W omega = 1 + rev * (sg - 1);
-            W u = x + omega * leak;
-            u = u < lo ? lo : (u > hi ? hi : u);
-            bool fired = u >= thr;
-            bool neg = u < neg_lim;
-            W pos = pos_mul * u + pos_add;
-            pos = pos < lo ? lo : (pos > hi ? hi : pos);
-            W ng = neg_mul * u + neg_add;
-            ng = ng < lo ? lo : (ng > hi ? hi : ng);
-            W out = fired ? pos : (neg ? ng : u);
-            v[j] = static_cast<int32_t>(out);
-            flags[k] = fired;
-        }
-        uint64_t bits = 0;
-        for (uint32_t k = 0; k < stop - base; ++k)
-            bits |= static_cast<uint64_t>(flags[k])
-                << ((base + k) % 64);
-        if (bits)
-            fired_bits.orWordAt(word, bits);
-    }
-}
-
-/**
- * Narrow-cohort range kernel through the runtime-dispatched SIMD
- * strip (util/simd.hh): per word-aligned strip, hand the lane
- * pointers to the active level's updateStrip and OR the returned
- * fired flags into the strip's word.  Every dispatch level computes
- * batchUpdateOneV<int32_t> value for value, so the choice of level
- * never changes an output bit.
- */
-void
-batchUpdateRangeSimd(const UpdateLanes &lanes, int32_t *v,
-                     uint32_t begin, uint32_t end, BitVec &fired_bits)
-{
+    NSCS_ASSERT(lanes.narrow,
+                "batched update on a core with a 31-bit neuron");
+    // Per word-aligned strip, hand the lane pointers to the active
+    // dispatch level's updateStrip and OR the returned fired flags
+    // into the strip's word.  Every level computes batchUpdateOneV
+    // value for value, so the level never changes an output bit.
+    const UpdateLaneView V = lanes.view();
     const simd::Ops &ops = simd::ops();
     uint32_t j = begin;
     while (j < end) {
         const size_t word = j / 64;
         const uint32_t stop = std::min<uint32_t>(
             end, static_cast<uint32_t>((word + 1) * 64));
-        simd::UpdateStrip s = {
-            v + j,
-            lanes.leak.data() + j,
-            lanes.revSel.data() + j,
-            lanes.thr.data() + j,
-            lanes.negLim.data() + j,
-            lanes.posMul.data() + j,
-            lanes.posAdd.data() + j,
-            lanes.negMul.data() + j,
-            lanes.negAdd.data() + j,
-            lanes.lo.data() + j,
-            lanes.hi.data() + j,
+        const simd::UpdateStrip s = {
+            v + j,         V.leak + j,   V.rev + j,    V.thr + j,
+            V.negLim + j,  V.posMul + j, V.posAdd + j, V.negMul + j,
+            V.negAdd + j,  V.lo + j,     V.hi + j,
         };
-        uint64_t bits = ops.updateStrip(s, stop - j);
+        const uint64_t bits = ops.updateStrip(s, stop - j);
         if (bits)
             fired_bits.orWordAt(word, bits << (j % 64));
         j = stop;
     }
 }
 
-/** Runs shorter than this skip the dispatched strip kernel. */
-constexpr uint32_t kSimdMinLanes = 16;
-
-} // anonymous namespace
-
-void
-batchUpdateRange(const UpdateLanes &lanes, int32_t *v,
-                 uint32_t begin, uint32_t end, BitVec &fired_bits)
-{
-    // The narrow proof (every intermediate fits int32) is exactly
-    // the SIMD strip kernel's precondition; wide cores keep the
-    // scalar int64 kernels.  Short runs — the deterministic gaps
-    // between scattered stochastic neurons — stay on the inlined
-    // int32 template: the dispatch call plus the vector kernels'
-    // masked loads of eleven lane arrays cost more than they save
-    // under ~a quarter strip, and batchUpdateOneT<int32_t> is the
-    // same arithmetic value for value, so the cutoff never changes
-    // an output bit.
-    if (lanes.narrow) {
-        if (end - begin >= kSimdMinLanes)
-            batchUpdateRangeSimd(lanes, v, begin, end, fired_bits);
-        else
-            batchUpdateRangeT<int32_t>(lanes, v, begin, end,
-                                       fired_bits);
-        return;
-    }
-    if (lanes.uniform)
-        batchUpdateUniformRangeT<int64_t>(lanes, v, begin, end,
-                                          fired_bits);
-    else
-        batchUpdateRangeT<int64_t>(lanes, v, begin, end, fired_bits);
-}
-
 uint64_t
 batchUpdateMasked(const UpdateLanes &lanes, int32_t *v,
                   const BitVec &mask, BitVec &fired_bits)
 {
+    NSCS_ASSERT(lanes.narrow,
+                "batched update on a core with a 31-bit neuron");
+    const UpdateLaneView V = lanes.view();
     uint64_t updated = 0;
     mask.forEachSetWord([&](size_t w, uint64_t word) {
         if (word == ~0ull) {
@@ -320,10 +189,10 @@ batchUpdateMasked(const UpdateLanes &lanes, int32_t *v,
         uint64_t bits = word;
         uint64_t fired = 0;
         while (bits) {
-            unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+            const auto b = static_cast<unsigned>(__builtin_ctzll(bits));
             bits &= bits - 1;
             fired |= static_cast<uint64_t>(
-                batchUpdateOne(lanes, v, w * 64 + b)) << b;
+                batchUpdateOneV(V, v, w * 64 + b)) << b;
             ++updated;
         }
         if (fired)

@@ -107,7 +107,7 @@ andPopcountScalar(const uint64_t *a, const uint64_t *b, size_t words)
 
 /**
  * The narrow batched neuron update over strip lanes [begin, end) —
- * the same arithmetic as neuron/batch.hh's batchUpdateOneV<int32_t>,
+ * the same arithmetic as neuron/batch.hh's batchUpdateOneV,
  * value for value (the narrow proof bounds every intermediate inside
  * int32).  @return fired flags at their absolute lane positions.
  */
@@ -145,10 +145,12 @@ updateStripScalar(const UpdateStrip &s, uint32_t n)
 /**
  * The batched synaptic apply over lanes [begin, end) — the reference
  * for util/simd.hh's applyWord contract.  Every intermediate fits
- * int32: counts <= numAxons, |weight| <= 255 and |v| <= 2^30
- * (potential rails cap at 31 bits), so with fewer than 2^18 axons a
- * core's pos/neg/delta stay under 2^28 and the guard sums under
- * 2^31.
+ * int32 on the narrow cores that take this path (every neuron at
+ * potentialBits <= 30, so |v| <= 2^29): counts <= numAxons and
+ * |weight| <= 255, so with fewer than 2^18 axons a core's
+ * pos/neg/delta stay under 2^28 and the guard sums under 2^30.  A
+ * 31-bit rail reaches INT32_MAX, where v + pos would overflow, so
+ * such cores integrate scalar (core/core.cc).
  */
 uint64_t
 applyWordScalarRange(const ApplyWord &a, uint32_t begin, uint32_t end)

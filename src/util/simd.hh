@@ -135,8 +135,10 @@ struct Ops
 
     /**
      * Narrow (int32) batched update of @p n <= 64 neurons — the
-     * arithmetic of neuron/batch.hh's batchUpdateOneV<int32_t>,
-     * value for value.  @return fired flags, bit k = strip lane k.
+     * arithmetic of neuron/batch.hh's batchUpdateOneV, value for
+     * value; the caller guarantees its int32 bound (potentials in
+     * rails of at most 30 bits).  @return fired flags, bit k = strip
+     * lane k.
      */
     uint64_t (*updateStrip)(const UpdateStrip &s, uint32_t n);
 
@@ -146,7 +148,8 @@ struct Ops
      * delta (count x weight deterministic, successes x sgn(weight)
      * stochastic), and commit `v += sum(delta)` iff the worst-case
      * excursion guard holds — v plus the positive deltas stays at or
-     * under vHi and v plus the negative deltas at or over vLo.
+     * under vHi and v plus the negative deltas at or over vLo.  The
+     * guard sums are int32, so rails may span at most 30 bits.
      * @return the committed lanes (guard-passing bits; the caller
      * diverts `touched & ~applied` to the scalar fallback replay and
      * derives the event counters from popcounts of the planes masked

@@ -308,6 +308,35 @@ TEST(SnapshotRejects, SelfEventArrayOutOfHeapOrder)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(SnapshotRejects, PotentialOutsideRails)
+{
+    auto donor = selfEventSim();
+    donor->run(5);
+    JsonValue snap = donor->snapshot();
+    const JsonValue &lane =
+        snap.at("device").at("cores").at(0).at("lanes").at(0);
+    const JsonValue &v = lane.at("v");
+
+    // A value on a 20-bit neuron's rail is register state...
+    std::string err;
+    JsonValue on_rail = withCore0Lane0(
+        snap, withMember(lane, "v",
+                         withElement(v, 3, JsonValue::integer(524287))));
+    EXPECT_TRUE(selfEventSim()->restore(on_rail, &err)) << err;
+
+    // ...one past either rail is not, nor is a value that int32 would
+    // silently truncate.
+    for (int64_t bad : {int64_t{524288}, int64_t{-524289},
+                        int64_t{5000000}, int64_t{1} << 40}) {
+        JsonValue doc = withCore0Lane0(
+            snap, withMember(lane, "v",
+                             withElement(v, 3, JsonValue::integer(bad))));
+        err.clear();
+        EXPECT_FALSE(selfEventSim()->restore(doc, &err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+}
+
 // Documents written while the chip kept a (tick, core) wake agenda
 // carry "agenda" and "lastWake" keys.  They load, the keys are
 // ignored, and the continuation matches a straight run — counters

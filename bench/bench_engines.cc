@@ -2,14 +2,20 @@
  * @file
  * Ablation A2 — execution-engine comparison.
  *
- * The event-driven engine skips cores with no parked spikes, no due
- * self-events and no per-tick-stochastic neurons, catching skipped
- * neurons up with the closed-form leak fast-forward.  Sweeps the
- * activity level at a fixed chip size and reports the wall-clock
- * advantage and the evaluation counts that explain it.
+ * Both engines run the same core tick path (Core::tickDense: settle
+ * any skipped ticks, integrate, update every neuron); they differ
+ * only in the wake rule.  Clock wakes every core every tick.  Event
+ * wakes a core when spikes are parked for the tick or its wake tick
+ * has come (a per-tick-stochastic neuron, or a fire due without
+ * input), and the woken core settles the ticks it skipped with the
+ * closed-form leak fast-forward.  Sweeps the activity level at a
+ * fixed chip size and reports the wall-clock advantage and the
+ * evaluation counts that explain it.
  *
  * Expected shape: the event engine's advantage is largest at sparse
- * activity and erodes as every core becomes busy every tick.
+ * activity, where whole cores idle, and falls to parity once every
+ * core is woken every tick, because a woken core costs what it
+ * costs under Clock.
  *
  * A second sweep compares the serial tick engine against the
  * multi-threaded one (Chip::tickParallel) on a 64-core chip at busy

@@ -11,15 +11,18 @@
  * drained wait a full scheduler wrap and are counted as late (an
  * architectural hazard, not a simulator error).
  *
- * Two execution engines with bit-identical spike output:
- *  - Clock: every core evaluates every tick (tickDense);
- *  - Event: cores run only when they have parked spikes to drain, a
- *    due predicted self-event, or per-tick-stochastic neurons
- *    (tickSparse).  Each tick one ascending scan over the cores
- *    applies that rule: it reads the scheduler's per-slot population
- *    count, the core's next predicted self-event tick (cached after
- *    every evaluation) and its dense-neuron flag, so there is no
- *    separate wake-up queue to keep or snapshot.
+ * One core tick path, two wake rules, bit-identical spike output.
+ * A woken core always runs Core::tickDense: it settles the ticks it
+ * skipped, integrates its slot and updates every neuron.  The two
+ * execution engines differ only in which live cores the per-tick
+ * ascending scan wakes:
+ *  - Clock: every live core, every tick;
+ *  - Event: a core with spikes parked in this tick's slot, or whose
+ *    Core::nextWake() is this tick (a Dense neuron, a fire due
+ *    without input, or a fault that landed on it).  The scan reads
+ *    the scheduler's per-slot population count and the core's
+ *    cached wake tick, so there is no separate wake-up queue to keep
+ *    or snapshot.
  *
  * Two spike-transport models:
  *  - Functional: spikes teleport into the destination scheduler at
@@ -62,7 +65,7 @@ class ThreadPool;
 /** Execution engine selection. */
 enum class EngineKind : uint8_t {
     Clock,  //!< evaluate every core every tick
-    Event,  //!< evaluate only cores with work
+    Event,  //!< evaluate only cores the wake rule selects
 };
 
 /** Spike transport model selection. */
@@ -371,11 +374,7 @@ class Chip
                    uint64_t delivery_tick, uint64_t first_available,
                    uint32_t inst);
     void runMesh(uint64_t t);
-    void refreshSelfWake(uint32_t core);
-    bool refreshAllSelfWakes();
     void collectActive(uint64_t t);
-    void evaluateCore(uint32_t core, uint64_t t,
-                      std::vector<InstanceFire> &fired);
     void finishTick(uint64_t t);
     void applyDueFaults(uint64_t t);
 
@@ -392,11 +391,6 @@ class Chip
     ChipCounters counters_;
     uint64_t now_ = 0;
 
-    // Event engine: each core's next predicted self-event tick (~0
-    // when none), refreshed after every evaluation of the core and at
-    // construction, reset and restore — the only points at which its
-    // prediction can change.
-    std::vector<uint64_t> selfWake_;
     std::vector<uint32_t> activeScratch_;
     std::vector<InstanceFire> firedScratch_;
 

@@ -149,8 +149,9 @@ batchUpdateRange(const UpdateLanes &lanes, int32_t *v, uint32_t begin,
                 "batched update on a core with a 31-bit neuron");
     // Per word-aligned strip, hand the lane pointers to the active
     // dispatch level's updateStrip and OR the returned fired flags
-    // into the strip's word.  Every level computes batchUpdateOneV
-    // value for value, so the level never changes an output bit.
+    // into the strip's word.  Every level computes the file
+    // comment's update function value for value, so the level never
+    // changes an output bit.
     const UpdateLaneView V = lanes.view();
     const simd::Ops &ops = simd::ops();
     uint32_t j = begin;
@@ -170,57 +171,17 @@ batchUpdateRange(const UpdateLanes &lanes, int32_t *v, uint32_t begin,
     }
 }
 
-uint64_t
-batchUpdateMasked(const UpdateLanes &lanes, int32_t *v,
-                  const BitVec &mask, BitVec &fired_bits)
-{
-    NSCS_ASSERT(lanes.narrow,
-                "batched update on a core with a 31-bit neuron");
-    const UpdateLaneView V = lanes.view();
-    uint64_t updated = 0;
-    mask.forEachSetWord([&](size_t w, uint64_t word) {
-        if (word == ~0ull) {
-            batchUpdateRange(lanes, v, static_cast<uint32_t>(w * 64),
-                             static_cast<uint32_t>(w * 64 + 64),
-                             fired_bits);
-            updated += 64;
-            return;
-        }
-        uint64_t bits = word;
-        uint64_t fired = 0;
-        while (bits) {
-            const auto b = static_cast<unsigned>(__builtin_ctzll(bits));
-            bits &= bits - 1;
-            fired |= static_cast<uint64_t>(
-                batchUpdateOneV(V, v, w * 64 + b)) << b;
-            ++updated;
-        }
-        if (fired)
-            fired_bits.orWordAt(w, fired);
-    });
-    return updated;
-}
-
 void
 InstanceLane::init(uint32_t neurons)
 {
     v.assign(neurons, 0);
-    doneThrough.assign(neurons, 0);
-    scheduledFire.assign(neurons, 0);
-    selfEvents.clear();
-    selfEventsStale = 0;
     firedBits = BitVec(neurons);
 }
 
 size_t
 InstanceLane::footprintBytes() const
 {
-    return v.capacity() * sizeof(int32_t) +
-           doneThrough.capacity() * sizeof(uint64_t) +
-           scheduledFire.capacity() * sizeof(uint64_t) +
-           selfEvents.capacity() *
-               sizeof(std::pair<uint64_t, uint32_t>) +
-           firedBits.footprintBytes();
+    return v.capacity() * sizeof(int32_t) + firedBits.footprintBytes();
 }
 
 void

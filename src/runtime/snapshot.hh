@@ -3,12 +3,12 @@
  * Deterministic simulator snapshots.
  *
  * A snapshot captures the complete mutable state of a Simulator —
- * device (every neuron potential, scheduler slot, LFSR position,
- * self-event heap and in-flight board packet), attached sources and
- * the output recorder — as a versioned JSON document.  The Event
- * engine's wake state is not stored: it is derived on restore from
- * the scheduler slots and the self-event heaps, and v2 documents that
- * still carry the former "agenda"/"lastWake" keys load with those
+ * device (every neuron potential, each core's settled-through tick,
+ * scheduler slot, LFSR position and in-flight board packet),
+ * attached sources and the output recorder — as a versioned JSON
+ * document.  The Event engine's wake state is not stored: each core
+ * recomputes its wake tick from its restored state, and documents
+ * that carry the former "agenda"/"lastWake" keys load with those
  * keys ignored.  Restoring a
  * snapshot into a freshly constructed Simulator with the same model
  * and parameters, then running on, is bit-identical to having run
@@ -40,9 +40,13 @@ class Simulator;
 /** Snapshot document version this build reads and writes.
  *  v2 (instance batching): geometry carries the instance-lane count,
  *  core state splits into per-lane records, and recorder/output
- *  entries carry the originating instance.  v1 documents are
- *  rejected with a version diagnostic. */
-inline constexpr int kSnapshotVersion = 2;
+ *  entries carry the originating instance.
+ *  v3 (one core tick path): a core carries one "doneThrough" tick for
+ *  all its lanes, and a lane is its potentials and LFSR; the
+ *  per-neuron settle ticks, fire predictions and self-event heap of
+ *  v2 are gone.  Older documents are rejected with a version
+ *  diagnostic. */
+inline constexpr int kSnapshotVersion = 3;
 
 /** Snapshot document format tag. */
 inline constexpr const char *kSnapshotFormat = "nscs-snapshot";

@@ -65,6 +65,14 @@ class SpikeSource
 /**
  * Independent Bernoulli spiking per target per tick: target i fires
  * with probability rate[i] (spikes/tick, <= 1).
+ *
+ * Target i fires when a draw's top 53 bits fall below the integer
+ * threshold ceil(rate[i] * 2^53), which is exactly
+ * Xoshiro256::chance(rate[i]): uniform() is k * 2^-53 for those bits
+ * k, and k < rate * 2^53 holds for an integer k exactly when
+ * k < ceil(rate * 2^53) (the scaling by 2^53 is exact).  So the
+ * stream is the chance() stream, one draw per target per tick in
+ * target order, without a double compare per draw.
  */
 class PoissonSource : public SpikeSource
 {
@@ -84,7 +92,8 @@ class PoissonSource : public SpikeSource
 
   private:
     std::vector<InputSpike> targets_;
-    std::vector<double> rates_;
+    std::vector<uint64_t> thresholds_;  //!< ceil(rate * 2^53)
+    std::vector<uint32_t> hits_;        //!< scratch: firing targets
     Xoshiro256 rng_;
 };
 

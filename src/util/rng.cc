@@ -20,12 +20,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // anonymous namespace
 
 void
@@ -39,20 +33,6 @@ Xoshiro256::reset(uint64_t seed)
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 0x9E3779B97F4A7C15ull;
     hasCachedNormal_ = false;
-}
-
-uint64_t
-Xoshiro256::next()
-{
-    uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 uint64_t

@@ -24,6 +24,7 @@
 #ifndef NSCS_UTIL_RNG_HH
 #define NSCS_UTIL_RNG_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace nscs {
@@ -119,8 +120,21 @@ class Xoshiro256
     /** Re-seed via SplitMix64 expansion of @p seed. */
     void reset(uint64_t seed);
 
-    /** Next raw 64-bit draw. */
-    uint64_t next();
+    /** Next raw 64-bit draw (inline: per-target input sources draw
+     *  once per target per tick). */
+    uint64_t
+    next()
+    {
+        const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double

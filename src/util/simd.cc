@@ -107,8 +107,8 @@ andPopcountScalar(const uint64_t *a, const uint64_t *b, size_t words)
 
 /**
  * The narrow batched neuron update over strip lanes [begin, end) —
- * the same arithmetic as neuron/batch.hh's batchUpdateOneV,
- * value for value (the narrow proof bounds every intermediate inside
+ * the update function of neuron/batch.hh's file comment, value
+ * for value (the narrow proof bounds every intermediate inside
  * int32).  @return fired flags at their absolute lane positions.
  */
 uint64_t

@@ -135,7 +135,7 @@ struct Ops
 
     /**
      * Narrow (int32) batched update of @p n <= 64 neurons — the
-     * arithmetic of neuron/batch.hh's batchUpdateOneV, value for
+     * update function of neuron/batch.hh's file comment, value for
      * value; the caller guarantees its int32 bound (potentials in
      * rails of at most 30 bits).  @return fired flags, bit k = strip
      * lane k.

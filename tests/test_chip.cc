@@ -427,7 +427,7 @@ TEST(ChipWake, LazyLeakSelfFireBeyondSchedulerWindow)
 {
     // A rising LazyLeak neuron with no input fires every 40 ticks: a
     // prediction far past the 16-slot scheduler, carried only by the
-    // core's cached self-event tick.
+    // core's cached wake tick.
     CoreConfig cfg = CoreConfig::make(smallGeom());
     cfg.neurons[0].leak = 1;
     cfg.neurons[0].threshold = 40;
@@ -510,6 +510,58 @@ TEST(ChipWake, DueSelfEventAndInputInOneTick)
         // Reset to 0 at tick 49, then ten unstimulated ticks.
         EXPECT_EQ(chip.core(0).settledPotential(0, chip.now()), 10);
     }
+}
+
+/** A one-core chip whose plan flips bit @p bit of neuron 0 at
+ *  tick @p tick. */
+ChipParams
+flipParams(uint64_t tick, uint32_t bit)
+{
+    auto plan = std::make_shared<FaultPlan>();
+    FaultEvent flip;
+    flip.kind = FaultKind::PotentialFlip;
+    flip.tick = tick;
+    flip.neuron = 0;
+    flip.bit = bit;
+    plan->events.push_back(flip);
+    ChipParams p = params1x1();
+    p.faultPlan = plan;
+    return p;
+}
+
+TEST(ChipWake, FlipOnIdlePureNeuronWakesCore)
+{
+    // A Pure neuron at rest (v = 0, threshold 100) gets no input.
+    // Bit 12 lifts it to 4096 at tick 5, and the Clock engine fires
+    // it that tick: the flip must wake the idle core.
+    CoreConfig cfg = CoreConfig::make(smallGeom());
+    cfg.neurons[0].threshold = 100;
+    cfg.dests[0] = outputDest(0);
+    Chip chip = runBothEngines(flipParams(5, 12), {cfg}, 20, {});
+    EXPECT_EQ(chip.outputs(), (std::vector<OutputSpike>{{5, 0}}));
+    EXPECT_EQ(chip.faultStats().seuFlips, 1u);
+    EXPECT_EQ(chip.counters().coreActivations, 1u);
+}
+
+TEST(ChipWake, FlipLandsOnCaughtUpPotential)
+{
+    // Neuron 0 leaks from 50 toward its floor at 0; a weight-8 input
+    // lands at tick 12.  Under Clock the potential is 40 when bit 4
+    // flips at tick 10, so 56 leaks to 54 and the input carries it
+    // to 62, over threshold 60, at tick 12.  The idle core must be
+    // settled to tick 10 before the flip, not flipped at 50.
+    CoreConfig cfg = CoreConfig::make(smallGeom());
+    cfg.neurons[0].leak = -1;
+    cfg.neurons[0].initialPotential = 50;
+    cfg.neurons[0].negSaturate = true;
+    cfg.neurons[0].negThreshold = 0;
+    cfg.neurons[0].threshold = 60;
+    cfg.neurons[0].synWeight = {8, 8, 8, 8};
+    cfg.connect(3, 0);
+    cfg.dests[0] = outputDest(0);
+    Chip chip = runBothEngines(flipParams(10, 4), {cfg}, 20,
+                               {{12, 0, 3}});
+    EXPECT_EQ(chip.outputs(), (std::vector<OutputSpike>{{12, 0}}));
 }
 
 TEST(ChipDeterminism, SameSeedSameTrace)

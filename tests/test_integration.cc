@@ -196,6 +196,74 @@ TEST(SimulatorFacade, PoissonAndScheduleSources)
     EXPECT_GT(sim.recorder().size(), 0u);
 }
 
+/**
+ * PoissonSource's integer thresholds must reproduce the
+ * Xoshiro256::chance stream exactly, at the edges of the rate range
+ * too, and carry on identically across a save and restore.
+ */
+TEST(PoissonSource, StreamMatchesChanceReference)
+{
+    const std::vector<double> edge = {0.0, 0x1.0p-53, 0.02, 0.5, 0.6,
+                                      1.0 - 0x1.0p-53, 1.0};
+    std::vector<InputSpike> targets;
+    std::vector<double> rates;
+    for (uint32_t i = 0; i < 700; ++i) {
+        targets.push_back({i % 5, i, 0});
+        rates.push_back(edge[i % edge.size()]);
+    }
+    const uint64_t seed = 0x5EEDull;
+    PoissonSource source(targets, rates, seed);
+    Xoshiro256 ref(seed);
+    auto reference = [&](std::vector<InputSpike> &out) {
+        for (size_t i = 0; i < targets.size(); ++i)
+            if (ref.chance(rates[i]))
+                out.push_back(targets[i]);
+    };
+
+    std::vector<InputSpike> got, want;
+    JsonValue saved;
+    for (uint64_t t = 0; t < 200; ++t) {
+        if (t == 120)
+            source.saveState(saved);
+        got.clear();
+        want.clear();
+        source.spikesFor(t, got);
+        reference(want);
+        ASSERT_EQ(got, want) << "tick " << t;
+    }
+
+    // A fresh source restored at tick 120 replays ticks 120..199.
+    PoissonSource restored(targets, rates, seed ^ 1);
+    ASSERT_TRUE(restored.restoreState(saved));
+    ref = Xoshiro256(seed);
+    for (uint64_t t = 0; t < 200; ++t) {
+        want.clear();
+        reference(want);
+        if (t < 120)
+            continue;
+        got.clear();
+        restored.spikesFor(t, got);
+        ASSERT_EQ(got, want) << "restored tick " << t;
+    }
+
+    // A single-rate source at each edge rate: none at 0, all at 1.
+    for (double r : edge) {
+        PoissonSource one(targets, r, seed);
+        Xoshiro256 one_ref(seed);
+        got.clear();
+        one.spikesFor(0, got);
+        size_t expect = 0;
+        for (size_t i = 0; i < targets.size(); ++i)
+            expect += one_ref.chance(r);
+        EXPECT_EQ(got.size(), expect) << r;
+        if (r == 0.0) {
+            EXPECT_TRUE(got.empty());
+        } else if (r == 1.0) {
+            EXPECT_EQ(got.size(), targets.size());
+        }
+    }
+}
+
 TEST(TraceIO, RoundTripAndRaster)
 {
     std::vector<OutputSpike> spikes = {

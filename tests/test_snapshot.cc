@@ -239,9 +239,9 @@ withCore0Lane0(const JsonValue &snap, JsonValue lane)
 }
 
 /**
- * A one-core Event chip whose 16 rising-leak neurons each hold a
- * self-event prediction (neuron n fires at tick 29 + n), so the core's
- * self-event heap is 16 deep with distinct ticks.
+ * A one-core Event chip whose 16 rising-leak neurons each predict a
+ * spontaneous fire (neuron n fires at tick 29 + n), so the core idles
+ * until its wake at tick 29.
  */
 std::unique_ptr<Simulator>
 selfEventSim()
@@ -266,45 +266,76 @@ selfEventSim()
         cp, std::vector<CoreConfig>{cfg});
 }
 
-TEST(SnapshotRejects, SelfEventArrayOutOfHeapOrder)
+/** Copy of @p snap with core 0 replaced by @p core. */
+JsonValue
+withCore0(const JsonValue &snap, JsonValue core)
+{
+    const JsonValue &device = snap.at("device");
+    JsonValue cores =
+        withElement(device.at("cores"), 0, std::move(core));
+    return withMember(snap, "device",
+                      withMember(device, "cores", cores));
+}
+
+TEST(SnapshotRejects, CoreDoneThroughAheadOfChip)
+{
+    // The core's first wake is neuron 0's fire at tick 29, so after
+    // five chip ticks it has run none; the snapshot writes it settled
+    // through the chip's tick.
+    auto donor = selfEventSim();
+    donor->run(5);
+    EXPECT_EQ(donor->chip().core(0).counters().ticksRun, 0u);
+    JsonValue snap = donor->snapshot();
+    const JsonValue &core = snap.at("device").at("cores").at(0);
+    ASSERT_EQ(core.at("doneThrough").asInt(), 5);
+    std::string err;
+    ASSERT_TRUE(selfEventSim()->restore(snap, &err)) << err;
+
+    // A core settled short of the chip's tick, with no wake skipped,
+    // is a tick-boundary state too...
+    JsonValue behind = withCore0(
+        snap, withMember(core, "doneThrough", JsonValue::integer(3)));
+    EXPECT_TRUE(selfEventSim()->restore(behind, &err)) << err;
+
+    // ...a core that ran a tick the chip has not reached is not,
+    for (int64_t bad : {int64_t{6}, int64_t{1000}, int64_t{-1}}) {
+        JsonValue doc = withCore0(
+            snap, withMember(core, "doneThrough", JsonValue::integer(bad)));
+        err.clear();
+        EXPECT_FALSE(selfEventSim()->restore(doc, &err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+
+    // ...nor is a chip tick past the core's wake that the core never
+    // ran: neuron 0 was due at tick 29.
+    const JsonValue &device = snap.at("device");
+    JsonValue late = withMember(
+        snap, "device",
+        withMember(device, "now", JsonValue::string(u64ToHex(40))));
+    err.clear();
+    EXPECT_FALSE(selfEventSim()->restore(late, &err));
+    EXPECT_FALSE(err.empty());
+}
+
+TEST(SnapshotRejects, MissingDoneThrough)
 {
     auto donor = selfEventSim();
     donor->run(5);
     JsonValue snap = donor->snapshot();
-    const JsonValue &lane =
-        snap.at("device").at("cores").at(0).at("lanes").at(0);
-    const JsonValue &heap = lane.at("selfEvents");
-    ASSERT_EQ(heap.size(), 32u);  // 16 (tick, neuron) pairs
-
-    // The untouched document restores.
+    const JsonValue &core = snap.at("device").at("cores").at(0);
+    JsonValue stripped = JsonValue::object();
+    for (const std::string &key : core.keys())
+        if (key != "doneThrough")
+            stripped.set(key, core.at(key));
     std::string err;
-    ASSERT_TRUE(selfEventSim()->restore(snap, &err)) << err;
-
-    // Swapping two pairs breaks the heap order: pairs 0 and 1 put a
-    // later tick above an earlier one, pairs 2 and 3 likewise.
-    JsonValue swapped = JsonValue::array();
-    for (size_t pair : {1u, 0u, 3u, 2u}) {
-        swapped.append(heap.at(2 * pair));
-        swapped.append(heap.at(2 * pair + 1));
-    }
-    for (size_t k = 8; k < heap.size(); ++k)
-        swapped.append(heap.at(k));
-    JsonValue bad = withCore0Lane0(
-        snap, withMember(lane, "selfEvents", swapped));
-    err.clear();
-    EXPECT_FALSE(selfEventSim()->restore(bad, &err));
+    EXPECT_FALSE(selfEventSim()->restore(withCore0(snap, stripped), &err));
     EXPECT_FALSE(err.empty());
 
-    // A heap whose top no longer matches its neuron's prediction is
-    // not a tick-boundary state either: the wake scan would have to
-    // pop it to find the core's next self-event.
-    const JsonValue &fire = lane.at("schedFire");
-    const auto top = static_cast<size_t>(heap.at(1).asInt());
-    JsonValue stale = withCore0Lane0(
-        snap, withMember(lane, "schedFire",
-                         withElement(fire, top, JsonValue::integer(-1))));
+    // A non-integer tick is rejected, not read.
+    JsonValue text = withCore0(
+        snap, withMember(core, "doneThrough", JsonValue::string("5")));
     err.clear();
-    EXPECT_FALSE(selfEventSim()->restore(stale, &err));
+    EXPECT_FALSE(selfEventSim()->restore(text, &err));
     EXPECT_FALSE(err.empty());
 }
 

@@ -312,9 +312,8 @@ const NameRule kNameRules[] = {
     // priority-queue: the PR-3 self-event heap lesson.
     {"priority-queue", "std::priority_queue", false,
      "opaque heap in a tick path; use an explicit vector heap "
-     "(std::push_heap/pop_heap, see Core::selfEvents_) so stale "
-     "entries can be lazily compacted and footprintBytes() can "
-     "account for it"},
+     "(std::push_heap/pop_heap) so stale entries can be lazily "
+     "compacted and footprintBytes() can account for it"},
     // raw-serialize: persisted state must survive compilers,
     // endianness and struct-layout changes, so byte-image tricks are
     // banned; snapshots go through runtime/snapshot + util/json

@@ -7,7 +7,11 @@
  *   nscs_run MODEL.json TICKS [options]
  *
  * Options:
- *   --engine clock|event      execution engine (default event)
+ *   --engine clock|event      which cores run each tick: every
+ *                             core (clock) or only cores with
+ *                             parked spikes or a due wake (event,
+ *                             the default); one core tick path and
+ *                             bit-identical output either way
  *   --noc functional|cycle    spike transport (default functional;
  *                             board targets require functional)
  *   --threads N               worker lanes (default 0 = serial;

@@ -24,11 +24,16 @@
  *     parallel tick engine.
  *  2. Merge phase (serial, deterministic): in-transit packets due
  *     this tick resume first, then each chip's egress buffer drains
- *     in ascending chip order.  A packet follows X-then-Y
- *     dimension-order routing over the chip grid; every link
- *     traversal consumes one unit of that link's per-tick budget and
- *     adds the link's transit delay to both the packet's progress
- *     and its delivery tick.  A packet meeting an exhausted link
+ *     in ascending chip order.  A packet follows the board's route
+ *     table (buildRouteTable): shortest paths over the live links,
+ *     by hop count — X-then-Y dimension order on a healthy fabric —
+ *     or by measured congestion when a traffic profile is loaded.
+ *     A link killed by a fault leaves the table, which is rebuilt at
+ *     the start of that tick, so packets route around it; a packet
+ *     with no live path left is dropped.  Every link traversal
+ *     consumes one unit of that link's per-tick budget and adds the
+ *     link's transit delay to both the packet's progress and its
+ *     delivery tick.  A packet meeting an exhausted link
  *     parks in that link's queue (a stall) and retries next tick; a
  *     full queue drops the packet.  Stall ticks do *not* move the
  *     delivery tick, so a congested packet can miss its scheduler
@@ -66,16 +71,6 @@ bool parseGridSpec(const std::string &spec, uint32_t &w, uint32_t &h);
 
 /** Lowercase name of a link direction (Board::Dir). */
 const char *linkDirName(uint32_t dir);
-
-/**
- * One step of the X-then-Y dimension-order route between chips on a
- * width-@p bw grid: returns {direction, next chip index}.  This is
- * the routing function the runtime walk uses; static traffic
- * analysis (nscs_inspect) shares it so the two cannot diverge.
- * @p at must differ from @p dst.
- */
-std::pair<uint32_t, uint32_t> xyRouteStep(uint32_t at, uint32_t dst,
-                                          uint32_t bw);
 
 /** Inter-chip link model. */
 struct LinkParams
@@ -158,11 +153,11 @@ struct BoardParams
     bool traceTraffic = false;
 
     /**
-     * Traffic profile from a previous trace run.  When set (and the
-     * board dimensions match), inter-chip routes follow static
-     * congestion-aware shortest paths over the measured link loads
-     * (buildRouteTable) instead of fixed XY.  Determinism is
-     * unaffected: the table is built once at construction.
+     * Traffic profile from a previous trace run.  When set (the
+     * board dimensions must match), the route table weighs each link
+     * by its measured load (congestionLinkWeights) instead of
+     * counting hops.  Determinism is unaffected: the table is a pure
+     * function of the profile and the dead links.
      */
     std::shared_ptr<const TrafficProfile> trafficProfile;
 };
@@ -201,7 +196,8 @@ class Board
      * the *global* core grid in row-major order (index =
      * gy * globalWidth() + gx) — the same layout a single chip over
      * the whole grid would take, which is what makes chip-vs-board
-     * differential testing a pure re-partition.
+     * differential testing a pure re-partition.  The chip grid may
+     * hold at most kMaxRoutedChips chips.
      */
     Board(const BoardParams &params, std::vector<CoreConfig> configs);
 
@@ -302,9 +298,6 @@ class Board
      */
     TrafficProfile trafficProfile() const;
 
-    /** The active route table; empty means XY routing. */
-    const RouteTable &routeTable() const { return routes_; }
-
     // --- fault injection -------------------------------------------------
 
     /**
@@ -353,7 +346,6 @@ class Board
         uint32_t seq = 0;           //!< merge-order sequence number
         uint32_t checksum = 0;      //!< header checksum (reliable)
         uint8_t retries = 0;        //!< retransmissions so far
-        uint8_t detours = 0;        //!< dead-link reroute steps taken
         uint8_t dupClone = 0;       //!< spawned by a duplicate fault
 
         /** Coalesced spikes riding along (LinkParams::coalesce); the
@@ -365,8 +357,7 @@ class Board
     void walkPacket(BoardPacket p, uint64_t t);
     void walkWithClones(BoardPacket p, uint64_t t);
     void mergePhase(uint64_t t);
-    std::pair<uint32_t, uint32_t> routeStep(uint32_t at,
-                                            uint32_t dst) const;
+    void buildRoutes();
     void applyDueFaults(uint64_t t);
     void deliverPacket(const BoardPacket &p);
     uint32_t packetChecksum(const BoardPacket &p) const;
@@ -407,8 +398,9 @@ class Board
     std::vector<uint32_t> dedupPos_;
     std::vector<BoardPacket> cloneScratch_;  //!< duplicate-fault spawn
 
-    // Congestion-aware routing (BoardParams::trafficProfile); empty
-    // table = XY.
+    // Shortest paths over the live links, weighted by
+    // BoardParams::trafficProfile when one is set.  Derived state:
+    // rebuilt whenever linkDead_ changes, never serialized.
     RouteTable routes_;
 
     // Traffic tracing (BoardParams::traceTraffic).

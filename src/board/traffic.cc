@@ -7,6 +7,7 @@
 #include "board/traffic.hh"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "util/json.hh"
@@ -15,9 +16,6 @@
 namespace nscs {
 
 namespace {
-
-/** Route tables above this chip count fall back to XY routing. */
-constexpr uint32_t kMaxRoutedChips = 1024;
 
 constexpr const char *kFormat = "nscs-traffic";
 constexpr int64_t kVersion = 1;
@@ -58,11 +56,10 @@ RouteTable::step(uint32_t at, uint32_t dst) const
     const uint32_t n = boardW * boardH;
     NSCS_ASSERT(at < n && dst < n && at != dst,
                 "RouteTable::step: bad chip pair");
-    const uint32_t dir = nextDir[at * n + dst];
-    NSCS_ASSERT(dir < 4, "RouteTable::step: unreachable destination");
-    const uint32_t next = linkNeighbor(at, dir, boardW, boardH);
-    NSCS_ASSERT(next < n, "RouteTable::step: hop leaves the board");
-    return {dir, next};
+    const uint32_t dir = nextDir[static_cast<size_t>(at) * n + dst];
+    if (dir == kNoRoute)
+        return {kNoRoute, at};
+    return {dir, linkNeighbor(at, dir, boardW, boardH)};
 }
 
 JsonValue
@@ -278,86 +275,84 @@ congestionLinkWeights(const TrafficProfile &profile)
 }
 
 RouteTable
-buildRouteTable(const TrafficProfile &profile)
+buildRouteTable(uint32_t bw, uint32_t bh,
+                const std::vector<uint64_t> &weights,
+                const std::vector<uint8_t> &dead)
 {
-    RouteTable table;
-    const uint32_t bw = profile.boardW;
-    const uint32_t bh = profile.boardH;
     const uint32_t n = bw * bh;
-    if (n == 0 || n > kMaxRoutedChips)
-        return table;
+    NSCS_ASSERT(n >= 1 && n <= kMaxRoutedChips,
+                "route table for %ux%u chips (1..%u supported)", bw, bh,
+                kMaxRoutedChips);
+    const size_t links = static_cast<size_t>(n) * 4;
+    NSCS_ASSERT(weights.empty() || weights.size() == links,
+                "route table: %zu link weights for %zu links",
+                weights.size(), links);
+    NSCS_ASSERT(dead.empty() || dead.size() == links,
+                "route table: %zu dead-link flags for %zu links",
+                dead.size(), links);
 
-    // No recorded link load means nothing to steer around: leave the
-    // table empty so the caller keeps the plain XY walk.
-    bool any_load = false;
-    if (profile.links.size() == static_cast<size_t>(n) * 4) {
-        for (const TrafficLinkLoad &ll : profile.links) {
-            if (ll.packets + ll.stalls > 0) {
-                any_load = true;
-                break;
-            }
-        }
-    }
-    if (!any_load)
-        return table;
-
-    const std::vector<uint64_t> weights =
-        congestionLinkWeights(profile);
+    RouteTable table;
     table.boardW = bw;
     table.boardH = bh;
-    table.nextDir.assign(static_cast<size_t>(n) * n, 0xff);
+    table.nextDir.assign(static_cast<size_t>(n) * n,
+                         RouteTable::kNoRoute);
+
+    // Cost of the live link v -> neighbor along dir; 0 = no edge.
+    const auto cost = [&](uint32_t v, uint32_t dir) -> uint64_t {
+        const size_t link = static_cast<size_t>(v) * 4 + dir;
+        if (linkNeighbor(v, dir, bw, bh) >= n ||
+            (!dead.empty() && dead[link]))
+            return 0;
+        return weights.empty() ? 1 : std::max<uint64_t>(1, weights[link]);
+    };
 
     constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
+    using Entry = std::pair<uint64_t, uint32_t>;  // (dist, chip)
+    const std::greater<Entry> later;  // min-heap order
     std::vector<uint64_t> dist(n);
-    std::vector<uint8_t> done(n);
+    std::vector<Entry> frontier;
 
-    // Per-destination shortest path to dst over the chip grid.  A
-    // hop v -> u costs the weight of v's outgoing link, so running
-    // plain Dijkstra from dst over *incoming* links gives dist[v] =
-    // cheapest v -> dst cost.  O(n^2) scans keep it free of heap
-    // containers and fully deterministic (lowest index settles
-    // first); route tables are built once per Board.
+    // Per-destination shortest path to dst.  A hop v -> u costs v's
+    // outgoing link, so Dijkstra from dst over *incoming* links gives
+    // dist[v] = cheapest v -> dst cost.  Shortest distances do not
+    // depend on the settle order, so neither does the table below.
     for (uint32_t dst = 0; dst < n; ++dst) {
         std::fill(dist.begin(), dist.end(), kInf);
-        std::fill(done.begin(), done.end(), uint8_t{0});
         dist[dst] = 0;
-        for (uint32_t round = 0; round < n; ++round) {
-            uint32_t u = n;
-            uint64_t best = kInf;
-            for (uint32_t v = 0; v < n; ++v)
-                if (!done[v] && dist[v] < best) {
-                    best = dist[v];
-                    u = v;
-                }
-            if (u == n)
-                break;
-            done[u] = 1;
-            // Relax every neighbor v with an edge v -> u.
+        frontier.assign(1, {0, dst});
+        while (!frontier.empty()) {
+            std::pop_heap(frontier.begin(), frontier.end(), later);
+            const auto [d, u] = frontier.back();
+            frontier.pop_back();
+            if (d != dist[u])
+                continue;  // stale entry
+            // Relax every neighbor v with a live edge v -> u: v -> u
+            // along dir means u -> v along dir ^ 1 (the direction
+            // encoding pairs E/W and N/S).
             for (uint32_t dir = 0; dir < 4; ++dir) {
-                // v -> u along dir means u -> v along dir ^ 1 (the
-                // direction encoding pairs E/W and N/S).
                 const uint32_t v = linkNeighbor(u, dir ^ 1, bw, bh);
                 if (v >= n)
                     continue;
-                const uint64_t w =
-                    weights[static_cast<size_t>(v) * 4 + dir];
-                if (dist[u] != kInf && dist[u] + w < dist[v])
-                    dist[v] = dist[u] + w;
+                const uint64_t w = cost(v, dir);
+                if (w != 0 && d + w < dist[v]) {
+                    dist[v] = d + w;
+                    frontier.push_back({dist[v], v});
+                    std::push_heap(frontier.begin(), frontier.end(),
+                                   later);
+                }
             }
         }
         // First direction in E, W, N, S order that lies on a
-        // shortest path wins; under uniform weights this reproduces
-        // the X-then-Y order of xyRouteStep.
+        // shortest path wins.
         for (uint32_t v = 0; v < n; ++v) {
             if (v == dst || dist[v] == kInf)
                 continue;
             for (uint32_t dir = 0; dir < 4; ++dir) {
-                const uint32_t next = linkNeighbor(v, dir, bw, bh);
-                if (next >= n || dist[next] == kInf)
+                const uint64_t w = cost(v, dir);
+                if (w == 0)
                     continue;
-                const uint64_t w =
-                    weights[static_cast<size_t>(v) * 4 + dir];
-                if (dist[next] + w == dist[v]) {
+                const uint64_t rest = dist[linkNeighbor(v, dir, bw, bh)];
+                if (rest != kInf && rest + w == dist[v]) {
                     table.nextDir[static_cast<size_t>(v) * n + dst] =
                         static_cast<uint8_t>(dir);
                     break;

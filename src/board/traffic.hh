@@ -15,8 +15,8 @@
  *    volume instead of the one-packet-per-dest estimate, and
  *
  *  - BoardParams::trafficProfile feeds the per-link loads into
- *    buildRouteTable(), a static congestion-aware route selector the
- *    Board consults instead of fixed XY.
+ *    congestionLinkWeights(), the link costs the Board's route table
+ *    (buildRouteTable) minimizes instead of plain hop count.
  *
  * Both uses are deterministic: the profile is a pure function of a
  * seeded run, and everything derived from it (weights, shortest
@@ -99,22 +99,35 @@ bool loadTrafficProfile(const std::string &path,
                         TrafficProfile &profile, std::string *err);
 
 /**
+ * Largest board, in chips, that the router supports.  The route
+ * table takes numChips^2 bytes (1 MiB at this size), and the Board
+ * rejects larger grids at construction.
+ */
+inline constexpr uint32_t kMaxRoutedChips = 1024;
+
+/**
  * Static next-hop table: for every (at, dst) chip pair, which
- * outgoing direction a packet at @p at takes toward @p dst.  Shared
- * by the Board's runtime walk and nscs_inspect's static analysis so
- * the two cannot diverge (the same rule as xyRouteStep).
+ * outgoing direction a packet at @p at takes toward @p dst.  It is
+ * the Board's only routing function, and nscs_inspect walks the same
+ * table for its static link loads, so the two cannot diverge.
  */
 struct RouteTable
 {
+    /** nextDir value for at == dst and for pairs with no live path. */
+    static constexpr uint8_t kNoRoute = 0xff;
+
     uint32_t boardW = 0;
     uint32_t boardH = 0;
 
-    /** nextDir[at * numChips + dst]; 0xff when at == dst. */
+    /** nextDir[at * numChips + dst]: a direction, or kNoRoute. */
     std::vector<uint8_t> nextDir;
 
     bool empty() const { return nextDir.empty(); }
 
-    /** (direction, next chip) one hop from @p at toward @p dst. */
+    /**
+     * (direction, next chip) one hop from @p at toward @p dst, or
+     * {kNoRoute, at} when no live path connects them.
+     */
     std::pair<uint32_t, uint32_t> step(uint32_t at,
                                        uint32_t dst) const;
 };
@@ -124,22 +137,25 @@ struct RouteTable
  * profile's link loads: 16 + min(240, 16 * load / mean loaded-link
  * load), where load = packets + 4 * stalls (a stall wastes a full
  * tick of link budget, so it is weighted far above one forwarded
- * packet).  An unloaded fabric yields uniform weights, under which
- * the route table below reproduces XY routing exactly.
+ * packet).  An unloaded fabric yields uniform weights.
  */
 std::vector<uint64_t>
 congestionLinkWeights(const TrafficProfile &profile);
 
 /**
- * Build the congestion-aware route table: per-destination shortest
- * paths over congestionLinkWeights() with deterministic tie-breaking
- * (lowest-index chip settles first; among equal-cost next hops the
- * first direction in E, W, N, S order wins — which makes the table
- * identical to xyRouteStep under uniform weights).  Returns an empty
- * table (caller falls back to XY) when the profile records no link
- * load or the board exceeds the supported size.
+ * Build the route table of a @p bw x @p bh chip grid: per-destination
+ * shortest paths over the live links, where link chip * 4 + dir costs
+ * @p weights[link] (empty = uniform, i.e. hop count; a zero weight
+ * counts as 1) and a nonzero @p dead[link] removes that one directed
+ * link (empty = every link live).  Pairs with no live path get
+ * kNoRoute.  Ties break deterministically: among equal-cost next hops
+ * the first direction in E, W, N, S order wins, which under uniform
+ * weights and no dead links is X-then-Y dimension-order routing.  The
+ * grid must have 1..kMaxRoutedChips chips.
  */
-RouteTable buildRouteTable(const TrafficProfile &profile);
+RouteTable buildRouteTable(uint32_t bw, uint32_t bh,
+                           const std::vector<uint64_t> &weights,
+                           const std::vector<uint8_t> &dead);
 
 } // namespace nscs
 

@@ -293,8 +293,7 @@ faultStatsToJson(const FaultStats &stats)
     put("deadLinks", stats.deadLinks);
     put("retries", stats.retries);
     put("dupsDropped", stats.dupsDropped);
-    put("detours", stats.detours);
-    put("detourDrops", stats.detourDrops);
+    put("unreachableDrops", stats.unreachableDrops);
     put("unrecoveredDrops", stats.unrecoveredDrops);
     put("checksumErrors", stats.checksumErrors);
     put("alarms", stats.alarms);
@@ -317,8 +316,7 @@ faultStatsFromJson(const JsonValue &v)
     stats.deadLinks = get("deadLinks");
     stats.retries = get("retries");
     stats.dupsDropped = get("dupsDropped");
-    stats.detours = get("detours");
-    stats.detourDrops = get("detourDrops");
+    stats.unreachableDrops = get("unreachableDrops");
     stats.unrecoveredDrops = get("unrecoveredDrops");
     stats.checksumErrors = get("checksumErrors");
     stats.alarms = get("alarms");

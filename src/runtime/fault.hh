@@ -159,8 +159,7 @@ struct FaultStats {
     uint64_t deadLinks = 0;       //!< links permanently killed
     uint64_t retries = 0;         //!< protocol retransmissions
     uint64_t dupsDropped = 0;     //!< duplicates masked by seq dedup
-    uint64_t detours = 0;         //!< hops rerouted around dead links
-    uint64_t detourDrops = 0;     //!< packets lost with no detour path
+    uint64_t unreachableDrops = 0; //!< packets with no live path left
     uint64_t unrecoveredDrops = 0; //!< packets lost for good
     uint64_t checksumErrors = 0;  //!< packets failing checksum verify
     uint64_t alarms = 0;          //!< detection alarms raised

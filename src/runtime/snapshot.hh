@@ -44,9 +44,13 @@ class Simulator;
  *  v3 (one core tick path): a core carries one "doneThrough" tick for
  *  all its lanes, and a lane is its potentials and LFSR; the
  *  per-neuron settle ticks, fire predictions and self-event heap of
- *  v2 are gone.  Older documents are rejected with a version
+ *  v2 are gone.
+ *  v4 (one board router): an in-flight board packet is 11 fields;
+ *  the dead-link sidestep count is gone, because packets route by a
+ *  table over the live links, which restore rebuilds rather than
+ *  reads.  Older documents are rejected with a version
  *  diagnostic. */
-inline constexpr int kSnapshotVersion = 3;
+inline constexpr int kSnapshotVersion = 4;
 
 /** Snapshot document format tag. */
 inline constexpr const char *kSnapshotFormat = "nscs-snapshot";

@@ -367,37 +367,49 @@ walkHops(const RouteTable &rt, uint32_t at, uint32_t dst,
     return hops;
 }
 
+/** X-then-Y dimension-order step on a width-@p bw chip grid: the
+ *  reference the uniform-weight route table must reproduce. */
+std::pair<uint32_t, uint32_t>
+xyStep(uint32_t at, uint32_t dst, uint32_t bw)
+{
+    const uint32_t ax = at % bw, ay = at / bw;
+    const uint32_t tx = dst % bw, ty = dst / bw;
+    if (tx != ax)
+        return {tx > ax ? Board::East : Board::West,
+                ay * bw + (tx > ax ? ax + 1 : ax - 1)};
+    return {ty > ay ? Board::North : Board::South,
+            (ty > ay ? ay + 1 : ay - 1) * bw + ax};
+}
+
 TEST(BoardCommsRouting, UniformLoadReproducesXy)
 {
-    TrafficProfile tp;
-    tp.boardW = 3;
-    tp.boardH = 3;
-    tp.links.assign(9 * 4, TrafficLinkLoad{});
-    for (auto &l : tp.links)
-        l.packets = 7;
-    RouteTable rt = buildRouteTable(tp);
-    ASSERT_FALSE(rt.empty());
-    for (uint32_t at = 0; at < 9; ++at) {
-        for (uint32_t dst = 0; dst < 9; ++dst) {
-            if (at == dst)
-                continue;
-            uint32_t cursor = at;
-            while (cursor != dst) {
-                auto xy = xyRouteStep(cursor, dst, 3);
-                auto tbl = rt.step(cursor, dst);
-                EXPECT_EQ(tbl, xy)
-                    << "at " << cursor << " dst " << dst;
-                cursor = xy.second;
+    // Uniform weights, whether implied (no profile) or measured (every
+    // link equally loaded), route exactly like X-then-Y.
+    const std::pair<uint32_t, uint32_t> shapes[] = {
+        {1, 2}, {2, 1}, {1, 5}, {5, 1}, {2, 2}, {3, 3}, {4, 4},
+        {3, 5}, {6, 2}};
+    for (const auto &[bw, bh] : shapes) {
+        const uint32_t n = bw * bh;
+        TrafficProfile tp;
+        tp.boardW = bw;
+        tp.boardH = bh;
+        tp.links.assign(n * 4, TrafficLinkLoad{});
+        for (auto &l : tp.links)
+            l.packets = 7;
+        for (const RouteTable &rt :
+             {buildRouteTable(bw, bh, {}, {}),
+              buildRouteTable(bw, bh, congestionLinkWeights(tp), {})}) {
+            for (uint32_t at = 0; at < n; ++at) {
+                for (uint32_t dst = 0; dst < n; ++dst) {
+                    if (at == dst)
+                        continue;
+                    EXPECT_EQ(rt.step(at, dst), xyStep(at, dst, bw))
+                        << bw << "x" << bh << " at " << at << " dst "
+                        << dst;
+                }
             }
         }
     }
-
-    // A profile with no link load yields no table: XY fallback.
-    TrafficProfile unloaded;
-    unloaded.boardW = 3;
-    unloaded.boardH = 3;
-    unloaded.links.assign(9 * 4, TrafficLinkLoad{});
-    EXPECT_TRUE(buildRouteTable(unloaded).empty());
 }
 
 TEST(BoardCommsRouting, HotLinkDiverts)
@@ -412,7 +424,8 @@ TEST(BoardCommsRouting, HotLinkDiverts)
     tp.links[0 * 4 + Board::South].packets = 10;
     tp.links[2 * 4 + Board::East].packets = 10;
     tp.links[3 * 4 + Board::North].packets = 10;
-    RouteTable rt = buildRouteTable(tp);
+    RouteTable rt =
+        buildRouteTable(2, 2, congestionLinkWeights(tp), {});
     ASSERT_FALSE(rt.empty());
     EXPECT_NE(rt.step(0, 1).first,
               static_cast<uint32_t>(Board::East));
@@ -422,6 +435,45 @@ TEST(BoardCommsRouting, HotLinkDiverts)
         for (uint32_t dst = 0; dst < 4; ++dst)
             if (at != dst)
                 walkHops(rt, at, dst, 4);
+}
+
+TEST(BoardCommsRouting, DeadLinksAreRemovedEdges)
+{
+    // 2x2 board with chip 0's east link dead: 0 -> 1 goes north,
+    // east, then south, and no route uses the dead link.
+    std::vector<uint8_t> dead(4 * 4, 0);
+    dead[0 * 4 + Board::East] = 1;
+    RouteTable rt = buildRouteTable(2, 2, {}, dead);
+    EXPECT_EQ(rt.step(0, 1).first, static_cast<uint32_t>(Board::North));
+    EXPECT_EQ(walkHops(rt, 0, 1, 4), 3u);
+    for (uint32_t dst = 1; dst < 4; ++dst)
+        EXPECT_NE(rt.step(0, dst).first,
+                  static_cast<uint32_t>(Board::East))
+            << "dst " << dst;
+
+    // On a 2x1 board the single east link is the only path.
+    std::vector<uint8_t> cut(2 * 4, 0);
+    cut[0 * 4 + Board::East] = 1;
+    RouteTable line = buildRouteTable(2, 1, {}, cut);
+    EXPECT_EQ(line.step(0, 1),
+              std::make_pair(uint32_t{RouteTable::kNoRoute}, 0u));
+    EXPECT_EQ(line.step(1, 0).first, static_cast<uint32_t>(Board::West));
+
+    // Links die one direction at a time.  On a 3x1 line with 2 -> 1
+    // dead, chip 2 cannot reach chip 0, and chip 1 must not route
+    // toward it even though its east link is listed first.
+    std::vector<uint64_t> weights(3 * 4, 1);
+    weights[1 * 4 + Board::East] = 6;
+    weights[1 * 4 + Board::West] = 5;
+    std::vector<uint8_t> oneWay(3 * 4, 0);
+    oneWay[2 * 4 + Board::West] = 1;
+    RouteTable three = buildRouteTable(3, 1, weights, oneWay);
+    EXPECT_EQ(three.step(1, 0),
+              std::make_pair(uint32_t{Board::West}, 0u));
+    EXPECT_EQ(three.step(2, 0).first,
+              static_cast<uint32_t>(RouteTable::kNoRoute));
+    EXPECT_EQ(three.step(0, 2),
+              std::make_pair(uint32_t{Board::East}, 1u));
 }
 
 // --- profile-guided placement ----------------------------------------------

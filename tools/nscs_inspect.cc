@@ -13,7 +13,7 @@
  * --trace-traffic) for the same board shape and joins it onto the
  * --chips link table: measured packets, stalls and drops per link
  * next to the static all-fire estimate, plus the congestion weight
- * the profile-guided route table would assign each link.
+ * the profile-guided route table assigns each link.
  *
  * With --cores, prints a per-core utilisation table.  With --chips,
  * prints per-chip and per-link tables for the model's board target
@@ -29,8 +29,11 @@
  * the synaptic events.  The drive is deterministic — same model,
  * same T, same report.
  * Link traffic is computed statically by walking every inter-chip
- * destination's X-then-Y route, the same route the runtime takes —
- * the per-spike load each link carries if every neuron fired once.
+ * destination's route through the Board's own route table (weighted
+ * by the --traffic profile when one is given, as nscs_run
+ * --traffic-profile weights it), so the walk takes the route the
+ * runtime takes — the per-spike load each link carries if every
+ * neuron fired once.
  */
 
 #include <cstring>
@@ -137,6 +140,15 @@ main(int argc, char **argv)
                   board_w, board_h, chip_w, chip_h);
         have_traffic = true;
     }
+    if (board_w * board_h > kMaxRoutedChips)
+        fatal("board %ux%u has %u chips; the router supports at most "
+              "%u", board_w, board_h, board_w * board_h,
+              kMaxRoutedChips);
+    const std::vector<uint64_t> weights = have_traffic
+        ? congestionLinkWeights(traffic)
+        : std::vector<uint64_t>{};
+    const RouteTable routes =
+        buildRouteTable(board_w, board_h, weights, {});
 
     uint64_t synapses = 0, used_cores = 0, neurons_used = 0;
     uint64_t axons_used = 0, core_dests = 0, output_dests = 0;
@@ -193,13 +205,12 @@ main(int argc, char **argv)
                 if (tcx != cx || tcy != cy) {
                     ++inter_chip;
                     ++cu.egress;
-                    // Walk the runtime's own routing function: one
-                    // load unit per traversed link.
+                    // Walk the runtime's own route table: one load
+                    // unit per traversed link.
                     uint32_t at = cy * board_w + cx;
                     uint32_t dst = tcy * board_w + tcx;
                     while (at != dst) {
-                        auto [dir, next] = xyRouteStep(at, dst,
-                                                       board_w);
+                        auto [dir, next] = routes.step(at, dst);
                         link_load[at * 4 + dir] += 1;
                         at = next;
                     }
@@ -273,19 +284,16 @@ main(int argc, char **argv)
         std::cout << "\n";
         std::vector<std::string> lt_cols = {
             "link", "static load (spikes/all-fire)"};
-        std::vector<uint64_t> weights;
-        if (have_traffic) {
+        if (have_traffic)
             lt_cols.insert(lt_cols.end(),
                            {"measured packets", "stalls", "drops",
                             "route weight"});
-            weights = congestionLinkWeights(traffic);
-        }
         TextTable lt(lt_cols);
         for (uint32_t l = 0;
              l < static_cast<uint32_t>(link_load.size()); ++l) {
             // A profile can load links the static all-fire estimate
-            // never touches (profile-guided routes detour); show a
-            // row when either side is non-zero.
+            // never touches (its trace may have run other routes);
+            // show a row when either side is non-zero.
             const bool measured = have_traffic &&
                 l < traffic.links.size() &&
                 (traffic.links[l].packets || traffic.links[l].stalls ||

@@ -36,9 +36,9 @@
  *   --trace-traffic FILE      write the measured traffic profile
  *                             (per-chip-pair and per-link loads)
  *                             after a board run
- *   --traffic-profile FILE    route packets with a congestion-aware
- *                             table built from a measured profile
- *                             instead of deterministic XY
+ *   --traffic-profile FILE    weigh the route table's links by a
+ *                             measured profile's congestion instead
+ *                             of hop count
  *   --inputs FILE             input schedule: lines "tick inputName"
  *   --trace FILE              write the output trace here
  *   --stats                   dump device statistics to stderr

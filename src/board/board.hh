@@ -354,8 +354,8 @@ class Board
         std::vector<RoutedSpike> payload;
     };
 
-    void walkPacket(BoardPacket p, uint64_t t);
-    void walkWithClones(BoardPacket p, uint64_t t);
+    void walkPacket(BoardPacket &p, uint64_t t);
+    void walkWithClones(BoardPacket &p, uint64_t t);
     void mergePhase(uint64_t t);
     void buildRoutes();
     void applyDueFaults(uint64_t t);
@@ -407,9 +407,12 @@ class Board
     std::vector<uint64_t> pairTraffic_;  //!< src * numChips + dst
     std::vector<std::map<uint32_t, uint64_t>> cellTraffic_;
 
-    // Per-chip egress coalescing scratch (mergePhase).
+    // Per-chip egress coalescing scratch (mergePhase).  Packets stay
+    // alive across chips and ticks so their payloads keep capacity;
+    // openPacket_ holds the batch index of the open packet per
+    // (dstChip, deliveryTick mod delaySlots), or -1 (coalesce > 1).
     std::vector<BoardPacket> batch_;
-    std::map<std::pair<uint32_t, uint64_t>, size_t> openPacket_;
+    std::vector<int32_t> openPacket_;
 };
 
 } // namespace nscs

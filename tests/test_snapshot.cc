@@ -567,6 +567,36 @@ TEST(SnapshotRejects, BoardPendingPacketOutOfRange)
     }
 }
 
+TEST(SnapshotRejects, ChipEgressRecord)
+{
+    // The merge drains every chip's egress within its tick, so a
+    // snapshot's egress array is empty; a record smuggled into it
+    // (here with instance 5 of 1 lane) is rejected, not replayed.
+    bench::CorticalWorkload w = tappedWorkload(4, 4, 5);
+    auto donor = boardSim(w, EngineKind::Event, 0);
+    donor->run(kSplit);
+    const JsonValue snap = donor->snapshot();
+    const JsonValue &device = snap.at("device");
+    const JsonValue &chip0 = device.at("chips").at(0);
+    ASSERT_EQ(chip0.at("egress").size(), 0u);
+    std::string err;
+    ASSERT_TRUE(boardSim(w, EngineKind::Event, 0)->restore(snap, &err))
+        << err;
+
+    JsonValue egress = JsonValue::array();
+    for (int64_t v : {int64_t{0}, int64_t{1}, int64_t{0}, int64_t{3},
+                      static_cast<int64_t>(kSplit) + 40, int64_t{5}})
+        egress.append(JsonValue::integer(v));
+    JsonValue doc = withMember(
+        snap, "device",
+        withMember(device, "chips",
+                   withElement(device.at("chips"), 0,
+                               withMember(chip0, "egress", egress))));
+    err.clear();
+    EXPECT_FALSE(boardSim(w, EngineKind::Event, 0)->restore(doc, &err));
+    EXPECT_FALSE(err.empty());
+}
+
 TEST(SnapshotRejects, GarbageDocument)
 {
     bench::CorticalWorkload w = tappedWorkload(2, 2, 5);

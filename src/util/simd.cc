@@ -10,7 +10,8 @@
  * decides what actually executes.  NEON is aarch64 baseline and
  * needs no attribute.  Every variant implements the identical
  * integer arithmetic; tails that don't fill a vector run the scalar
- * reference so a level's output never depends on the word count.
+ * reference (the AVX-512 count-lane kernels mask them instead) so a
+ * level's output never depends on the word count.
  *
  * This is the only file in src/ allowed to use vendor intrinsics
  * (linter rule `simd-guard`).
@@ -18,6 +19,7 @@
 
 #include "util/simd.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -199,6 +201,97 @@ uint64_t
 applyWordScalar(const ApplyWord &a, uint32_t n)
 {
     return applyWordScalarRange(a, 0, n);
+}
+
+/** Word @p w of an @p n-lane bit row, with the bits at or past n
+ *  cleared. */
+inline uint64_t
+laneBits(const uint64_t *row, size_t w, uint32_t n)
+{
+    const size_t rest = n - w * 64;
+    return rest >= 64 ? row[w] : row[w] & ((uint64_t{1} << rest) - 1);
+}
+
+/** lane[b] += 1 for every set bit b of @p bits (one 64-lane word). */
+inline void
+countBitsScalar(int32_t *lane, uint64_t bits)
+{
+    while (bits) {
+        ++lane[__builtin_ctzll(bits)];
+        bits &= bits - 1;
+    }
+}
+
+void
+countRowScalar(int32_t *lane, const uint64_t *row, uint32_t n)
+{
+    const size_t words = (n + 63) / 64;
+    for (size_t w = 0; w < words; ++w)
+        countBitsScalar(lane + w * 64, laneBits(row, w, n));
+}
+
+/**
+ * The count apply of lane @p j — the reference for util/simd.hh's
+ * applyCounts contract.  The int32 bound is applyWord's (see
+ * applyWordScalarRange): counts <= numAxons, |weight| <= 255 and
+ * |v| <= 2^29 on the narrow cores that take this path.  @p events
+ * gains the lane's counts.  @return true when the lane committed.
+ */
+inline bool
+applyCountsLane(const CountApply &a, size_t j, uint64_t &events)
+{
+    const uint64_t bit = uint64_t{1} << (j & 63);
+    int32_t pos = 0, neg = 0;
+    for (unsigned g = 0; g < kApplyWordTypes; ++g) {
+        if (!a.count[g])
+            continue;
+        const int32_t wt = a.weight[g][j];
+        const int32_t cnt = a.count[g][j];
+        events += static_cast<uint64_t>(cnt);
+        int32_t d = cnt * wt;
+        a.count[g][j] = 0;
+        if (a.succ[g]) {
+            if (a.stochMask[g][j >> 6] & bit)
+                d = a.succ[g][j] * ((wt > 0) - (wt < 0));
+            a.succ[g][j] = 0;
+        }
+        if (d > 0)
+            pos += d;
+        else
+            neg += d;
+    }
+    const int32_t v0 = a.v[j];
+    if (v0 + pos > a.vHi[j] || v0 + neg < a.vLo[j])
+        return false;
+    a.v[j] = v0 + pos + neg;
+    return true;
+}
+
+/** applyCountsLane over the set bits of @p bits, lanes of word
+ *  @p w.  @return the lanes that failed the guard. */
+inline uint64_t
+applyCountsBitsScalar(const CountApply &a, size_t w, uint64_t bits,
+                      uint64_t &events)
+{
+    uint64_t failed = 0;
+    while (bits) {
+        const unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+        if (!applyCountsLane(a, w * 64 + b, events))
+            failed |= uint64_t{1} << b;
+        bits &= bits - 1;
+    }
+    return failed;
+}
+
+uint64_t
+applyCountsScalar(const CountApply &a, uint32_t n)
+{
+    const size_t words = (n + 63) / 64;
+    uint64_t events = 0;
+    for (size_t w = 0; w < words; ++w)
+        a.touched[w] = applyCountsBitsScalar(
+            a, w, laneBits(a.touched, w, n), events);
+    return events;
 }
 
 #ifdef NSCS_SIMD_X86
@@ -384,6 +477,102 @@ applyWordAvx2(const ApplyWord &a, uint32_t n)
     return applied | applyWordScalarRange(a, c, n);
 }
 
+__attribute__((target("avx2"))) void
+countRowAvx2(int32_t *lane, const uint64_t *row, uint32_t n)
+{
+    const size_t words = (n + 63) / 64;
+    for (size_t w = 0; w < words; ++w) {
+        const uint64_t bits = laneBits(row, w, n);
+        if (!bits)
+            continue;
+        int32_t *base = lane + w * 64;
+        const size_t rest = std::min<size_t>(64, n - w * 64);
+        unsigned c = 0;
+        // A set lane mask is -1, so subtracting it adds one.
+        for (; c + 8 <= rest; c += 8)
+            store256(base + c, _mm256_sub_epi32(load256(base + c),
+                                                laneMask256(bits, c)));
+        if (c < rest)
+            countBitsScalar(base, bits >> c << c);
+    }
+}
+
+/** Sum of the eight int32 lanes of @p x. */
+__attribute__((target("avx2"))) inline int32_t
+hsum256(__m256i x)
+{
+    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(x),
+                              _mm256_extracti128_si256(x, 1));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
+    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
+    return _mm_cvtsi128_si32(s);
+}
+
+__attribute__((target("avx2"))) uint64_t
+applyCountsAvx2(const CountApply &a, uint32_t n)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi32(1);
+    const __m256i mone = _mm256_set1_epi32(-1);
+    const size_t words = (n + 63) / 64;
+    uint64_t events = 0;
+    for (size_t w = 0; w < words; ++w) {
+        const uint64_t t = laneBits(a.touched, w, n);
+        const size_t rest = std::min<size_t>(64, n - w * 64);
+        uint64_t failed = 0;
+        __m256i ev = zero;
+        unsigned c = 0;
+        for (; c + 8 <= rest; c += 8) {
+            const uint64_t m = (t >> c) & 0xff;
+            if (!m)
+                continue;
+            // Lanes of the chunk outside the touched set hold zero
+            // counts, so they reduce to a guard-passing v += 0.
+            const size_t j = w * 64 + c;
+            __m256i pos = zero, neg = zero;
+            for (unsigned g = 0; g < kApplyWordTypes; ++g) {
+                if (!a.count[g])
+                    continue;
+                const __m256i wt = load256(a.weight[g] + j);
+                const __m256i cnt = load256(a.count[g] + j);
+                ev = _mm256_add_epi32(ev, cnt);
+                __m256i d = _mm256_mullo_epi32(cnt, wt);
+                store256(a.count[g] + j, zero);
+                if (a.succ[g]) {
+                    const uint64_t sm = a.stochMask[g][w] & t;
+                    if ((sm >> c) & 0xff)
+                        d = _mm256_blendv_epi8(
+                            d,
+                            _mm256_mullo_epi32(load256(a.succ[g] + j),
+                                               clamp256(wt, mone, one)),
+                            laneMask256(sm, c));
+                    store256(a.succ[g] + j, zero);
+                }
+                pos = _mm256_add_epi32(pos, _mm256_max_epi32(d, zero));
+                neg = _mm256_add_epi32(neg, _mm256_min_epi32(d, zero));
+            }
+            const __m256i v0 = load256(a.v + j);
+            const __m256i bad = _mm256_or_si256(
+                _mm256_cmpgt_epi32(_mm256_add_epi32(v0, pos),
+                                   load256(a.vHi + j)),
+                _mm256_cmpgt_epi32(load256(a.vLo + j),
+                                   _mm256_add_epi32(v0, neg)));
+            store256(a.v + j,
+                     _mm256_blendv_epi8(
+                         _mm256_add_epi32(v0, _mm256_add_epi32(pos, neg)),
+                         v0, bad));
+            const auto b = static_cast<uint64_t>(
+                _mm256_movemask_ps(_mm256_castsi256_ps(bad)));
+            failed |= (b & m) << c;
+        }
+        events += static_cast<uint64_t>(hsum256(ev));
+        if (c < rest)
+            failed |= applyCountsBitsScalar(a, w, t >> c << c, events);
+        a.touched[w] = failed;
+    }
+    return events;
+}
+
 // ---------------------------------------------------------------
 // AVX-512 kernels: 8 x u64 / 16 x i32 per vector (AVX-512F only;
 // the VPOPCNTDQ popcount is probed separately at dispatch).
@@ -541,6 +730,113 @@ applyWordAvx512(const ApplyWord &a, uint32_t n)
     return applied | applyWordScalarRange(a, c, n);
 }
 
+/** One whole 16-lane chunk of countRow: full-width load and store
+ *  around one masked add, so the next row's load of the chunk
+ *  forwards from this store. */
+__attribute__((target("avx512f"))) inline void
+countChunk512(int32_t *p, __mmask16 m, __m512i one)
+{
+    const __m512i x = _mm512_loadu_si512(p);
+    _mm512_storeu_si512(p, _mm512_mask_add_epi32(x, m, x, one));
+}
+
+/** countRow for AVX-512.  A whole word is four straight-line chunks;
+ *  the chunks of a partial last word predicate their loads and
+ *  stores on the row bits, so they never touch memory past lane n
+ *  and need no scalar tail. */
+__attribute__((target("avx512f"))) void
+countRowAvx512(int32_t *lane, const uint64_t *row, uint32_t n)
+{
+    const __m512i one = _mm512_set1_epi32(1);
+    const size_t words = (n + 63) / 64;
+    for (size_t w = 0; w < words; ++w) {
+        const uint64_t bits = laneBits(row, w, n);
+        if (!bits)
+            continue;
+        int32_t *base = lane + w * 64;
+        if (n - w * 64 >= 64) {
+            countChunk512(base, static_cast<__mmask16>(bits), one);
+            countChunk512(base + 16, static_cast<__mmask16>(bits >> 16),
+                          one);
+            countChunk512(base + 32, static_cast<__mmask16>(bits >> 32),
+                          one);
+            countChunk512(base + 48, static_cast<__mmask16>(bits >> 48),
+                          one);
+            continue;
+        }
+        for (unsigned c = 0; c < 64 && (bits >> c); c += 16) {
+            const auto m = static_cast<__mmask16>(bits >> c);
+            const __m512i x = _mm512_maskz_loadu_epi32(m, base + c);
+            _mm512_mask_storeu_epi32(base + c, m,
+                                     _mm512_add_epi32(x, one));
+        }
+    }
+}
+
+/** applyCounts for AVX-512: every access is predicated on the
+ *  chunk's touched lanes, so a partial word needs no scalar tail. */
+__attribute__((target("avx512f"))) uint64_t
+applyCountsAvx512(const CountApply &a, uint32_t n)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i mone = _mm512_set1_epi32(-1);
+    const size_t words = (n + 63) / 64;
+    uint64_t events = 0;
+    for (size_t w = 0; w < words; ++w) {
+        const uint64_t t = laneBits(a.touched, w, n);
+        uint64_t failed = 0;
+        __m512i ev = zero;
+        for (unsigned c = 0; c < 64 && (t >> c); c += 16) {
+            const auto m = static_cast<__mmask16>(t >> c);
+            if (!m)
+                continue;
+            const size_t j = w * 64 + c;
+            __m512i pos = zero, neg = zero;
+            for (unsigned g = 0; g < kApplyWordTypes; ++g) {
+                if (!a.count[g])
+                    continue;
+                const __m512i wt =
+                    _mm512_maskz_loadu_epi32(m, a.weight[g] + j);
+                const __m512i cnt =
+                    _mm512_maskz_loadu_epi32(m, a.count[g] + j);
+                ev = _mm512_add_epi32(ev, cnt);
+                __m512i d = _mm512_mullo_epi32(cnt, wt);
+                _mm512_mask_storeu_epi32(a.count[g] + j, m, zero);
+                if (a.succ[g]) {
+                    const auto sm = static_cast<__mmask16>(
+                        (a.stochMask[g][w] & t) >> c);
+                    if (sm) {
+                        d = _mm512_mask_mullo_epi32(
+                            d, sm,
+                            _mm512_maskz_loadu_epi32(sm, a.succ[g] + j),
+                            clamp512(wt, mone, one));
+                        _mm512_mask_storeu_epi32(a.succ[g] + j, sm, zero);
+                    }
+                }
+                pos = _mm512_add_epi32(pos, _mm512_max_epi32(d, zero));
+                neg = _mm512_add_epi32(neg, _mm512_min_epi32(d, zero));
+            }
+            const __m512i v0 = _mm512_maskz_loadu_epi32(m, a.v + j);
+            __mmask16 ok = _mm512_mask_cmp_epi32_mask(
+                m, _mm512_add_epi32(v0, pos),
+                _mm512_maskz_loadu_epi32(m, a.vHi + j), _MM_CMPINT_LE);
+            ok = _mm512_mask_cmp_epi32_mask(
+                ok, _mm512_add_epi32(v0, neg),
+                _mm512_maskz_loadu_epi32(m, a.vLo + j), _MM_CMPINT_NLT);
+            _mm512_mask_storeu_epi32(
+                a.v + j, ok,
+                _mm512_add_epi32(v0, _mm512_add_epi32(pos, neg)));
+            failed |= static_cast<uint64_t>(
+                          static_cast<uint16_t>(m & ~ok))
+                << c;
+        }
+        events += static_cast<uint64_t>(_mm512_reduce_add_epi32(ev));
+        a.touched[w] = failed;
+    }
+    return events;
+}
+
 #endif // NSCS_SIMD_X86
 
 #ifdef NSCS_SIMD_NEON
@@ -682,11 +978,97 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
     return applied | applyWordScalarRange(a, c, n);
 }
 
+void
+countRowNeon(int32_t *lane, const uint64_t *row, uint32_t n)
+{
+    const size_t words = (n + 63) / 64;
+    for (size_t w = 0; w < words; ++w) {
+        const uint64_t bits = laneBits(row, w, n);
+        if (!bits)
+            continue;
+        int32_t *base = lane + w * 64;
+        const size_t rest = std::min<size_t>(64, n - w * 64);
+        unsigned c = 0;
+        // A set lane mask is -1, so subtracting it adds one.
+        for (; c + 4 <= rest; c += 4)
+            vst1q_s32(base + c,
+                      vsubq_s32(vld1q_s32(base + c),
+                                vreinterpretq_s32_u32(
+                                    laneMask4(bits, c))));
+        if (c < rest)
+            countBitsScalar(base, bits >> c << c);
+    }
+}
+
+uint64_t
+applyCountsNeon(const CountApply &a, uint32_t n)
+{
+    const int32x4_t zero = vdupq_n_s32(0);
+    const int32x4_t one = vdupq_n_s32(1);
+    const int32x4_t mone = vdupq_n_s32(-1);
+    const uint32x4_t bitsel = {1u, 2u, 4u, 8u};
+    const size_t words = (n + 63) / 64;
+    uint64_t events = 0;
+    for (size_t w = 0; w < words; ++w) {
+        const uint64_t t = laneBits(a.touched, w, n);
+        const size_t rest = std::min<size_t>(64, n - w * 64);
+        uint64_t failed = 0;
+        int32x4_t ev = zero;
+        unsigned c = 0;
+        for (; c + 4 <= rest; c += 4) {
+            const uint64_t m = (t >> c) & 0xf;
+            if (!m)
+                continue;
+            // Untouched lanes of the chunk hold zero counts.
+            const size_t j = w * 64 + c;
+            int32x4_t pos = zero, neg = zero;
+            for (unsigned g = 0; g < kApplyWordTypes; ++g) {
+                if (!a.count[g])
+                    continue;
+                const int32x4_t wt = vld1q_s32(a.weight[g] + j);
+                const int32x4_t cnt = vld1q_s32(a.count[g] + j);
+                ev = vaddq_s32(ev, cnt);
+                int32x4_t d = vmulq_s32(cnt, wt);
+                vst1q_s32(a.count[g] + j, zero);
+                if (a.succ[g]) {
+                    const uint64_t sm = a.stochMask[g][w] & t;
+                    if ((sm >> c) & 0xf)
+                        d = vbslq_s32(
+                            laneMask4(sm, c),
+                            vmulq_s32(vld1q_s32(a.succ[g] + j),
+                                      vminq_s32(vmaxq_s32(wt, mone), one)),
+                            d);
+                    vst1q_s32(a.succ[g] + j, zero);
+                }
+                pos = vaddq_s32(pos, vmaxq_s32(d, zero));
+                neg = vaddq_s32(neg, vminq_s32(d, zero));
+            }
+            const int32x4_t v0 = vld1q_s32(a.v + j);
+            const uint32x4_t ok =
+                vandq_u32(vcleq_s32(vaddq_s32(v0, pos),
+                                    vld1q_s32(a.vHi + j)),
+                          vcgeq_s32(vaddq_s32(v0, neg),
+                                    vld1q_s32(a.vLo + j)));
+            vst1q_s32(a.v + j,
+                      vbslq_s32(ok, vaddq_s32(v0, vaddq_s32(pos, neg)),
+                                v0));
+            const uint64_t okm = vaddvq_u32(vandq_u32(ok, bitsel));
+            failed |= (m & ~okm) << c;
+        }
+        events += static_cast<uint64_t>(vaddvq_s32(ev));
+        if (c < rest)
+            failed |= applyCountsBitsScalar(a, w, t >> c << c, events);
+        a.touched[w] = failed;
+    }
+    return events;
+}
+
 #endif // NSCS_SIMD_NEON
 
 const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
                         andWordsScalar, andPopcountScalar,
-                        updateStripScalar, applyWordScalar};
+                        updateStripScalar, applyWordScalar,
+                        countRowScalar, applyCountsScalar};
 
 #ifdef NSCS_SIMD_X86
 // foldRow and orAccumulate stay scalar at every level: their vector
@@ -694,15 +1076,16 @@ const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
 // simulator hands them.
 const Ops kAvx2Ops = {foldRowScalar, orAccumulateScalar, andWordsAvx2,
                       andPopcountAvx2, updateStripAvx2,
-                      applyWordAvx2};
+                      applyWordAvx2, countRowAvx2, applyCountsAvx2};
 const Ops kAvx512Ops = {foldRowScalar, orAccumulateScalar,
                         andWordsAvx512, andPopcountAvx512,
-                        updateStripAvx512, applyWordAvx512};
+                        updateStripAvx512, applyWordAvx512,
+                        countRowAvx512, applyCountsAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
 const Ops kNeonOps = {foldRowScalar, orAccumulateScalar, andWordsNeon,
                       andPopcountNeon, updateStripNeon,
-                      applyWordNeon};
+                      applyWordNeon, countRowNeon, applyCountsNeon};
 #endif
 
 Level

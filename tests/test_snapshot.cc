@@ -370,6 +370,86 @@ TEST(SnapshotRejects, PotentialOutsideRails)
     }
 }
 
+TEST(SnapshotRejects, NonIntegerPotential)
+{
+    auto donor = selfEventSim();
+    donor->run(5);
+    JsonValue snap = donor->snapshot();
+    const JsonValue &lane =
+        snap.at("device").at("cores").at(0).at("lanes").at(0);
+    const JsonValue &v = lane.at("v");
+
+    // A potential that is no integer is rejected, not read (a string
+    // used to abort the process in the JSON accessor).
+    for (const JsonValue &bad :
+         {JsonValue::string("x"), JsonValue::number(1.5),
+          JsonValue::number(3.0), JsonValue::object()}) {
+        JsonValue doc =
+            withCore0Lane0(snap, withMember(lane, "v", withElement(v, 3, bad)));
+        std::string err;
+        EXPECT_FALSE(selfEventSim()->restore(doc, &err)) << bad.dump();
+        EXPECT_FALSE(err.empty()) << bad.dump();
+    }
+
+    // So is a potential list that is no array.
+    JsonValue keyed = JsonValue::object();
+    for (size_t j = 0; j < v.size(); ++j)
+        keyed.set(std::to_string(j), v.at(j));
+    std::string err;
+    EXPECT_FALSE(selfEventSim()->restore(
+        withCore0Lane0(snap, withMember(lane, "v", keyed)), &err));
+    EXPECT_FALSE(err.empty());
+}
+
+TEST(SnapshotRejects, LaneRngOutOfRange)
+{
+    auto donor = selfEventSim();
+    donor->run(5);
+    JsonValue snap = donor->snapshot();
+    const JsonValue &lane =
+        snap.at("device").at("cores").at(0).at("lanes").at(0);
+    const JsonValue &rng = lane.at("rng");
+    auto withRng = [&](JsonValue state, JsonValue draws) {
+        JsonValue r = withMember(rng, "state", std::move(state));
+        r = withMember(r, "draws", std::move(draws));
+        return withCore0Lane0(snap, withMember(lane, "rng", r));
+    };
+
+    // The 16-bit register's extremes load...
+    std::string err;
+    EXPECT_TRUE(selfEventSim()->restore(
+        withRng(JsonValue::integer(65535), JsonValue::integer(0)), &err))
+        << err;
+    EXPECT_TRUE(selfEventSim()->restore(
+        withRng(JsonValue::integer(1), JsonValue::integer(7)), &err))
+        << err;
+
+    // ...a state outside 1..65535 (70000 used to load truncated to
+    // 4464), a negative draw count (-3 used to wrap to 2^64 - 3) or a
+    // field that is no integer does not.
+    const std::pair<JsonValue, JsonValue> bad[] = {
+        {JsonValue::integer(70000), JsonValue::integer(0)},
+        {JsonValue::integer(0), JsonValue::integer(0)},
+        {JsonValue::integer(-1), JsonValue::integer(0)},
+        {JsonValue::integer(0xACE1), JsonValue::integer(-3)},
+        {JsonValue::string("1"), JsonValue::integer(0)},
+        {JsonValue::integer(0xACE1), JsonValue::number(2.5)},
+    };
+    for (const auto &[state, draws] : bad) {
+        err.clear();
+        EXPECT_FALSE(selfEventSim()->restore(withRng(state, draws), &err))
+            << state.dump() << " " << draws.dump();
+        EXPECT_FALSE(err.empty());
+    }
+
+    // A missing field is no default: it is rejected too.
+    JsonValue no_draws = JsonValue::object();
+    no_draws.set("state", rng.at("state"));
+    err.clear();
+    EXPECT_FALSE(selfEventSim()->restore(
+        withCore0Lane0(snap, withMember(lane, "rng", no_draws)), &err));
+}
+
 // Documents written while the chip kept a (tick, core) wake agenda
 // carry "agenda" and "lastWake" keys.  They load, the keys are
 // ignored, and the continuation matches a straight run — counters

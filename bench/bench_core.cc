@@ -48,7 +48,7 @@
  * hit rate, speedup) so CI can record the bench trajectory; see the
  * perf-smoke step in .github/workflows and tools/nscs_bench_diff.
  *
- * Usage: bench_core [ticks-per-run] [runs] (defaults 1000 and 5).
+ * Usage: bench_core [ticks-per-run] (default 1000).
  */
 
 #include <algorithm>
@@ -70,6 +70,9 @@
 using namespace nscs;
 
 namespace {
+
+/** Interleaved A/B runs behind every timed row. */
+constexpr uint32_t kRuns = 5;
 
 struct WorkloadSpec
 {
@@ -124,7 +127,6 @@ struct AbResult
     double speedup = 0.0;
     double speedupMin = 0.0;
     double speedupMax = 0.0;
-    uint32_t runs = 0;
 };
 
 double
@@ -136,16 +138,16 @@ median(std::vector<double> xs)
 }
 
 /**
- * Time @p run(false) (scalar) against @p run(true) (batched) @p runs
+ * Time @p run(false) (scalar) against @p run(true) (batched) kRuns
  * times, swapping which side goes first each run so host drift falls
  * on both.  @p run returns the seconds of its timed window.
  */
 template <typename Run>
 AbResult
-abRuns(uint32_t runs, Run &&run)
+abRuns(Run &&run)
 {
     std::vector<double> scalar, fast, speedup;
-    for (uint32_t r = 0; r < runs; ++r) {
+    for (uint32_t r = 0; r < kRuns; ++r) {
         double s = 0, f = 0;
         if (r % 2 == 0) {
             s = run(false);
@@ -164,7 +166,6 @@ abRuns(uint32_t runs, Run &&run)
     ab.speedup = median(speedup);
     ab.speedupMin = *std::min_element(speedup.begin(), speedup.end());
     ab.speedupMax = *std::max_element(speedup.begin(), speedup.end());
-    ab.runs = runs;
     return ab;
 }
 
@@ -175,7 +176,7 @@ setSpread(JsonValue &w, const AbResult &ab)
     w.set("speedup", JsonValue::number(ab.speedup));
     w.set("speedupMin", JsonValue::number(ab.speedupMin));
     w.set("speedupMax", JsonValue::number(ab.speedupMax));
-    w.set("runs", JsonValue::integer(ab.runs));
+    w.set("runs", JsonValue::integer(kRuns));
 }
 
 /**
@@ -379,18 +380,15 @@ int
 main(int argc, char **argv)
 {
     uint64_t ticks = 1000;
-    uint32_t runs = 5;
     if (argc > 1)
         ticks = std::stoull(argv[1]);
-    if (argc > 2)
-        runs = static_cast<uint32_t>(std::max(1ul, std::stoul(argv[2])));
 
     std::cout <<
         "== I3: integrate-phase microbenchmark ==\n"
         "(single 256x256 core, 50% crossbar, dense tick pipeline;\n"
         " scalar event-by-event vs batched integrate, SIMD level: "
         << simd::levelName(simd::activeLevel()) << ";\n median speedup"
-        " [min-max] over " << runs << " interleaved runs)\n\n";
+        " [min-max] over " << kRuns << " interleaved runs)\n\n";
 
     const WorkloadSpec specs[] = {
         {"rows-1", 1, 0.0},   {"rows-7", 7, 0.0},
@@ -412,7 +410,7 @@ main(int argc, char **argv)
         const auto slots =
             buildSlots(cfg.geom.numAxons, spec.activeRows, ticks);
         RunResult fast;
-        const AbResult ab = abRuns(runs, [&](bool batched) {
+        const AbResult ab = abRuns([&](bool batched) {
             RunResult r = runCore(cfg, slots, batched);
             if (batched)
                 fast = r;
@@ -473,7 +471,7 @@ main(int argc, char **argv)
     for (const UpdateSpec &spec : update_specs) {
         CoreConfig cfg = buildUpdateCore(spec.stochRate, 99);
         UpdateRunResult fast;
-        const AbResult ab = abRuns(runs, [&](bool batched) {
+        const AbResult ab = abRuns([&](bool batched) {
             UpdateRunResult r = runUpdate(cfg, update_ticks, batched);
             if (batched)
                 fast = r;

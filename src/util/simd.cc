@@ -978,91 +978,6 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
     return applied | applyWordScalarRange(a, c, n);
 }
 
-void
-countRowNeon(int32_t *lane, const uint64_t *row, uint32_t n)
-{
-    const size_t words = (n + 63) / 64;
-    for (size_t w = 0; w < words; ++w) {
-        const uint64_t bits = laneBits(row, w, n);
-        if (!bits)
-            continue;
-        int32_t *base = lane + w * 64;
-        const size_t rest = std::min<size_t>(64, n - w * 64);
-        unsigned c = 0;
-        // A set lane mask is -1, so subtracting it adds one.
-        for (; c + 4 <= rest; c += 4)
-            vst1q_s32(base + c,
-                      vsubq_s32(vld1q_s32(base + c),
-                                vreinterpretq_s32_u32(
-                                    laneMask4(bits, c))));
-        if (c < rest)
-            countBitsScalar(base, bits >> c << c);
-    }
-}
-
-uint64_t
-applyCountsNeon(const CountApply &a, uint32_t n)
-{
-    const int32x4_t zero = vdupq_n_s32(0);
-    const int32x4_t one = vdupq_n_s32(1);
-    const int32x4_t mone = vdupq_n_s32(-1);
-    const uint32x4_t bitsel = {1u, 2u, 4u, 8u};
-    const size_t words = (n + 63) / 64;
-    uint64_t events = 0;
-    for (size_t w = 0; w < words; ++w) {
-        const uint64_t t = laneBits(a.touched, w, n);
-        const size_t rest = std::min<size_t>(64, n - w * 64);
-        uint64_t failed = 0;
-        int32x4_t ev = zero;
-        unsigned c = 0;
-        for (; c + 4 <= rest; c += 4) {
-            const uint64_t m = (t >> c) & 0xf;
-            if (!m)
-                continue;
-            // Untouched lanes of the chunk hold zero counts.
-            const size_t j = w * 64 + c;
-            int32x4_t pos = zero, neg = zero;
-            for (unsigned g = 0; g < kApplyWordTypes; ++g) {
-                if (!a.count[g])
-                    continue;
-                const int32x4_t wt = vld1q_s32(a.weight[g] + j);
-                const int32x4_t cnt = vld1q_s32(a.count[g] + j);
-                ev = vaddq_s32(ev, cnt);
-                int32x4_t d = vmulq_s32(cnt, wt);
-                vst1q_s32(a.count[g] + j, zero);
-                if (a.succ[g]) {
-                    const uint64_t sm = a.stochMask[g][w] & t;
-                    if ((sm >> c) & 0xf)
-                        d = vbslq_s32(
-                            laneMask4(sm, c),
-                            vmulq_s32(vld1q_s32(a.succ[g] + j),
-                                      vminq_s32(vmaxq_s32(wt, mone), one)),
-                            d);
-                    vst1q_s32(a.succ[g] + j, zero);
-                }
-                pos = vaddq_s32(pos, vmaxq_s32(d, zero));
-                neg = vaddq_s32(neg, vminq_s32(d, zero));
-            }
-            const int32x4_t v0 = vld1q_s32(a.v + j);
-            const uint32x4_t ok =
-                vandq_u32(vcleq_s32(vaddq_s32(v0, pos),
-                                    vld1q_s32(a.vHi + j)),
-                          vcgeq_s32(vaddq_s32(v0, neg),
-                                    vld1q_s32(a.vLo + j)));
-            vst1q_s32(a.v + j,
-                      vbslq_s32(ok, vaddq_s32(v0, vaddq_s32(pos, neg)),
-                                v0));
-            const uint64_t okm = vaddvq_u32(vandq_u32(ok, bitsel));
-            failed |= (m & ~okm) << c;
-        }
-        events += static_cast<uint64_t>(vaddvq_s32(ev));
-        if (c < rest)
-            failed |= applyCountsBitsScalar(a, w, t >> c << c, events);
-        a.touched[w] = failed;
-    }
-    return events;
-}
-
 #endif // NSCS_SIMD_NEON
 
 const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
@@ -1083,9 +998,11 @@ const Ops kAvx512Ops = {foldRowScalar, orAccumulateScalar,
                         countRowAvx512, applyCountsAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
+// countRow and applyCounts stay scalar on NEON until a vector body
+// has been measured against them on aarch64 hardware.
 const Ops kNeonOps = {foldRowScalar, orAccumulateScalar, andWordsNeon,
                       andPopcountNeon, updateStripNeon,
-                      applyWordNeon, countRowNeon, applyCountsNeon};
+                      applyWordNeon, countRowScalar, applyCountsScalar};
 #endif
 
 Level

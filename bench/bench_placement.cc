@@ -10,9 +10,15 @@
  *
  * Expected shape: traffic-aware placement cuts mean hops and
  * interconnect energy versus row-major; annealing refines greedy.
+ *
+ * Usage: bench_placement [--check].  With --check the program exits
+ * non-zero unless greedy-bfs and anneal each come in below row-major
+ * on mean hops, mesh latency and hop-energy share.
  */
 
+#include <cstring>
 #include <iostream>
+#include <vector>
 
 #include "prog/compiler.hh"
 #include "prog/network.hh"
@@ -51,9 +57,50 @@ clusteredNetwork()
 
 } // namespace
 
-int
-main()
+/** One policy's row of the table. */
+struct PolicyResult
 {
+    PlacementPolicy policy;
+    double meanHops = 0;
+    double meshLatency = 0;
+    double hopShare = 0;
+};
+
+/** The --check shape: every traffic-aware policy below row-major on
+ *  each metric.  @return the number of violations, each printed. */
+int
+checkShape(const std::vector<PolicyResult> &results)
+{
+    const PolicyResult &row_major = results.front();
+    int failures = 0;
+    for (size_t i = 1; i < results.size(); ++i) {
+        const PolicyResult &r = results[i];
+        const struct { const char *name; double got, base; } metrics[] = {
+            {"mean hops", r.meanHops, row_major.meanHops},
+            {"mesh latency", r.meshLatency, row_major.meshLatency},
+            {"hop energy share", r.hopShare, row_major.hopShare},
+        };
+        for (const auto &m : metrics) {
+            if (m.got < m.base)
+                continue;
+            std::cout << "CHECK FAILED: " << placementPolicyName(r.policy)
+                      << " " << m.name << " " << m.got
+                      << " is not below row-major's " << m.base << "\n";
+            ++failures;
+        }
+    }
+    return failures;
+}
+
+int
+main(int argc, char **argv)
+{
+    const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
+    if (argc > 2 || (argc == 2 && !check)) {
+        std::cerr << "usage: bench_placement [--check]\n";
+        return 2;
+    }
+
     std::cout <<
         "== A1: placement policy ablation ==\n"
         "(shape target: traffic-aware placement cuts hops, mesh\n"
@@ -61,6 +108,7 @@ main()
 
     TextTable t({"policy", "place cost", "mean hops", "mesh lat",
                  "hop energy share"});
+    std::vector<PolicyResult> results;
 
     for (auto policy : {PlacementPolicy::RowMajor,
                         PlacementPolicy::GreedyBfs,
@@ -90,10 +138,12 @@ main()
 
         const MeshStats *ms = sim.chip().meshStats();
         EnergyBreakdown b = sim.chip().energy();
+        results.push_back({policy, model.stats.meanDestHops,
+                           ms->latency.mean(), b.hopJ / b.totalJ()});
         t.addRow({placementPolicyName(policy),
                   fmtF(place_cost, 0),
                   fmtF(model.stats.meanDestHops, 2),
-                  ms ? fmtF(ms->latency.mean(), 1) : "-",
+                  fmtF(ms->latency.mean(), 1),
                   fmtF(100.0 * b.hopJ / b.totalJ(), 2) + "%"});
     }
     std::cout << t.str() << "\n";
@@ -101,5 +151,9 @@ main()
                  "chain-local, so locality-aware\n placement wins; "
                  "mesh latency measured on the cycle-accurate "
                  "transport)\n";
-    return 0;
+    if (!check)
+        return 0;
+    const int failures = checkShape(results);
+    std::cout << (failures ? "shape check FAILED\n" : "shape check passed\n");
+    return failures ? 1 : 0;
 }

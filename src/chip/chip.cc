@@ -26,12 +26,13 @@ Chip::Chip(const ChipParams &params, std::vector<CoreConfig> configs)
         fatal("instance batching requires the functional transport "
               "model (mesh packets do not carry a lane index)");
 
+    lanePool_ = std::make_shared<LanePool>();
     cores_.reserve(configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         if (!(configs[i].geom == params_.coreGeom))
             fatal("core %zu geometry differs from chip geometry", i);
-        cores_.push_back(std::make_unique<Core>(std::move(configs[i]),
-                                                params_.instances));
+        cores_.push_back(std::make_unique<Core>(
+            std::move(configs[i]), params_.instances, lanePool_));
     }
 
     if (params_.allowEgress && params_.noc == NocModel::Cycle)
@@ -781,7 +782,7 @@ Chip::dumpStats(const char *prefix, StatGroup &group) const
 size_t
 Chip::footprintBytes() const
 {
-    size_t bytes = sizeof(Chip);
+    size_t bytes = sizeof(Chip) + lanePool_->footprintBytes();
     for (const auto &core : cores_)
         bytes += core->footprintBytes();
     bytes += egress_.capacity() * sizeof(EgressSpike);

@@ -36,6 +36,11 @@
  * External I/O is functional in both transport models: input spikes
  * are deposited directly into target schedulers, output spikes are
  * recorded with their generation tick.
+ *
+ * The chip owns one LanePool (neuron/batch.hh) for all its cores:
+ * every read-only per-neuron lane is held once per distinct content,
+ * so cores with equal parameters read the same memory and a tick's
+ * working set stays cache-sized (see core/core.hh).
  */
 
 #ifndef NSCS_CHIP_CHIP_HH
@@ -313,6 +318,9 @@ class Chip
     /** Chip-level counters. */
     const ChipCounters &counters() const { return counters_; }
 
+    /** The pool every core's read-only neuron lanes are interned in. */
+    const LanePool &lanePool() const { return *lanePool_; }
+
     /** Mesh statistics (Cycle model; empty otherwise). */
     const MeshStats *meshStats() const;
 
@@ -328,7 +336,8 @@ class Chip
     /** Append chip stats to @p group under @p prefix. */
     void dumpStats(const char *prefix, StatGroup &group) const;
 
-    /** Total heap footprint of cores + fabric in bytes. */
+    /** Total heap footprint of cores + fabric in bytes; each pooled
+     *  lane counts once. */
     size_t footprintBytes() const;
 
     // --- fault injection -------------------------------------------------
@@ -379,6 +388,7 @@ class Chip
     void applyDueFaults(uint64_t t);
 
     ChipParams params_;
+    std::shared_ptr<LanePool> lanePool_;  //!< shared by all cores_
     std::vector<std::unique_ptr<Core>> cores_;
     std::unique_ptr<Mesh> mesh_;          //!< Cycle model only
     std::vector<OutputSpike> outputs_;

@@ -9,67 +9,104 @@
 
 namespace nscs {
 
+PooledLane
+LanePool::intern(const std::vector<int32_t> &lane)
+{
+    // A position-weighted sum: it has no serial dependency, so it
+    // vectorizes, and the full compare below settles collisions.
+    uint64_t hash = lane.size();
+    for (size_t j = 0; j < lane.size(); ++j)
+        hash += (static_cast<uint32_t>(lane[j]) ^ (uint64_t{j} << 32)) *
+            0x9e3779b97f4a7c15ull;
+    const auto [first, last] = byHash_.equal_range(hash);
+    for (auto it = first; it != last; ++it)
+        if (lanes_[it->second] == lane)
+            return lanes_[it->second];
+    byHash_.emplace(hash, lanes_.size());
+    return lanes_.emplace_back(lane);
+}
+
+size_t
+LanePool::footprintBytes() const
+{
+    size_t bytes = sizeof(LanePool) +
+        byHash_.size() * (sizeof(std::pair<uint64_t, size_t>) +
+                          2 * sizeof(void *));
+    for (const std::vector<int32_t> &lane : lanes_)
+        bytes += sizeof(lane) + lane.capacity() * sizeof(int32_t);
+    return bytes;
+}
+
+namespace {
+
+/** One (mul, add) affine select of the file comment. */
+struct Select
+{
+    int32_t mul, add;
+};
+
+/** The positive-reset select of @p p. */
+Select
+posSelect(const NeuronParams &p)
+{
+    switch (p.resetMode) {
+      case ResetMode::Store:
+        return {0, p.resetPotential};
+      case ResetMode::Linear:
+        return {1, -p.threshold};
+      case ResetMode::None:
+        break;
+    }
+    return {1, 0};
+}
+
+/** The negative-rule select of @p p. */
+Select
+negSelect(const NeuronParams &p)
+{
+    if (p.negSaturate)
+        return {0, -p.negThreshold};
+    switch (p.resetMode) {
+      case ResetMode::Store:
+        return {0, satClamp(-static_cast<int64_t>(p.resetPotential),
+                            p.potentialBits)};
+      case ResetMode::Linear:
+        return {1, p.negThreshold};
+      case ResetMode::None:
+        break;
+    }
+    return {1, 0};
+}
+
+} // anonymous namespace
+
 void
-UpdateLanes::build(const std::vector<NeuronParams> &params)
+UpdateLanes::build(const std::vector<NeuronParams> &params,
+                   LanePool &pool)
 {
     const size_t n = params.size();
-    leak.resize(n);
-    revSel.resize(n);
-    thr.resize(n);
-    negLim.resize(n);
-    posMul.resize(n);
-    posAdd.resize(n);
-    negMul.resize(n);
-    negAdd.resize(n);
-    lo.resize(n);
-    hi.resize(n);
+    std::vector<int32_t> scratch(n);
+    const auto lane = [&](auto field) {
+        for (size_t j = 0; j < n; ++j)
+            scratch[j] = field(params[j]);
+        return pool.intern(scratch);
+    };
+    using P = const NeuronParams &;
+    lo = lane([](P p) { return potentialRange(p).lo; });
+    hi = lane([](P p) { return potentialRange(p).hi; });
+    leak = lane([](P p) { return int32_t{p.leak}; });
+    revSel = lane([](P p) { return p.leakReversal ? 1 : 0; });
+    thr = lane([](P p) { return p.threshold; });
+    negLim = lane([](P p) { return -p.negThreshold; });
+    posMul = lane([](P p) { return posSelect(p).mul; });
+    posAdd = lane([](P p) { return posSelect(p).add; });
+    negMul = lane([](P p) { return negSelect(p).mul; });
+    negAdd = lane([](P p) { return negSelect(p).add; });
+
     stoch.clear();
     narrow = true;
-
     for (size_t j = 0; j < n; ++j) {
         const NeuronParams &p = params[j];
-        PotentialRange r = potentialRange(p);
-        lo[j] = r.lo;
-        hi[j] = r.hi;
-        leak[j] = p.leak;
-        revSel[j] = p.leakReversal ? 1 : 0;
-        thr[j] = p.threshold;
-        negLim[j] = -p.negThreshold;
-        switch (p.resetMode) {
-          case ResetMode::Store:
-            posMul[j] = 0;
-            posAdd[j] = p.resetPotential;
-            break;
-          case ResetMode::Linear:
-            posMul[j] = 1;
-            posAdd[j] = -p.threshold;
-            break;
-          case ResetMode::None:
-            posMul[j] = 1;
-            posAdd[j] = 0;
-            break;
-        }
-        if (p.negSaturate) {
-            negMul[j] = 0;
-            negAdd[j] = -p.negThreshold;
-        } else {
-            switch (p.resetMode) {
-              case ResetMode::Store:
-                negMul[j] = 0;
-                negAdd[j] = satClamp(
-                    -static_cast<int64_t>(p.resetPotential),
-                    p.potentialBits);
-                break;
-              case ResetMode::Linear:
-                negMul[j] = 1;
-                negAdd[j] = p.negThreshold;
-                break;
-              case ResetMode::None:
-                negMul[j] = 1;
-                negAdd[j] = 0;
-                break;
-            }
-        }
         if (drawsPerTick(p))
             stoch.push_back({static_cast<uint32_t>(j), p.leakStochastic,
                              p.thresholdMaskBits,
@@ -82,9 +119,9 @@ UpdateLanes::build(const std::vector<NeuronParams> &params)
         drawnThr.clear();
         drawnPosAdd.clear();
     } else {
-        drawnLeak = leak;
-        drawnThr = thr;
-        drawnPosAdd = posAdd;
+        drawnLeak.assign(leak.begin(), leak.end());
+        drawnThr.assign(thr.begin(), thr.end());
+        drawnPosAdd.assign(posAdd.begin(), posAdd.end());
     }
 }
 
@@ -135,10 +172,8 @@ UpdateLanes::footprintBytes() const
     auto vec = [](const std::vector<int32_t> &v) {
         return v.capacity() * sizeof(int32_t);
     };
-    return vec(leak) + vec(revSel) + vec(thr) + vec(negLim) +
-        vec(posMul) + vec(posAdd) + vec(negMul) + vec(negAdd) +
-        vec(lo) + vec(hi) + stoch.capacity() * sizeof(StochNeuron) +
-        vec(drawnLeak) + vec(drawnThr) + vec(drawnPosAdd);
+    return stoch.capacity() * sizeof(StochNeuron) + vec(drawnLeak) +
+        vec(drawnThr) + vec(drawnPosAdd);
 }
 
 void

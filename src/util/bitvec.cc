@@ -1,5 +1,7 @@
 #include "util/bitvec.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -30,6 +32,14 @@ BitVec::test(size_t idx) const
     return (words_[idx >> 6] >> (idx & 63)) & 1ull;
 }
 
+bool
+BitSpan::test(size_t idx) const
+{
+    NSCS_ASSERT(idx < nbits_, "BitSpan::test(%zu) out of range %zu",
+                idx, nbits_);
+    return (words_[idx >> 6] >> (idx & 63)) & 1ull;
+}
+
 void
 BitVec::reset()
 {
@@ -38,11 +48,12 @@ BitVec::reset()
 }
 
 size_t
-BitVec::count() const
+BitSpan::count() const
 {
     size_t n = 0;
-    for (uint64_t w : words_)
-        n += static_cast<size_t>(__builtin_popcountll(w));
+    const size_t words = numWords();
+    for (size_t w = 0; w < words; ++w)
+        n += static_cast<size_t>(__builtin_popcountll(words_[w]));
     return n;
 }
 
@@ -109,23 +120,24 @@ hexValue(char c)
 } // namespace
 
 std::string
-BitVec::toHex() const
+wordsToHex(const uint64_t *words, size_t n)
 {
     std::string out;
-    out.reserve(words_.size() * 16);
-    for (uint64_t w : words_)
+    out.reserve(n * 16);
+    for (size_t i = 0; i < n; ++i)
         for (int shift = 60; shift >= 0; shift -= 4)
-            out.push_back(kHexDigits[(w >> shift) & 0xF]);
+            out.push_back(kHexDigits[(words[i] >> shift) & 0xF]);
     return out;
 }
 
 bool
-BitVec::fromHex(const std::string &hex)
+wordsFromHex(const std::string &hex, uint64_t *out, size_t nbits)
 {
-    if (hex.size() != words_.size() * 16)
+    const size_t n = (nbits + 63) / 64;
+    if (hex.size() != n * 16)
         return false;
-    std::vector<uint64_t> decoded(words_.size(), 0);
-    for (size_t w = 0; w < decoded.size(); ++w) {
+    std::vector<uint64_t> decoded(n, 0);
+    for (size_t w = 0; w < n; ++w) {
         uint64_t value = 0;
         for (size_t d = 0; d < 16; ++d) {
             int v = hexValue(hex[w * 16 + d]);
@@ -135,12 +147,12 @@ BitVec::fromHex(const std::string &hex)
         }
         decoded[w] = value;
     }
-    if (!decoded.empty() && (nbits_ & 63) != 0) {
-        uint64_t mask = ~0ull >> (64 - (nbits_ & 63));
+    if (n != 0 && (nbits & 63) != 0) {
+        uint64_t mask = ~0ull >> (64 - (nbits & 63));
         if (decoded.back() & ~mask)
             return false;
     }
-    words_ = std::move(decoded);
+    std::copy(decoded.begin(), decoded.end(), out);
     return true;
 }
 

@@ -1,7 +1,9 @@
 /**
  * @file
- * A compact dynamic bit vector used for crossbar rows and scheduler
- * slots, with fast iteration over set bits.
+ * A compact dynamic bit vector (configuration crossbar rows, fired
+ * masks) and a read-only view of bits held in someone else's words
+ * (a scheduler slot plane or a crossbar row in their flat arrays),
+ * both with fast iteration over set bits.
  *
  * std::vector<bool> lacks word access and std::bitset is fixed-size;
  * crossbar geometry is a runtime parameter, so NSCS carries its own
@@ -17,6 +19,68 @@
 #include <vector>
 
 namespace nscs {
+
+/** Hex encoding of @p n words (16 lowercase digits per word, word 0
+ *  first): the snapshot form of a bit vector, slot or row. */
+std::string wordsToHex(const uint64_t *words, size_t n);
+
+/**
+ * Decode a wordsToHex() string of exactly (nbits + 63) / 64 words
+ * into @p out.  @return false on a wrong length, a non-hex digit or a
+ * set bit at or beyond @p nbits; @p out is unchanged on failure.
+ */
+bool wordsFromHex(const std::string &hex, uint64_t *out, size_t nbits);
+
+/**
+ * Read-only view of @p nbits bits in caller-owned 64-bit words, which
+ * the owner keeps clear at and beyond bit size().
+ */
+class BitSpan
+{
+  public:
+    BitSpan(const uint64_t *words, size_t nbits)
+        : words_(words), nbits_(nbits)
+    {
+    }
+
+    /** Number of bits. */
+    size_t size() const { return nbits_; }
+
+    /** Number of backing words. */
+    size_t numWords() const { return (nbits_ + 63) / 64; }
+
+    /** The backing words. */
+    const uint64_t *data() const { return words_; }
+
+    /** @return the value of bit @p idx (asserted in range). */
+    bool test(size_t idx) const;
+
+    /** @return number of set bits. */
+    size_t count() const;
+
+    /** Call @p fn(size_t index) for every set bit, ascending. */
+    template <typename Fn>
+    void
+    forEachSet(Fn &&fn) const
+    {
+        const size_t words = numWords();
+        for (size_t w = 0; w < words; ++w) {
+            uint64_t bits = words_[w];
+            while (bits) {
+                unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+                fn(w * 64 + b);
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /** Snapshot encoding (see wordsToHex). */
+    std::string toHex() const { return wordsToHex(words_, numWords()); }
+
+  private:
+    const uint64_t *words_;
+    size_t nbits_;
+};
 
 /**
  * Fixed-length (at construction) vector of bits backed by 64-bit
@@ -47,7 +111,7 @@ class BitVec
     bool test(size_t idx) const;
 
     /** @return number of set bits. */
-    size_t count() const;
+    size_t count() const { return span().count(); }
 
     /** @return true if no bit is set. */
     bool none() const;
@@ -97,14 +161,7 @@ class BitVec
     void
     forEachSet(Fn &&fn) const
     {
-        for (size_t w = 0; w < words_.size(); ++w) {
-            uint64_t bits = words_[w];
-            while (bits) {
-                unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
-                fn(w * 64 + b);
-                bits &= bits - 1;
-            }
-        }
+        span().forEachSet(fn);
     }
 
     /**
@@ -145,6 +202,9 @@ class BitVec
     /** Direct word access (serialization). */
     const std::vector<uint64_t> &words() const { return words_; }
 
+    /** Read-only view of the bits. */
+    BitSpan span() const { return {words_.data(), nbits_}; }
+
     /**
      * Overwrite backing word @p word_index with @p bits.  Bits beyond
      * size() are masked off, so the count()/none() invariants hold
@@ -157,7 +217,7 @@ class BitVec
      * Hex encoding of the backing words (16 lowercase digits per
      * word, word 0 first) for snapshot serialization.
      */
-    std::string toHex() const;
+    std::string toHex() const { return span().toHex(); }
 
     /**
      * Decode a toHex() string into this vector.  The length must
@@ -165,7 +225,11 @@ class BitVec
      * size() may be set; @return false on any violation (the vector
      * is unchanged on failure).
      */
-    bool fromHex(const std::string &hex);
+    bool
+    fromHex(const std::string &hex)
+    {
+        return wordsFromHex(hex, words_.data(), nbits_);
+    }
 
     /** Approximate heap footprint in bytes. */
     size_t footprintBytes() const { return words_.size() * 8; }

@@ -215,6 +215,41 @@ TEST(Chip, EnergyGrowsWithActivity)
     EXPECT_GT(energyPerSopJ(busy.energy(), busy.energyEvents()), 0.0);
 }
 
+TEST(Chip, IdenticalCoresCountEachPooledLaneOnce)
+{
+    // Full-size cores, so the read-only lanes (up to ten update
+    // lanes and four weight lanes, equal ones held once) of 1 KiB
+    // each outweigh the chip's own bookkeeping.
+    CoreConfig cfg = CoreConfig::make(CoreGeometry{});
+    for (uint32_t j = 0; j < cfg.geom.numNeurons; ++j) {
+        cfg.neurons[j].threshold = 2 + static_cast<int32_t>(j % 7);
+        cfg.neurons[j].leak = static_cast<int16_t>(j % 3) - 1;
+        cfg.neurons[j].synWeight = {static_cast<int16_t>(1 + j % 5), -1,
+                                    2, static_cast<int16_t>(-(1 + j % 4))};
+        cfg.connect(j, j);
+    }
+    const Core solo(cfg);
+    const LanePool &one = solo.lanePool();
+    ASSERT_GE(one.footprintBytes(), 8u * 1024);
+
+    ChipParams cp;
+    cp.width = 4;
+    cp.height = 4;
+    Chip chip(cp, std::vector<CoreConfig>(16, cfg));
+    EXPECT_EQ(chip.lanePool().size(), one.size());
+    EXPECT_EQ(chip.lanePool().footprintBytes(), one.footprintBytes());
+    size_t cores = 0;
+    for (uint32_t c = 0; c < chip.numCores(); ++c) {
+        EXPECT_EQ(&chip.core(c).lanePool(), &chip.lanePool());
+        EXPECT_EQ(chip.core(c).footprintBytes(), solo.footprintBytes());
+        cores += chip.core(c).footprintBytes();
+    }
+    // The pool is counted once on top of the cores, not per core.
+    const size_t pooled = one.footprintBytes();
+    EXPECT_GE(chip.footprintBytes(), cores + pooled);
+    EXPECT_LT(chip.footprintBytes(), cores + 2 * pooled);
+}
+
 TEST(Chip, DumpStatsHasKeyEntries)
 {
     Chip chip(params1x1(), {relayCore()});

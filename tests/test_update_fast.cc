@@ -277,8 +277,9 @@ TEST(UpdateFast, AllResetCombinationsMatchScalar)
                     validateNeuronParams(p, "combo");
                     ASSERT_FALSE(drawsPerTick(p));
 
+                    LanePool pool;
                     UpdateLanes lanes;
-                    lanes.build({p});
+                    lanes.build({p}, pool);
                     ASSERT_TRUE(lanes.stoch.empty());
                     for (int32_t v0 = -128; v0 <= 127; ++v0) {
                         int32_t vs = v0;
@@ -299,8 +300,9 @@ TEST(UpdateFast, AllResetCombinationsMatchScalar)
 TEST(UpdateFast, CohortSplitMatchesDrawsPerTick)
 {
     CoreConfig cfg = updateFuzzConfig(99);
+    LanePool pool;
     UpdateLanes lanes;
-    lanes.build(cfg.neurons);
+    lanes.build(cfg.neurons, pool);
     // The stochastic cohort is exactly the drawsPerTick neurons, in
     // ascending order (the architectural draw order), with each
     // neuron's static draw facts.
@@ -319,16 +321,16 @@ TEST(UpdateFast, CohortSplitMatchesDrawsPerTick)
     }
     // Only a core with a cohort carries drawn lanes, seeded with the
     // static values.
-    EXPECT_EQ(lanes.drawnLeak, lanes.leak);
-    EXPECT_EQ(lanes.drawnThr, lanes.thr);
-    EXPECT_EQ(lanes.drawnPosAdd, lanes.posAdd);
+    EXPECT_TRUE(std::ranges::equal(lanes.drawnLeak, lanes.leak));
+    EXPECT_TRUE(std::ranges::equal(lanes.drawnThr, lanes.thr));
+    EXPECT_TRUE(std::ranges::equal(lanes.drawnPosAdd, lanes.posAdd));
     // The generator must produce both kinds of neuron or the
     // differential sweeps above lose coverage.
     EXPECT_GT(expect.size(), 0u);
     EXPECT_LT(expect.size(), static_cast<size_t>(cfg.geom.numNeurons));
 
     UpdateLanes det;
-    det.build(std::vector<NeuronParams>(8));
+    det.build(std::vector<NeuronParams>(8), pool);
     EXPECT_TRUE(det.stoch.empty());
     EXPECT_TRUE(det.drawnLeak.empty());
 }
@@ -414,8 +416,9 @@ TEST(UpdateFast, PrecomputedDrawsReproduceEta)
     validateNeuronParams(p, "eta");
     ASSERT_TRUE(drawsPerTick(p));
 
+    LanePool pool;
     UpdateLanes lanes;
-    lanes.build({p});
+    lanes.build({p}, pool);
     Lfsr16 rng_a(0xBEEF), rng_b(0xBEEF);
     for (int t = 0; t < 64; ++t) {
         int32_t va = 25, vb = 25;
@@ -466,8 +469,9 @@ TEST(UpdateFast, NarrowProofEdgeMatchesScalar)
 {
     const std::vector<NeuronParams> params = narrowEdgeParams();
     const auto n = static_cast<uint32_t>(params.size());
+    LanePool pool;
     UpdateLanes lanes;
-    lanes.build(params);
+    lanes.build(params, pool);
     ASSERT_TRUE(lanes.narrow);
     ASSERT_EQ(lanes.stoch.size(), params.size());
 

@@ -1,6 +1,9 @@
 #include "neuron/batch.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <type_traits>
 
 #include "neuron/neuron.hh"
 #include "util/logging.hh"
@@ -9,32 +12,61 @@
 
 namespace nscs {
 
+template <typename T>
+std::span<const T>
+LanePool::Store<T>::intern(const std::vector<T> &lane)
+{
+    // A position-weighted sum over the lane packed into 64-bit words
+    // (two int32 or eight byte entries each): it has no serial
+    // dependency, and the full compare below settles collisions.
+    constexpr size_t kPer = 8 / sizeof(T);
+    uint64_t hash = lane.size();
+    size_t j = 0;
+    for (; j + kPer <= lane.size(); j += kPer) {
+        std::array<T, kPer> chunk{};
+        std::copy_n(lane.data() + j, kPer, chunk.begin());
+        hash += (std::bit_cast<uint64_t>(chunk) ^ j) * 0x9e3779b97f4a7c15ull;
+    }
+    for (; j < lane.size(); ++j)
+        hash += (uint64_t{std::make_unsigned_t<T>(lane[j])} ^
+                 (uint64_t{j} << 32)) *
+            0x9e3779b97f4a7c15ull;
+    const auto [first, last] = byHash.equal_range(hash);
+    for (auto it = first; it != last; ++it)
+        if (lanes[it->second] == lane)
+            return lanes[it->second];
+    byHash.emplace(hash, lanes.size());
+    return lanes.emplace_back(lane);
+}
+
+template <typename T>
+size_t
+LanePool::Store<T>::footprintBytes() const
+{
+    size_t bytes = byHash.size() * (sizeof(std::pair<uint64_t, size_t>) +
+                                     2 * sizeof(void *));
+    for (const std::vector<T> &lane : lanes)
+        bytes += sizeof(lane) + lane.capacity() * sizeof(T);
+    return bytes;
+}
+
 PooledLane
 LanePool::intern(const std::vector<int32_t> &lane)
 {
-    // A position-weighted sum: it has no serial dependency, so it
-    // vectorizes, and the full compare below settles collisions.
-    uint64_t hash = lane.size();
-    for (size_t j = 0; j < lane.size(); ++j)
-        hash += (static_cast<uint32_t>(lane[j]) ^ (uint64_t{j} << 32)) *
-            0x9e3779b97f4a7c15ull;
-    const auto [first, last] = byHash_.equal_range(hash);
-    for (auto it = first; it != last; ++it)
-        if (lanes_[it->second] == lane)
-            return lanes_[it->second];
-    byHash_.emplace(hash, lanes_.size());
-    return lanes_.emplace_back(lane);
+    return ints_.intern(lane);
+}
+
+PooledBytes
+LanePool::intern(const std::vector<uint8_t> &lane)
+{
+    return bytes_.intern(lane);
 }
 
 size_t
 LanePool::footprintBytes() const
 {
-    size_t bytes = sizeof(LanePool) +
-        byHash_.size() * (sizeof(std::pair<uint64_t, size_t>) +
-                          2 * sizeof(void *));
-    for (const std::vector<int32_t> &lane : lanes_)
-        bytes += sizeof(lane) + lane.capacity() * sizeof(int32_t);
-    return bytes;
+    return sizeof(LanePool) + ints_.footprintBytes() +
+        bytes_.footprintBytes();
 }
 
 namespace {

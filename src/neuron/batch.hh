@@ -77,11 +77,14 @@ namespace nscs {
 /** A read-only lane held by a LanePool. */
 using PooledLane = std::span<const int32_t>;
 
+/** A read-only byte lane held by a LanePool. */
+using PooledBytes = std::span<const uint8_t>;
+
 /**
- * Read-only int32 neuron lanes interned by full content: intern()
- * returns the one pooled copy of each distinct lane (same length,
- * same values).  Interning happens while cores are built; afterwards
- * the pool is only read, so the cores sharing it may tick
+ * Read-only neuron lanes interned by full content: intern() returns
+ * the one pooled copy of each distinct lane (same element type, same
+ * length, same values).  Interning happens while cores are built;
+ * afterwards the pool is only read, so the cores sharing it may tick
  * concurrently.
  */
 class LanePool
@@ -91,15 +94,29 @@ class LanePool
      *  and unchanged for the pool's lifetime. */
     PooledLane intern(const std::vector<int32_t> &lane);
 
+    /** The pooled byte lane equal to @p lane (see above). */
+    PooledBytes intern(const std::vector<uint8_t> &lane);
+
     /** Number of distinct lanes held. */
-    size_t size() const { return lanes_.size(); }
+    size_t size() const { return ints_.lanes.size() + bytes_.lanes.size(); }
 
     /** Heap footprint in bytes (each distinct lane once). */
     size_t footprintBytes() const;
 
   private:
-    std::deque<std::vector<int32_t>> lanes_;
-    std::unordered_multimap<uint64_t, size_t> byHash_;  //!< -> lanes_
+    /** The distinct lanes of one element type. */
+    template <typename T>
+    struct Store
+    {
+        std::deque<std::vector<T>> lanes;
+        std::unordered_multimap<uint64_t, size_t> byHash;  //!< -> lanes
+
+        std::span<const T> intern(const std::vector<T> &lane);
+        size_t footprintBytes() const;
+    };
+
+    Store<int32_t> ints_;
+    Store<uint8_t> bytes_;
 };
 
 /**

@@ -161,6 +161,8 @@ restoreSimulator(Simulator &sim, const JsonValue &snap)
 
     if (snap.has("sources")) {
         const JsonValue &sources = snap.at("sources");
+        if (sources.type() != JsonValue::Type::Array)
+            return failStatus("source states are no array");
         if (sources.size() != sim.numSources())
             return failStatus(
                 "snapshot has " + std::to_string(sources.size()) +

@@ -85,21 +85,39 @@ PoissonSource::saveState(JsonValue &out) const
 bool
 PoissonSource::restoreState(const JsonValue &in)
 {
-    if (in.type() != JsonValue::Type::Object || !in.has("rng") ||
-        in.getString("kind", "") != "poisson")
+    using Type = JsonValue::Type;
+    if (in.type() != Type::Object || !in.has("rng") ||
+        !in.has("kind") || in.at("kind").type() != Type::String ||
+        in.at("kind").asString() != "poisson")
         return false;
+    // The generator state is four hex words, at least one non-zero
+    // (xoshiro locks up at zero, so no saved generator holds it),
+    // plus an optional cached normal: hex bits and a bool.
     const JsonValue &rng = in.at("rng");
-    if (!rng.has("s") || rng.at("s").size() != 4)
+    if (!rng.has("s") || rng.at("s").type() != Type::Array ||
+        rng.at("s").size() != 4)
         return false;
     Xoshiro256::State st;
-    for (size_t i = 0; i < 4; ++i)
-        if (!u64FromHex(rng.at("s").at(i).asString(), st.s[i]))
+    uint64_t any = 0;
+    for (size_t i = 0; i < 4; ++i) {
+        const JsonValue &word = rng.at("s").at(i);
+        if (word.type() != Type::String ||
+            !u64FromHex(word.asString(), st.s[i]))
             return false;
-    if (!u64FromHex(rng.getString("cachedNormalBits",
-                                  "0000000000000000"),
-                    st.cachedNormalBits))
+        any |= st.s[i];
+    }
+    if (!any)
         return false;
-    st.hasCachedNormal = rng.getBool("hasCachedNormal", false);
+    if (rng.has("cachedNormalBits") &&
+        (rng.at("cachedNormalBits").type() != Type::String ||
+         !u64FromHex(rng.at("cachedNormalBits").asString(),
+                     st.cachedNormalBits)))
+        return false;
+    if (rng.has("hasCachedNormal")) {
+        if (rng.at("hasCachedNormal").type() != Type::Bool)
+            return false;
+        st.hasCachedNormal = rng.at("hasCachedNormal").asBool();
+    }
     rng_.restoreState(st);
     return true;
 }

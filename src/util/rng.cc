@@ -20,7 +20,80 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
+/** One Lfsr16::next() step of @p s, for the tables below. */
+constexpr uint16_t
+lfsrStep(uint16_t s)
+{
+    return static_cast<uint16_t>((s >> 1) ^ (s & 1u ? 0xB400u : 0u));
+}
+
+constexpr uint32_t kPeriod = Lfsr16::kPeriod;
+
+// The stream tables, each its own constant so that every evaluation
+// stays well inside the compilers' constexpr step limits.
+struct StateTable { uint16_t at[kPeriod]; };
+struct CursorTable { uint16_t of[65536]; };
+struct ByteTable { uint8_t at[kPeriod + Lfsr16::kStreamPad]; };
+
+constexpr StateTable
+buildStates()
+{
+    StateTable t{};
+    uint16_t s = 0xACE1;
+    for (uint32_t k = 0; k < kPeriod; ++k) {
+        t.at[k] = s;
+        s = lfsrStep(s);
+    }
+    return t;
+}
+
+constexpr StateTable kStates = buildStates();
+
+constexpr CursorTable
+buildCursors()
+{
+    CursorTable t{};
+    for (uint32_t k = 0; k < kPeriod; ++k)
+        t.of[kStates.at[k]] = static_cast<uint16_t>(k);
+    return t;
+}
+
+constexpr CursorTable kCursors = buildCursors();
+
+constexpr ByteTable
+buildBytes()
+{
+    ByteTable t{};
+    for (uint32_t k = 0; k < kPeriod + Lfsr16::kStreamPad; ++k)
+        t.at[k] = static_cast<uint8_t>(kStates.at[(k + 1) % kPeriod]);
+    return t;
+}
+
+constexpr ByteTable kBytes = buildBytes();
+
+// The cycle closes after kPeriod steps (Lfsr16 tests check that it
+// visits every non-zero state once, so the cursors invert it).
+static_assert(lfsrStep(kStates.at[kPeriod - 1]) == kStates.at[0]);
+
 } // anonymous namespace
+
+uint16_t
+Lfsr16::stateAt(uint32_t cursor)
+{
+    return kStates.at[cursor];
+}
+
+uint32_t
+Lfsr16::cursorOf(uint16_t state)
+{
+    return kCursors.of[state];
+}
+
+const uint8_t *
+Lfsr16::streamBytes()
+{
+    return kBytes.at;
+}
 
 void
 Xoshiro256::reset(uint64_t seed)

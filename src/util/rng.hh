@@ -13,6 +13,21 @@
  *                an identical, documented draw order so that their
  *                spike outputs are bit-for-bit equal.
  *
+ *                The register is maximal-length, so every seed's
+ *                stream is a window into one fixed cycle of 65535
+ *                states.  Three compile-time tables (in .rodata; no
+ *                runtime initialisation) make that cycle random
+ *                access: stateAt(k), the state k steps from the
+ *                origin; its inverse cursorOf(state); and
+ *                streamBytes(), whose entry k is the byte
+ *                nextByte() returns from a register at cursor k,
+ *                padded so 64 reads from any cursor never wrap.  The
+ *                count-lane integrate gear reads a row's stochastic
+ *                synapse draws from that byte table in one kernel
+ *                call (simd drawRow) and writes the register back
+ *                with restoreState; next() stays the specification
+ *                every other draw steps.
+ *
  *  - Xoshiro256: host-side general purpose generator (workload
  *                synthesis, datasets, placement annealing...).  Never
  *                used inside the simulated architecture.
@@ -81,6 +96,28 @@ class Lfsr16
             return v;
         return static_cast<uint16_t>(v & ((1u << bits) - 1u));
     }
+
+    /** The stream period: the register visits every non-zero state. */
+    static constexpr uint32_t kPeriod = 65535;
+
+    /** Entries of streamBytes() past kPeriod: one 64-neuron word's
+     *  draws read at most 64 bytes from any cursor below kPeriod. */
+    static constexpr uint32_t kStreamPad = 64;
+
+    /** The state @p cursor (< kPeriod) steps from the stream origin,
+     *  the default seed 0xACE1. */
+    static uint16_t stateAt(uint32_t cursor);
+
+    /** The cursor of non-zero @p state: stateAt(cursorOf(s)) == s. */
+    static uint32_t cursorOf(uint16_t state);
+
+    /**
+     * The stream's draw bytes, kPeriod + kStreamPad entries: entry k
+     * is the nextByte() of a register at cursor k, the low byte of
+     * stateAt((k + 1) % kPeriod).  The k-th next draw from cursor c
+     * is entry c + k while c + k stays below kPeriod + kStreamPad.
+     */
+    static const uint8_t *streamBytes();
 
     /** Current register state (for serialization / debugging). */
     uint16_t state() const { return state_; }

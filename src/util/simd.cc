@@ -21,8 +21,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/rng.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define NSCS_SIMD_X86 1
@@ -292,6 +295,41 @@ applyCountsScalar(const CountApply &a, uint32_t n)
         a.touched[w] = applyCountsBitsScalar(
             a, w, laneBits(a.touched, w, n), events);
     return events;
+}
+
+/** Advance stream cursor @p cursor by @p k <= 64 draws, wrapping
+ *  modulo the period. */
+inline uint32_t
+advanceCursor(uint32_t cursor, unsigned k)
+{
+    cursor += k;
+    return cursor >= Lfsr16::kPeriod ? cursor - Lfsr16::kPeriod : cursor;
+}
+
+/** drawRow's reference: one branch-free byte compare per target,
+ *  reading the word's draws from the table at the cursor. */
+RowDraws
+drawRowScalar(uint64_t *succ, const uint64_t *row, const uint64_t *stoch,
+              const uint8_t *absWeight, uint32_t n, uint32_t cursor)
+{
+    const uint8_t *bytes = Lfsr16::streamBytes();
+    const size_t words = (n + 63) / 64;
+    uint64_t draws = 0;
+    for (size_t w = 0; w < words; ++w) {
+        const uint8_t *rho = bytes + cursor;
+        const uint8_t *wt = absWeight + w * 64;
+        uint64_t hits = 0;
+        unsigned k = 0;
+        for (uint64_t bits = laneBits(row, w, n) & stoch[w]; bits;
+             bits &= bits - 1, ++k) {
+            const auto b = static_cast<unsigned>(__builtin_ctzll(bits));
+            hits |= uint64_t{rho[k] < wt[b]} << b;
+        }
+        succ[w] = hits;
+        draws += k;
+        cursor = advanceCursor(cursor, k);
+    }
+    return {draws, cursor};
 }
 
 #ifdef NSCS_SIMD_X86
@@ -837,6 +875,46 @@ applyCountsAvx512(const CountApply &a, uint32_t n)
     return events;
 }
 
+/** drawRow for AVX-512 with VBMI2 and BW: one expand-load places the
+ *  word's run of stream bytes on its target lanes, and one unsigned
+ *  byte compare against the |weight| lanes gives the success mask. */
+__attribute__((target("avx512f,avx512bw,avx512vbmi2"))) RowDraws
+drawRowVbmi2(uint64_t *succ, const uint64_t *row, const uint64_t *stoch,
+             const uint8_t *absWeight, uint32_t n, uint32_t cursor)
+{
+    const uint8_t *bytes = Lfsr16::streamBytes();
+    const size_t words = (n + 63) / 64;
+    uint64_t draws = 0;
+    for (size_t w = 0; w < words; ++w) {
+        const __mmask64 m = laneBits(row, w, n) & stoch[w];
+        const __m512i rho = _mm512_maskz_expandloadu_epi8(m, bytes + cursor);
+        const __m512i wt = _mm512_maskz_loadu_epi8(m, absWeight + w * 64);
+        succ[w] = _mm512_mask_cmplt_epu8_mask(m, rho, wt);
+        const auto k = static_cast<unsigned>(std::popcount(m));
+        draws += k;
+        cursor = advanceCursor(cursor, k);
+    }
+    return {draws, cursor};
+}
+
+bool
+hasVbmi2()
+{
+    static const bool has =
+        __builtin_cpu_supports("avx512vbmi2") != 0 &&
+        __builtin_cpu_supports("avx512bw") != 0;
+    return has;
+}
+
+RowDraws
+drawRowAvx512(uint64_t *succ, const uint64_t *row, const uint64_t *stoch,
+              const uint8_t *absWeight, uint32_t n, uint32_t cursor)
+{
+    if (hasVbmi2())
+        return drawRowVbmi2(succ, row, stoch, absWeight, n, cursor);
+    return drawRowScalar(succ, row, stoch, absWeight, n, cursor);
+}
+
 #endif // NSCS_SIMD_X86
 
 #ifdef NSCS_SIMD_NEON
@@ -983,26 +1061,31 @@ applyWordNeon(const ApplyWord &a, uint32_t n)
 const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
                         andWordsScalar, andPopcountScalar,
                         updateStripScalar, applyWordScalar,
-                        countRowScalar, applyCountsScalar};
+                        countRowScalar, applyCountsScalar,
+                        drawRowScalar};
 
 #ifdef NSCS_SIMD_X86
 // foldRow and orAccumulate stay scalar at every level: their vector
 // bodies measured slower than the scalar loops on the short rows the
-// simulator hands them.
+// simulator hands them.  drawRow's vector body needs a byte expand
+// (VBMI2), so AVX2 runs the scalar table walk.
 const Ops kAvx2Ops = {foldRowScalar, orAccumulateScalar, andWordsAvx2,
                       andPopcountAvx2, updateStripAvx2,
-                      applyWordAvx2, countRowAvx2, applyCountsAvx2};
+                      applyWordAvx2, countRowAvx2, applyCountsAvx2,
+                      drawRowScalar};
 const Ops kAvx512Ops = {foldRowScalar, orAccumulateScalar,
                         andWordsAvx512, andPopcountAvx512,
                         updateStripAvx512, applyWordAvx512,
-                        countRowAvx512, applyCountsAvx512};
+                        countRowAvx512, applyCountsAvx512,
+                        drawRowAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
-// countRow and applyCounts stay scalar on NEON until a vector body
-// has been measured against them on aarch64 hardware.
+// countRow, applyCounts and drawRow stay scalar on NEON until a
+// vector body has been measured against them on aarch64 hardware.
 const Ops kNeonOps = {foldRowScalar, orAccumulateScalar, andWordsNeon,
                       andPopcountNeon, updateStripNeon,
-                      applyWordNeon, countRowScalar, applyCountsScalar};
+                      applyWordNeon, countRowScalar, applyCountsScalar,
+                      drawRowScalar};
 #endif
 
 Level

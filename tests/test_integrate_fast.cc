@@ -10,8 +10,9 @@
  * tick, and the architectural counters (sops, spikes, evals, PRNG
  * draw count).
  *
- * Coverage spans both integrate paths, the gear's two SIMD kernels
- * (countRow, applyCounts) against their scalar references, every
+ * Coverage spans both integrate paths, the gear's SIMD kernels
+ * (countRow, applyCounts against their scalar references, drawRow
+ * against the Lfsr16 chain), every
  * SIMD dispatch level available on the host (swept in-process
  * through simd::setActiveLevel), instance-batched cores and a
  * two-chip board.  The fuzz configurations deliberately
@@ -1311,6 +1312,75 @@ TEST(CountKernels, ApplyCountsGuardsBothRails)
         EXPECT_EQ(c.v, expect_v);
         EXPECT_EQ(c.v[0], 127);
         EXPECT_EQ(c.v[1], -128);
+    }
+}
+
+// --- stochastic row draws ------------------------------------------------------
+
+/** The |weight| values the byte compare must get exactly right. */
+constexpr uint8_t kDrawWeights[] = {0, 1, 2, 127, 128, 254, 255};
+
+/**
+ * drawRow at every level against the Lfsr16 chain it replaces: the
+ * same success words, and a register written back at the returned
+ * cursor reads the state() and draws() the chain leaves.  Half the
+ * start cursors lie within 64 draws of the stream table's wrap, so
+ * multi-word rows cross it inside one call.
+ */
+TEST(DrawKernels, DrawRowMatchesLfsrChain)
+{
+    for (simd::Level lvl : simd::availableLevels()) {
+        const simd::Ops &ops = simd::opsFor(lvl);
+        for (uint32_t n : kKernelLaneCounts) {
+            const size_t words = (n + 63) / 64;
+            Xoshiro256 rng(n * 131 + 5);
+            for (int k = 0; k < 60; ++k) {
+                SCOPED_TRACE(testing::Message()
+                             << simd::levelName(lvl) << " n=" << n
+                             << " case " << k);
+                const double density = k % 5 == 0 ? 1.0 : rng.uniform();
+                const std::vector<uint64_t> row = randomRow(rng, n, density);
+                const std::vector<uint64_t> stoch =
+                    randomRow(rng, n, k % 7 == 0 ? 1.0 : rng.uniform());
+                // Exactly n bytes, so a read past lane n is out of
+                // bounds under ASan.
+                std::vector<uint8_t> abs_weight(n);
+                for (uint8_t &wt : abs_weight)
+                    wt = kDrawWeights[rng.below(std::size(kDrawWeights))];
+                const uint32_t start =
+                    k % 2 ? Lfsr16::kPeriod - 1 -
+                            static_cast<uint32_t>(rng.below(64))
+                          : static_cast<uint32_t>(
+                                rng.below(Lfsr16::kPeriod));
+
+                // The chain: one nextByte per target, ascending.
+                Lfsr16 chain(Lfsr16::stateAt(start));
+                std::vector<uint64_t> want(words + 1, 0xA5A5);
+                for (size_t w = 0; w < words; ++w) {
+                    want[w] = 0;
+                    for (uint32_t b = 0; b < 64 && w * 64 + b < n; ++b) {
+                        const uint32_t j = static_cast<uint32_t>(w * 64 + b);
+                        if (!(((row[w] & stoch[w]) >> b) & 1))
+                            continue;
+                        if (chain.nextByte() < abs_weight[j])
+                            want[w] |= uint64_t{1} << b;
+                    }
+                }
+
+                std::vector<uint64_t> got(words + 1, 0xA5A5);
+                const simd::RowDraws d =
+                    ops.drawRow(got.data(), row.data(), stoch.data(),
+                                abs_weight.data(), n, start);
+                EXPECT_EQ(got, want);
+                ASSERT_LT(d.cursor, Lfsr16::kPeriod);
+                EXPECT_EQ(d.draws, chain.draws());
+                Lfsr16 lane(Lfsr16::stateAt(start));
+                lane.restoreState(Lfsr16::stateAt(d.cursor),
+                                  lane.draws() + d.draws);
+                EXPECT_EQ(lane.state(), chain.state());
+                EXPECT_EQ(lane.draws(), chain.draws());
+            }
+        }
     }
 }
 

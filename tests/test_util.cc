@@ -85,6 +85,32 @@ TEST(Lfsr16, MaximalPeriod)
     EXPECT_EQ(period, 65535u);
 }
 
+TEST(Lfsr16, StreamTablesMatchTheRegister)
+{
+    // From every non-zero state: the cursor table inverts the state
+    // table, and the byte table read from the state's cursor gives
+    // the next 128 nextByte() draws.  Reads run into the table's
+    // padding and then wrap, so cursors near the end of the period
+    // check both.
+    constexpr uint32_t kPeriod = Lfsr16::kPeriod;
+    const uint8_t *bytes = Lfsr16::streamBytes();
+    EXPECT_EQ(Lfsr16::stateAt(0), 0xACE1);
+    for (uint32_t s = 1; s <= 0xFFFF; ++s) {
+        const auto state = static_cast<uint16_t>(s);
+        const uint32_t cursor = Lfsr16::cursorOf(state);
+        ASSERT_LT(cursor, kPeriod);
+        ASSERT_EQ(Lfsr16::stateAt(cursor), state);
+        Lfsr16 rng(state);
+        for (uint32_t k = 0; k < 128; ++k) {
+            uint32_t at = cursor + k;
+            if (at >= kPeriod + Lfsr16::kStreamPad)
+                at -= kPeriod;
+            ASSERT_EQ(bytes[at], rng.nextByte())
+                << "state " << s << " draw " << k;
+        }
+    }
+}
+
 TEST(Lfsr16, DrawCounting)
 {
     Lfsr16 rng(7);

@@ -119,7 +119,7 @@ Simulator::handleAlarms()
     }
     if (fresh == 0)
         return;
-    if (!autoRecover_ || !haveCheckpoint_) {
+    if (!haveCheckpoint_) {
         recovery_.unrecoveredAlarms += fresh;
         return;
     }

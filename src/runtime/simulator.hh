@@ -169,19 +169,17 @@ class Simulator
 
     /**
      * Checkpoint every @p every ticks during run() (0 disables).  A
-     * checkpoint is an in-memory snapshot; with auto-recovery armed
-     * (the default) a detected-fault alarm rolls the simulation back
-     * to the last checkpoint, suppresses the faults that alarmed and
-     * replays deterministically, so transient upsets leave no trace
-     * in the spike record.
+     * checkpoint is an in-memory snapshot.  While one is held, a
+     * detected-fault alarm rolls the simulation back to it,
+     * suppresses the faults that alarmed and replays
+     * deterministically, so transient upsets leave no trace in the
+     * spike record; an alarm with no checkpoint held is counted in
+     * RecoveryStats::unrecoveredAlarms.
      */
     void setCheckpointInterval(uint64_t every)
     {
         checkpointEvery_ = every;
     }
-
-    /** Arm or disarm rollback on detected-fault alarms. */
-    void setAutoRecover(bool on) { autoRecover_ = on; }
 
     /** Checkpoint/rollback counters. */
     const RecoveryStats &recoveryStats() const { return recovery_; }
@@ -206,7 +204,6 @@ class Simulator
     // checkpoint that predates an earlier recovery re-suppresses the
     // whole history before replaying.
     uint64_t checkpointEvery_ = 0;
-    bool autoRecover_ = true;
     bool haveCheckpoint_ = false;
     uint64_t checkpointTick_ = 0;
     std::string checkpointBlob_;

@@ -1,8 +1,10 @@
 #include "runtime/trace.hh"
 
+#include <charconv>
 #include <sstream>
 
 #include "util/json.hh"
+#include "util/logging.hh"
 
 namespace nscs {
 
@@ -21,27 +23,6 @@ formatSpikeTrace(const std::vector<OutputSpike> &spikes)
 }
 
 bool
-parseSpikeTrace(const std::string &text, std::vector<OutputSpike> &out)
-{
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        size_t pos = line.find_first_not_of(" \t");
-        if (pos == std::string::npos || line[pos] == '#')
-            continue;
-        std::istringstream ls(line);
-        OutputSpike s;
-        if (!(ls >> s.tick >> s.line))
-            return false;
-        // Optional third column: instance lane (batched runs).
-        if (!(ls >> s.instance))
-            s.instance = 0;
-        out.push_back(s);
-    }
-    return true;
-}
-
-bool
 writeSpikeTrace(const std::string &path,
                 const std::vector<OutputSpike> &spikes)
 {
@@ -49,12 +30,46 @@ writeSpikeTrace(const std::string &path,
 }
 
 bool
-readSpikeTrace(const std::string &path, std::vector<OutputSpike> &out)
+parseInputSchedule(const std::string &text,
+                   std::vector<ScheduledInput> &out, std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text))
-        return false;
-    return parseSpikeTrace(text, out);
+    std::vector<ScheduledInput> parsed;
+    std::istringstream is(text);
+    std::string line;
+    for (size_t lineno = 1; std::getline(is, line); ++lineno) {
+        std::istringstream ls(line);
+        std::string tick, name, extra;
+        if (!(ls >> tick) || tick[0] == '#')
+            continue;
+        if (!(ls >> name)) {
+            err = strprintf("line %zu: expected 'tick inputName'", lineno);
+            return false;
+        }
+        if (ls >> extra) {
+            err = strprintf("line %zu: unexpected '%s' after the input name",
+                            lineno, extra.c_str());
+            return false;
+        }
+        // from_chars takes no sign or space, so "-5" is rejected
+        // rather than wrapped to a tick near 2^64.
+        ScheduledInput entry{0, std::move(name)};
+        const char *end = tick.data() + tick.size();
+        auto [ptr, ec] = std::from_chars(tick.data(), end, entry.tick);
+        if (ec == std::errc::result_out_of_range) {
+            err = strprintf("line %zu: tick '%s' is out of range", lineno,
+                            tick.c_str());
+            return false;
+        }
+        if (ec != std::errc() || ptr != end) {
+            err = strprintf("line %zu: tick '%s' is not a non-negative "
+                            "decimal integer",
+                            lineno, tick.c_str());
+            return false;
+        }
+        parsed.push_back(std::move(entry));
+    }
+    out = std::move(parsed);
+    return true;
 }
 
 std::string

@@ -1,9 +1,12 @@
 /**
  * @file
- * Spike trace file I/O and ASCII raster rendering.
+ * Spike trace output, input schedule parsing and ASCII raster
+ * rendering.
  *
- * Trace format: one "tick line" pair per text line, '#' comments
- * allowed.  Rasters render lines as rows and ticks as columns, '|'
+ * Trace format: one "tick line [instance]" entry per text line
+ * after a '#' header.  Input schedule format: one "tick inputName"
+ * entry per text line, blank lines and lines starting with '#'
+ * skipped.  Rasters render lines as rows and ticks as columns, '|'
  * marking a spike — the library's stand-in for the paper's raster
  * figures.
  */
@@ -21,20 +24,28 @@ namespace nscs {
 /** Serialize a spike list to the text trace format. */
 std::string formatSpikeTrace(const std::vector<OutputSpike> &spikes);
 
-/**
- * Parse a text trace.  @return false on malformed input (parsing
- * user files is a recoverable condition).
- */
-bool parseSpikeTrace(const std::string &text,
-                     std::vector<OutputSpike> &out);
-
 /** Write a trace file; false on I/O error. */
 bool writeSpikeTrace(const std::string &path,
                      const std::vector<OutputSpike> &spikes);
 
-/** Read a trace file; false on I/O or parse error. */
-bool readSpikeTrace(const std::string &path,
-                    std::vector<OutputSpike> &out);
+/** One input schedule entry: fire input line @p name at @p tick. */
+struct ScheduledInput
+{
+    uint64_t tick = 0;
+    std::string name;
+
+    bool operator==(const ScheduledInput &other) const = default;
+};
+
+/**
+ * Parse an input schedule into @p out, entries in file order.  The
+ * tick must be a decimal integer in uint64 range and nothing may
+ * follow the name.  @return false on the first malformed line, with
+ * @p err naming it ("line N: ..."); @p out is unchanged on failure.
+ */
+bool parseInputSchedule(const std::string &text,
+                        std::vector<ScheduledInput> &out,
+                        std::string &err);
 
 /**
  * Render lines [line0, line0+nlines) over ticks [t0, t1) as an ASCII

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.hh"
-#include "util/simd.hh"
 
 namespace nscs {
 
@@ -64,26 +63,6 @@ BitVec::none() const
         if (w)
             return false;
     return true;
-}
-
-BitVec &
-BitVec::operator|=(const BitVec &other)
-{
-    NSCS_ASSERT(nbits_ == other.nbits_, "BitVec size mismatch %zu vs %zu",
-                nbits_, other.nbits_);
-    simd::ops().orAccumulate(words_.data(), other.words_.data(),
-                             words_.size());
-    return *this;
-}
-
-BitVec &
-BitVec::operator&=(const BitVec &other)
-{
-    NSCS_ASSERT(nbits_ == other.nbits_, "BitVec size mismatch %zu vs %zu",
-                nbits_, other.nbits_);
-    simd::ops().andWords(words_.data(), other.words_.data(),
-                         words_.size());
-    return *this;
 }
 
 void
@@ -154,40 +133,6 @@ wordsFromHex(const std::string &hex, uint64_t *out, size_t nbits)
     }
     std::copy(decoded.begin(), decoded.end(), out);
     return true;
-}
-
-void
-BitVec::assertSameSize(const BitVec &other) const
-{
-    NSCS_ASSERT(nbits_ == other.nbits_, "BitVec size mismatch %zu vs %zu",
-                nbits_, other.nbits_);
-}
-
-bool
-BitVec::orAccumulate(const BitVec &other)
-{
-    assertSameSize(other);
-    return simd::ops().orAccumulate(words_.data(),
-                                    other.words_.data(),
-                                    words_.size());
-}
-
-size_t
-BitVec::andPopcount(const BitVec &other) const
-{
-    assertSameSize(other);
-    return static_cast<size_t>(simd::ops().andPopcount(
-        words_.data(), other.words_.data(), words_.size()));
-}
-
-bool
-BitVec::intersects(const BitVec &other) const
-{
-    assertSameSize(other);
-    for (size_t i = 0; i < words_.size(); ++i)
-        if (words_[i] & other.words_[i])
-            return true;
-    return false;
 }
 
 } // namespace nscs

@@ -74,9 +74,6 @@ class BitSpan
         }
     }
 
-    /** Snapshot encoding (see wordsToHex). */
-    std::string toHex() const { return wordsToHex(words_, numWords()); }
-
   private:
     const uint64_t *words_;
     size_t nbits_;
@@ -119,18 +116,6 @@ class BitVec
     /** @return true if any bit is set. */
     bool any() const { return !none(); }
 
-    /** Bitwise OR-assign; sizes must match. */
-    BitVec &operator|=(const BitVec &other);
-
-    /** Bitwise AND-assign; sizes must match. */
-    BitVec &operator&=(const BitVec &other);
-
-    /**
-     * Word-wise OR-accumulate of @p other into this vector (sizes
-     * must match).  @return true if any bit changed.
-     */
-    bool orAccumulate(const BitVec &other);
-
     /**
      * OR @p bits into backing word @p word_index.  The caller must
      * not set bits beyond size() (i.e. @p bits must come from a
@@ -141,13 +126,6 @@ class BitVec
     {
         words_[word_index] |= bits;
     }
-
-    /** Popcount of (*this & other) without materializing the AND;
-     *  sizes must match. */
-    size_t andPopcount(const BitVec &other) const;
-
-    /** True if (*this & other) has any set bit; sizes must match. */
-    bool intersects(const BitVec &other) const;
 
     /** Equality compares size and content. */
     bool operator==(const BitVec &other) const = default;
@@ -164,41 +142,6 @@ class BitVec
         span().forEachSet(fn);
     }
 
-    /**
-     * Call @p fn(size_t word_index, uint64_t word) for every nonzero
-     * backing word, in increasing word order.  The batched masked
-     * update walks whole 64-neuron strips through this.
-     */
-    template <typename Fn>
-    void
-    forEachSetWord(Fn &&fn) const
-    {
-        for (size_t w = 0; w < words_.size(); ++w)
-            if (words_[w])
-                fn(w, words_[w]);
-    }
-
-    /**
-     * Masked variant of forEachSet: visit set bits of
-     * (*this & mask) in increasing index order without materializing
-     * the intersection.  Sizes must match.
-     */
-    template <typename Fn>
-    void
-    forEachSetMasked(const BitVec &mask, Fn &&fn) const
-    {
-        assertSameSize(mask);
-        const std::vector<uint64_t> &mw = mask.words_;
-        for (size_t w = 0; w < words_.size(); ++w) {
-            uint64_t bits = words_[w] & mw[w];
-            while (bits) {
-                unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
-                fn(w * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-    }
-
     /** Direct word access (serialization). */
     const std::vector<uint64_t> &words() const { return words_; }
 
@@ -213,32 +156,10 @@ class BitVec
      */
     void setWord(size_t word_index, uint64_t bits);
 
-    /**
-     * Hex encoding of the backing words (16 lowercase digits per
-     * word, word 0 first) for snapshot serialization.
-     */
-    std::string toHex() const { return span().toHex(); }
-
-    /**
-     * Decode a toHex() string into this vector.  The length must
-     * match this vector's word count exactly and no bit beyond
-     * size() may be set; @return false on any violation (the vector
-     * is unchanged on failure).
-     */
-    bool
-    fromHex(const std::string &hex)
-    {
-        return wordsFromHex(hex, words_.data(), nbits_);
-    }
-
     /** Approximate heap footprint in bytes. */
     size_t footprintBytes() const { return words_.size() * 8; }
 
   private:
-    /** Panics unless @p other has the same bit length (out-of-line
-     *  so the header needs no logging include). */
-    void assertSameSize(const BitVec &other) const;
-
     size_t nbits_ = 0;
     std::vector<uint64_t> words_;
 };

@@ -51,8 +51,8 @@ namespace simd {
 namespace {
 
 // ---------------------------------------------------------------
-// Scalar reference kernels.  Range variants exist so the vector
-// kernels can delegate their sub-vector tails.
+// Scalar reference kernels.  updateStrip's range variant exists so
+// the vector bodies can delegate their sub-vector tails.
 // ---------------------------------------------------------------
 
 void
@@ -86,28 +86,14 @@ orAccumulateScalar(uint64_t *dst, const uint64_t *src, size_t words)
     return changed != 0;
 }
 
-void
-andWordsScalar(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    for (size_t w = 0; w < words; ++w)
-        dst[w] &= src[w];
-}
-
-uint64_t
-andPopcountScalarRange(const uint64_t *a, const uint64_t *b,
-                       size_t w0, size_t words)
-{
-    uint64_t total = 0;
-    for (size_t w = w0; w < words; ++w)
-        total += static_cast<uint64_t>(
-            __builtin_popcountll(a[w] & b[w]));
-    return total;
-}
-
 uint64_t
 andPopcountScalar(const uint64_t *a, const uint64_t *b, size_t words)
 {
-    return andPopcountScalarRange(a, b, 0, words);
+    uint64_t total = 0;
+    for (size_t w = 0; w < words; ++w)
+        total += static_cast<uint64_t>(
+            __builtin_popcountll(a[w] & b[w]));
+    return total;
 }
 
 /**
@@ -147,21 +133,13 @@ updateStripScalar(const UpdateStrip &s, uint32_t n)
     return updateStripScalarRange(s, 0, n);
 }
 
-/**
- * The batched synaptic apply over lanes [begin, end) — the reference
- * for util/simd.hh's applyWord contract.  Every intermediate fits
- * int32 on the narrow cores that take this path (every neuron at
- * potentialBits <= 30, so |v| <= 2^29): counts <= numAxons and
- * |weight| <= 255, so with fewer than 2^18 axons a core's
- * pos/neg/delta stay under 2^28 and the guard sums under 2^30.  A
- * 31-bit rail reaches INT32_MAX, where v + pos would overflow, so
- * such cores integrate scalar (core/core.cc).
- */
+/** util/simd.hh's applyWord contract, the only body every level
+ *  serves.  Its int32 bound is applyCountsLane's. */
 uint64_t
-applyWordScalarRange(const ApplyWord &a, uint32_t begin, uint32_t end)
+applyWordScalar(const ApplyWord &a, uint32_t n)
 {
     uint64_t applied = 0;
-    for (uint32_t b = begin; b < end; ++b) {
+    for (uint32_t b = 0; b < n; ++b) {
         int32_t delta = 0, pos = 0, neg = 0;
         for (unsigned g = 0; g < kApplyWordTypes; ++g) {
             if (!a.detUsed[g])
@@ -200,12 +178,6 @@ applyWordScalarRange(const ApplyWord &a, uint32_t begin, uint32_t end)
     return applied;
 }
 
-uint64_t
-applyWordScalar(const ApplyWord &a, uint32_t n)
-{
-    return applyWordScalarRange(a, 0, n);
-}
-
 /** Word @p w of an @p n-lane bit row, with the bits at or past n
  *  cleared. */
 inline uint64_t
@@ -235,10 +207,15 @@ countRowScalar(int32_t *lane, const uint64_t *row, uint32_t n)
 
 /**
  * The count apply of lane @p j — the reference for util/simd.hh's
- * applyCounts contract.  The int32 bound is applyWord's (see
- * applyWordScalarRange): counts <= numAxons, |weight| <= 255 and
- * |v| <= 2^29 on the narrow cores that take this path.  @p events
- * gains the lane's counts.  @return true when the lane committed.
+ * applyCounts contract.  @p events gains the lane's counts.  @return
+ * true when the lane committed.
+ *
+ * Every intermediate fits int32 on the narrow cores that take this
+ * path (every neuron at potentialBits <= 30, so |v| <= 2^29): counts
+ * <= numAxons and |weight| <= 255, so with fewer than 2^18 axons a
+ * core's pos/neg/delta stay under 2^28 and the guard sums under
+ * 2^30.  A 31-bit rail reaches INT32_MAX, where v + pos would
+ * overflow, so such cores integrate scalar (core/core.cc).
  */
 inline bool
 applyCountsLane(const CountApply &a, size_t j, uint64_t &events)
@@ -335,7 +312,7 @@ drawRowScalar(uint64_t *succ, const uint64_t *row, const uint64_t *stoch,
 #ifdef NSCS_SIMD_X86
 
 // ---------------------------------------------------------------
-// AVX2 kernels: 4 x u64 / 8 x i32 per vector.
+// AVX2 kernels: 8 x i32 per vector.
 // ---------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256i
@@ -350,47 +327,6 @@ store256(void *p, __m256i x)
 {
     // nscs-lint: allow(raw-serialize): unaligned SIMD lane store
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), x);
-}
-
-__attribute__((target("avx2"))) void
-andWordsAvx2(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    size_t w = 0;
-    for (; w + 4 <= words; w += 4)
-        store256(dst + w,
-                 _mm256_and_si256(load256(dst + w), load256(src + w)));
-    for (; w < words; ++w)
-        dst[w] &= src[w];
-}
-
-/** Nibble-LUT popcount of a 256-bit vector into 4 u64 partials. */
-__attribute__((target("avx2"))) inline __m256i
-popcount256(__m256i v)
-{
-    const __m256i lut = _mm256_setr_epi8(
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-    const __m256i low = _mm256_set1_epi8(0x0f);
-    __m256i lo = _mm256_and_si256(v, low);
-    __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
-    __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                  _mm256_shuffle_epi8(lut, hi));
-    return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2"))) uint64_t
-andPopcountAvx2(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    __m256i acc = _mm256_setzero_si256();
-    size_t w = 0;
-    for (; w + 4 <= words; w += 4)
-        acc = _mm256_add_epi64(
-            acc, popcount256(_mm256_and_si256(load256(a + w),
-                                              load256(b + w))));
-    uint64_t lanes[4];
-    store256(lanes, acc);
-    return lanes[0] + lanes[1] + lanes[2] + lanes[3] +
-        andPopcountScalarRange(a, b, w, words);
 }
 
 __attribute__((target("avx2"))) inline __m256i
@@ -451,68 +387,6 @@ laneMask256(uint64_t word, unsigned sh)
     const __m256i bits = _mm256_set1_epi32(
         static_cast<int32_t>((word >> sh) & 0xff));
     return _mm256_cmpeq_epi32(_mm256_and_si256(bits, sel), sel);
-}
-
-__attribute__((target("avx2"))) uint64_t
-applyWordAvx2(const ApplyWord &a, uint32_t n)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    uint64_t applied = 0;
-    uint32_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        __m256i delta = zero, pos = zero, neg = zero;
-        for (unsigned g = 0; g < kApplyWordTypes; ++g) {
-            if (!a.detUsed[g])
-                continue;
-            __m256i cnt = zero;
-            for (uint32_t p = 0; p < a.detUsed[g]; ++p)
-                cnt = _mm256_add_epi32(
-                    cnt,
-                    _mm256_and_si256(
-                        laneMask256(a.detPlanes[g][p * a.detStride],
-                                    c),
-                        _mm256_set1_epi32(1 << p)));
-            const __m256i wt = load256(a.weight[g] + c);
-            __m256i d = _mm256_mullo_epi32(cnt, wt);
-            const uint64_t sm = a.stochMask[g];
-            if ((sm >> c) & 0xff) {
-                __m256i scnt = zero;
-                for (uint32_t p = 0; p < a.succUsed[g]; ++p)
-                    scnt = _mm256_add_epi32(
-                        scnt,
-                        _mm256_and_si256(
-                            laneMask256(
-                                a.succPlanes[g][p * a.succStride],
-                                c),
-                            _mm256_set1_epi32(1 << p)));
-                const __m256i sg = clamp256(
-                    wt, _mm256_set1_epi32(-1), _mm256_set1_epi32(1));
-                d = _mm256_blendv_epi8(
-                    d, _mm256_mullo_epi32(scnt, sg),
-                    laneMask256(sm, c));
-            }
-            delta = _mm256_add_epi32(delta, d);
-            pos = _mm256_add_epi32(pos, _mm256_max_epi32(d, zero));
-            neg = _mm256_add_epi32(neg, _mm256_min_epi32(d, zero));
-        }
-        const __m256i v0 = load256(a.v + c);
-        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo), built from
-        // andnot of the inverted compares.
-        const __m256i ok = _mm256_andnot_si256(
-            _mm256_cmpgt_epi32(_mm256_add_epi32(v0, pos),
-                               load256(a.vHi + c)),
-            _mm256_andnot_si256(
-                _mm256_cmpgt_epi32(load256(a.vLo + c),
-                                   _mm256_add_epi32(v0, neg)),
-                _mm256_set1_epi32(-1)));
-        store256(a.v + c,
-                 _mm256_blendv_epi8(v0, _mm256_add_epi32(v0, delta),
-                                    ok));
-        const unsigned m = static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_castsi256_ps(ok)));
-        applied |= static_cast<uint64_t>(m) << c;
-    }
-    return applied | applyWordScalarRange(a, c, n);
 }
 
 __attribute__((target("avx2"))) void
@@ -612,54 +486,9 @@ applyCountsAvx2(const CountApply &a, uint32_t n)
 }
 
 // ---------------------------------------------------------------
-// AVX-512 kernels: 8 x u64 / 16 x i32 per vector (AVX-512F only;
-// the VPOPCNTDQ popcount is probed separately at dispatch).
+// AVX-512 kernels: 16 x i32 per vector (AVX-512F), and drawRow's
+// 64 x u8 body, which needs VBMI2 and BW (probed at first use).
 // ---------------------------------------------------------------
-
-__attribute__((target("avx512f"))) void
-andWordsAvx512(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    size_t w = 0;
-    for (; w + 8 <= words; w += 8)
-        _mm512_storeu_si512(
-            dst + w, _mm512_and_si512(_mm512_loadu_si512(dst + w),
-                                      _mm512_loadu_si512(src + w)));
-    for (; w < words; ++w)
-        dst[w] &= src[w];
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) uint64_t
-andPopcountAvx512Vp(const uint64_t *a, const uint64_t *b,
-                    size_t words)
-{
-    __m512i acc = _mm512_setzero_si512();
-    size_t w = 0;
-    for (; w + 8 <= words; w += 8)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(
-                     _mm512_and_si512(_mm512_loadu_si512(a + w),
-                                      _mm512_loadu_si512(b + w))));
-    return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc)) +
-        andPopcountScalarRange(a, b, w, words);
-}
-
-bool
-hasVpopcntdq()
-{
-    static const bool has =
-        __builtin_cpu_supports("avx512vpopcntdq") != 0;
-    return has;
-}
-
-uint64_t
-andPopcountAvx512(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    if (hasVpopcntdq())
-        return andPopcountAvx512Vp(a, b, words);
-    // AVX-512F alone has no vector popcount; the AVX2 nibble-LUT
-    // kernel is the fastest fallback and keeps results identical.
-    return andPopcountAvx2(a, b, words);
-}
 
 __attribute__((target("avx512f"))) inline __m512i
 clamp512(__m512i x, __m512i lo, __m512i hi)
@@ -712,60 +541,6 @@ updateStripAvx512(const UpdateStrip &s, uint32_t n)
             << j;
     }
     return fired_bits | updateStripScalarRange(s, j, n);
-}
-
-__attribute__((target("avx512f"))) uint64_t
-applyWordAvx512(const ApplyWord &a, uint32_t n)
-{
-    const __m512i zero = _mm512_setzero_si512();
-    uint64_t applied = 0;
-    uint32_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        __m512i delta = zero, pos = zero, neg = zero;
-        for (unsigned g = 0; g < kApplyWordTypes; ++g) {
-            if (!a.detUsed[g])
-                continue;
-            __m512i cnt = zero;
-            for (uint32_t p = 0; p < a.detUsed[g]; ++p) {
-                const auto m = static_cast<__mmask16>(
-                    a.detPlanes[g][p * a.detStride] >> c);
-                cnt = _mm512_mask_add_epi32(
-                    cnt, m, cnt, _mm512_set1_epi32(1 << p));
-            }
-            const __m512i wt = _mm512_loadu_si512(a.weight[g] + c);
-            __m512i d = _mm512_mullo_epi32(cnt, wt);
-            const auto sm =
-                static_cast<__mmask16>(a.stochMask[g] >> c);
-            if (sm) {
-                __m512i scnt = zero;
-                for (uint32_t p = 0; p < a.succUsed[g]; ++p) {
-                    const auto m = static_cast<__mmask16>(
-                        a.succPlanes[g][p * a.succStride] >> c);
-                    scnt = _mm512_mask_add_epi32(
-                        scnt, m, scnt, _mm512_set1_epi32(1 << p));
-                }
-                const __m512i sg = clamp512(
-                    wt, _mm512_set1_epi32(-1), _mm512_set1_epi32(1));
-                d = _mm512_mask_blend_epi32(
-                    sm, d, _mm512_mullo_epi32(scnt, sg));
-            }
-            delta = _mm512_add_epi32(delta, d);
-            pos = _mm512_add_epi32(pos, _mm512_max_epi32(d, zero));
-            neg = _mm512_add_epi32(neg, _mm512_min_epi32(d, zero));
-        }
-        const __m512i v0 = _mm512_loadu_si512(a.v + c);
-        __mmask16 ok = _mm512_cmp_epi32_mask(
-            _mm512_add_epi32(v0, pos),
-            _mm512_loadu_si512(a.vHi + c), _MM_CMPINT_LE);
-        ok = _mm512_mask_cmp_epi32_mask(
-            ok, _mm512_add_epi32(v0, neg),
-            _mm512_loadu_si512(a.vLo + c), _MM_CMPINT_NLT);
-        _mm512_mask_storeu_epi32(a.v + c, ok,
-                                 _mm512_add_epi32(v0, delta));
-        applied |= static_cast<uint64_t>(static_cast<uint16_t>(ok))
-            << c;
-    }
-    return applied | applyWordScalarRange(a, c, n);
 }
 
 /** One whole 16-lane chunk of countRow: full-width load and store
@@ -920,34 +695,8 @@ drawRowAvx512(uint64_t *succ, const uint64_t *row, const uint64_t *stoch,
 #ifdef NSCS_SIMD_NEON
 
 // ---------------------------------------------------------------
-// NEON kernels: 2 x u64 / 4 x i32 per vector (aarch64 baseline).
+// NEON kernels: 4 x i32 per vector (aarch64 baseline).
 // ---------------------------------------------------------------
-
-void
-andWordsNeon(uint64_t *dst, const uint64_t *src, size_t words)
-{
-    size_t w = 0;
-    for (; w + 2 <= words; w += 2)
-        vst1q_u64(dst + w,
-                  vandq_u64(vld1q_u64(dst + w), vld1q_u64(src + w)));
-    for (; w < words; ++w)
-        dst[w] &= src[w];
-}
-
-uint64_t
-andPopcountNeon(const uint64_t *a, const uint64_t *b, size_t words)
-{
-    uint64x2_t acc = vdupq_n_u64(0);
-    size_t w = 0;
-    for (; w + 2 <= words; w += 2) {
-        uint8x16_t bits = vreinterpretq_u8_u64(
-            vandq_u64(vld1q_u64(a + w), vld1q_u64(b + w)));
-        acc = vaddq_u64(
-            acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(bits)))));
-    }
-    return vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1) +
-        andPopcountScalarRange(a, b, w, words);
-}
 
 uint64_t
 updateStripNeon(const UpdateStrip &s, uint32_t n)
@@ -986,106 +735,35 @@ updateStripNeon(const UpdateStrip &s, uint32_t n)
     return fired_bits | updateStripScalarRange(s, j, n);
 }
 
-/** Expand 4 plane bits (lanes sh..sh+3 of a word) into 32-bit lane
- *  masks: all-ones where the bit is set — the 4-lane sibling of
- *  laneMask256 (NEON predication also goes through compare + bsl). */
-inline uint32x4_t
-laneMask4(uint64_t word, unsigned sh)
-{
-    const uint32x4_t sel = {1u, 2u, 4u, 8u};
-    const uint32x4_t bits =
-        vdupq_n_u32(static_cast<uint32_t>((word >> sh) & 0xf));
-    return vceqq_u32(vandq_u32(bits, sel), sel);
-}
-
-uint64_t
-applyWordNeon(const ApplyWord &a, uint32_t n)
-{
-    const int32x4_t zero = vdupq_n_s32(0);
-    const uint32x4_t bitsel = {1u, 2u, 4u, 8u};
-    uint64_t applied = 0;
-    uint32_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-        int32x4_t delta = zero, pos = zero, neg = zero;
-        for (unsigned g = 0; g < kApplyWordTypes; ++g) {
-            if (!a.detUsed[g])
-                continue;
-            int32x4_t cnt = zero;
-            for (uint32_t p = 0; p < a.detUsed[g]; ++p)
-                cnt = vaddq_s32(
-                    cnt,
-                    vreinterpretq_s32_u32(vandq_u32(
-                        laneMask4(a.detPlanes[g][p * a.detStride],
-                                  c),
-                        vdupq_n_u32(1u << p))));
-            const int32x4_t wt = vld1q_s32(a.weight[g] + c);
-            int32x4_t d = vmulq_s32(cnt, wt);
-            const uint64_t sm = a.stochMask[g];
-            if ((sm >> c) & 0xf) {
-                int32x4_t scnt = zero;
-                for (uint32_t p = 0; p < a.succUsed[g]; ++p)
-                    scnt = vaddq_s32(
-                        scnt,
-                        vreinterpretq_s32_u32(vandq_u32(
-                            laneMask4(
-                                a.succPlanes[g][p * a.succStride],
-                                c),
-                            vdupq_n_u32(1u << p))));
-                // Stochastic lanes apply sign(weight) per success.
-                const int32x4_t sg = vminq_s32(
-                    vmaxq_s32(wt, vdupq_n_s32(-1)), vdupq_n_s32(1));
-                d = vbslq_s32(laneMask4(sm, c), vmulq_s32(scnt, sg),
-                              d);
-            }
-            delta = vaddq_s32(delta, d);
-            pos = vaddq_s32(pos, vmaxq_s32(d, zero));
-            neg = vaddq_s32(neg, vminq_s32(d, zero));
-        }
-        const int32x4_t v0 = vld1q_s32(a.v + c);
-        // ok = (v0 + pos <= vHi) && (v0 + neg >= vLo).
-        const uint32x4_t ok =
-            vandq_u32(vcleq_s32(vaddq_s32(v0, pos),
-                                vld1q_s32(a.vHi + c)),
-                      vcgeq_s32(vaddq_s32(v0, neg),
-                                vld1q_s32(a.vLo + c)));
-        vst1q_s32(a.v + c, vbslq_s32(ok, vaddq_s32(v0, delta), v0));
-        applied |= static_cast<uint64_t>(
-                       vaddvq_u32(vandq_u32(ok, bitsel)))
-            << c;
-    }
-    return applied | applyWordScalarRange(a, c, n);
-}
-
 #endif // NSCS_SIMD_NEON
 
+// foldRow, orAccumulate, andPopcount and applyWord have no simulator
+// caller, only the benchmark's kernel probes, so every level serves
+// their scalar bodies.
 const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
-                        andWordsScalar, andPopcountScalar,
-                        updateStripScalar, applyWordScalar,
-                        countRowScalar, applyCountsScalar,
-                        drawRowScalar};
+                        andPopcountScalar, updateStripScalar,
+                        applyWordScalar, countRowScalar,
+                        applyCountsScalar, drawRowScalar};
 
 #ifdef NSCS_SIMD_X86
-// foldRow and orAccumulate stay scalar at every level: their vector
-// bodies measured slower than the scalar loops on the short rows the
-// simulator hands them.  drawRow's vector body needs a byte expand
-// (VBMI2), so AVX2 runs the scalar table walk.
-const Ops kAvx2Ops = {foldRowScalar, orAccumulateScalar, andWordsAvx2,
-                      andPopcountAvx2, updateStripAvx2,
-                      applyWordAvx2, countRowAvx2, applyCountsAvx2,
-                      drawRowScalar};
+// drawRow's vector body needs a byte expand (VBMI2), so AVX2 runs the
+// scalar table walk.
+const Ops kAvx2Ops = {foldRowScalar, orAccumulateScalar,
+                      andPopcountScalar, updateStripAvx2,
+                      applyWordScalar, countRowAvx2,
+                      applyCountsAvx2, drawRowScalar};
 const Ops kAvx512Ops = {foldRowScalar, orAccumulateScalar,
-                        andWordsAvx512, andPopcountAvx512,
-                        updateStripAvx512, applyWordAvx512,
-                        countRowAvx512, applyCountsAvx512,
-                        drawRowAvx512};
+                        andPopcountScalar, updateStripAvx512,
+                        applyWordScalar, countRowAvx512,
+                        applyCountsAvx512, drawRowAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
 // countRow, applyCounts and drawRow stay scalar on NEON until a
 // vector body has been measured against them on aarch64 hardware.
-const Ops kNeonOps = {foldRowScalar, orAccumulateScalar, andWordsNeon,
-                      andPopcountNeon, updateStripNeon,
-                      applyWordNeon, countRowScalar, applyCountsScalar,
-                      drawRowScalar};
+const Ops kNeonOps = {foldRowScalar, orAccumulateScalar,
+                      andPopcountScalar, updateStripNeon,
+                      applyWordScalar, countRowScalar,
+                      applyCountsScalar, drawRowScalar};
 #endif
 
 Level

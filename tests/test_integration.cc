@@ -15,6 +15,7 @@
 #include "prog/corelet.hh"
 #include "runtime/simulator.hh"
 #include "runtime/trace.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace nscs {
@@ -267,25 +268,66 @@ TEST(PoissonSource, StreamMatchesChanceReference)
 TEST(TraceIO, RoundTripAndRaster)
 {
     std::vector<OutputSpike> spikes = {
-        {0, 1}, {3, 0}, {3, 1}, {7, 2}};
-    std::string text = formatSpikeTrace(spikes);
-    std::vector<OutputSpike> back;
-    ASSERT_TRUE(parseSpikeTrace(text, back));
-    EXPECT_EQ(back, spikes);
+        {0, 1}, {3, 0}, {3, 1}, {7, 2}, {9, 0, 2}};
+    const std::string want = "# nscs spike trace: tick line [instance]\n"
+                             "0 1\n3 0\n3 1\n7 2\n9 0 2\n";
+    EXPECT_EQ(formatSpikeTrace(spikes), want);
 
     std::string path = ::testing::TempDir() + "/nscs_trace.txt";
     ASSERT_TRUE(writeSpikeTrace(path, spikes));
-    std::vector<OutputSpike> from_file;
-    ASSERT_TRUE(readSpikeTrace(path, from_file));
-    EXPECT_EQ(from_file, spikes);
+    std::string from_file;
+    ASSERT_TRUE(readFile(path, from_file));
+    EXPECT_EQ(from_file, want);
 
     std::string raster = renderRaster(spikes, 0, 3, 0, 8);
     // line 1 spikes at ticks 0 and 3.
     EXPECT_NE(raster.find("line 1  |..|...."), std::string::npos);
     EXPECT_NE(raster.find("line 2  .......|"), std::string::npos);
+}
 
-    std::vector<OutputSpike> bad;
-    EXPECT_FALSE(parseSpikeTrace("3 x", bad));
+TEST(TraceIO, InputScheduleLoads)
+{
+    std::vector<ScheduledInput> out;
+    std::string err;
+    ASSERT_TRUE(parseInputSchedule("# header\n"
+                                   "\n"
+                                   "5 in0\n"
+                                   "   # indented comment\n"
+                                   "\t2\tin1  \r\n"
+                                   "5 in1\n"
+                                   "18446744073709551615 late\n",
+                                   out, err))
+        << err;
+    const std::vector<ScheduledInput> want = {
+        {5, "in0"}, {2, "in1"}, {5, "in1"}, {UINT64_MAX, "late"}};
+    EXPECT_EQ(out, want);
+}
+
+TEST(TraceIO, InputScheduleRejectsBadLines)
+{
+    struct Case
+    {
+        const char *text;
+        const char *error;
+    };
+    const Case cases[] = {
+        {"-5 in0\n", "line 1: tick '-5' is not a non-negative"},
+        {"1 a\n18446744073709551616 in0\n",
+         "line 2: tick '18446744073709551616' is out of range"},
+        {"5 in0 extra\n", "line 1: unexpected 'extra' after the input"},
+        {"# c\n\n7\n", "line 3: expected 'tick inputName'"},
+        {"five in0\n", "line 1: tick 'five' is not a non-negative"},
+        {"5x in0\n", "line 1: tick '5x' is not a non-negative"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.text);
+        const std::vector<ScheduledInput> before = {{1, "kept"}};
+        std::vector<ScheduledInput> out = before;
+        std::string err;
+        EXPECT_FALSE(parseInputSchedule(c.text, out, err));
+        EXPECT_NE(err.find(c.error), std::string::npos) << err;
+        EXPECT_EQ(out, before);
+    }
 }
 
 TEST(TraceIO, SpikeRowRendering)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the util substrate: logging, RNG, bit vectors,
- * saturation, statistics, tables, CSV and JSON.
+ * saturation, SIMD dispatch, statistics, tables, CSV and JSON.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -16,6 +17,7 @@
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/saturate.hh"
+#include "util/simd.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -270,69 +272,6 @@ TEST(BitVec, ForEachSetVisitsAscending)
     EXPECT_EQ(got, want);
 }
 
-TEST(BitVec, OrAndOperators)
-{
-    BitVec a(70), b(70);
-    a.set(1);
-    a.set(68);
-    b.set(2);
-    b.set(68);
-    BitVec o = a;
-    o |= b;
-    EXPECT_EQ(o.count(), 3u);
-    BitVec n = a;
-    n &= b;
-    EXPECT_EQ(n.count(), 1u);
-    EXPECT_TRUE(n.test(68));
-}
-
-TEST(BitVec, WordCombinators)
-{
-    BitVec a(130), b(130);
-    a.set(0);
-    a.set(64);
-    a.set(129);
-    b.set(64);
-    b.set(100);
-
-    EXPECT_EQ(a.andPopcount(b), 1u);
-    EXPECT_TRUE(a.intersects(b));
-
-    // orAccumulate reports whether any bit changed.
-    BitVec acc = a;
-    EXPECT_TRUE(acc.orAccumulate(b));
-    EXPECT_EQ(acc.count(), 4u);
-    EXPECT_FALSE(acc.orAccumulate(b));
-
-    BitVec empty(130);
-    EXPECT_EQ(a.andPopcount(empty), 0u);
-    EXPECT_FALSE(a.intersects(empty));
-
-    // forEachSetWord skips zero words and reports word-aligned bits.
-    std::vector<size_t> word_idx;
-    size_t bits_seen = 0;
-    acc.forEachSetWord([&](size_t w, uint64_t word) {
-        word_idx.push_back(w);
-        bits_seen += static_cast<size_t>(__builtin_popcountll(word));
-    });
-    EXPECT_EQ(word_idx, (std::vector<size_t>{0, 1, 2}));
-    EXPECT_EQ(bits_seen, 4u);
-
-    // forEachSetMasked visits the intersection in ascending order.
-    std::vector<size_t> masked;
-    a.forEachSetMasked(b, [&masked](size_t i) { masked.push_back(i); });
-    EXPECT_EQ(masked, (std::vector<size_t>{64}));
-}
-
-TEST(BitVecDeath, CombinatorSizeMismatchPanics)
-{
-    BitVec a(64), b(65);
-    EXPECT_DEATH(a.andPopcount(b), "size mismatch");
-    EXPECT_DEATH(a.orAccumulate(b), "size mismatch");
-    EXPECT_DEATH(a.intersects(b), "size mismatch");
-    EXPECT_DEATH(a.forEachSetMasked(b, [](size_t) {}), "size mismatch");
-}
-
 TEST(BitVec, EqualityIncludesSize)
 {
     BitVec a(10), b(10), c(11);
@@ -349,6 +288,77 @@ TEST(BitVecDeath, OutOfRangePanics)
     BitVec v(8);
     EXPECT_DEATH(v.set(8), "out of range");
     EXPECT_DEATH((void)v.test(100), "out of range");
+}
+
+// --- SIMD dispatch ---------------------------------------------------------
+
+constexpr simd::Level kAllLevels[] = {simd::Level::Scalar,
+                                      simd::Level::Avx2,
+                                      simd::Level::Avx512,
+                                      simd::Level::Neon};
+
+/** Restores the active level when a test that re-pins it ends. */
+struct ActiveLevelGuard
+{
+    simd::Level saved = simd::activeLevel();
+    ~ActiveLevelGuard() { simd::setActiveLevel(saved); }
+};
+
+TEST(SimdDispatch, LevelNamesRoundTrip)
+{
+    for (simd::Level l : kAllLevels) {
+        simd::Level back = l == simd::Level::Scalar ? simd::Level::Neon
+                                                    : simd::Level::Scalar;
+        ASSERT_TRUE(simd::parseLevel(simd::levelName(l), back))
+            << simd::levelName(l);
+        EXPECT_EQ(back, l) << simd::levelName(l);
+    }
+    simd::Level native = simd::Level::Scalar;
+    ASSERT_TRUE(simd::parseLevel("native", native));
+    EXPECT_EQ(native, simd::detectedLevel());
+}
+
+TEST(SimdDispatch, UnknownNamesRejected)
+{
+    simd::Level l = simd::Level::Avx2;
+    EXPECT_FALSE(simd::parseLevel(nullptr, l));
+    for (const char *bad : {"", "AVX2", "avx2 ", "sse4", "avx", "native2"})
+        EXPECT_FALSE(simd::parseLevel(bad, l)) << "'" << bad << "'";
+    EXPECT_EQ(l, simd::Level::Avx2);
+}
+
+TEST(SimdDispatch, UnavailableLevelLeavesActiveUnchanged)
+{
+    ActiveLevelGuard guard;
+    size_t refused = 0;
+    for (simd::Level l : kAllLevels) {
+        SCOPED_TRACE(simd::levelName(l));
+        const simd::Level before = simd::activeLevel();
+        if (simd::levelAvailable(l)) {
+            EXPECT_TRUE(simd::setActiveLevel(l));
+            EXPECT_EQ(simd::activeLevel(), l);
+        } else {
+            ++refused;
+            EXPECT_FALSE(simd::setActiveLevel(l));
+            EXPECT_EQ(simd::activeLevel(), before);
+        }
+    }
+    // No host runs both the x86 and the aarch64 levels.
+    EXPECT_GE(refused, 1u);
+    EXPECT_EQ(simd::availableLevels().size(), std::size(kAllLevels) - refused);
+}
+
+TEST(SimdDispatch, ProbeOnlyKernelsAreScalarAtEveryLevel)
+{
+    const simd::Ops &ref = simd::opsFor(simd::Level::Scalar);
+    for (simd::Level l : kAllLevels) {
+        SCOPED_TRACE(simd::levelName(l));
+        const simd::Ops &o = simd::opsFor(l);
+        EXPECT_EQ(o.foldRow, ref.foldRow);
+        EXPECT_EQ(o.orAccumulate, ref.orAccumulate);
+        EXPECT_EQ(o.andPopcount, ref.andPopcount);
+        EXPECT_EQ(o.applyWord, ref.applyWord);
+    }
 }
 
 // --- saturate --------------------------------------------------------------

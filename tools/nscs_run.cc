@@ -56,8 +56,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <map>
-#include <sstream>
 
 #include "board/traffic.hh"
 #include "prog/compiled.hh"
@@ -244,29 +242,14 @@ main(int argc, char **argv)
         profile = std::make_shared<const TrafficProfile>(std::move(tp));
     }
 
-    // Parse the input schedule: "tick inputName" per line.
-    std::map<uint64_t, std::vector<std::string>> schedule;
+    std::vector<ScheduledInput> schedule;
     if (!inputs_path.empty()) {
-        std::string text;
+        std::string text, err;
         if (!readFile(inputs_path, text))
             fatal("cannot read input schedule '%s'",
                   inputs_path.c_str());
-        std::istringstream is(text);
-        std::string line;
-        size_t lineno = 0;
-        while (std::getline(is, line)) {
-            ++lineno;
-            size_t pos = line.find_first_not_of(" \t");
-            if (pos == std::string::npos || line[pos] == '#')
-                continue;
-            std::istringstream ls(line);
-            uint64_t tick;
-            std::string name;
-            if (!(ls >> tick >> name))
-                fatal("%s:%zu: expected 'tick inputName'",
-                      inputs_path.c_str(), lineno);
-            schedule[tick].push_back(name);
-        }
+        if (!parseInputSchedule(text, schedule, err))
+            fatal("%s: %s", inputs_path.c_str(), err.c_str());
     }
 
     std::shared_ptr<const FaultPlan> plan;
@@ -308,10 +291,9 @@ main(int argc, char **argv)
     }
 
     auto source = std::make_unique<ScheduleSource>();
-    for (const auto &kv : schedule)
-        for (const std::string &name : kv.second)
-            for (const InputSpike &target : model.inputTargets(name))
-                source->add(kv.first, target);
+    for (const ScheduledInput &in : schedule)
+        for (const InputSpike &target : model.inputTargets(in.name))
+            source->add(in.tick, target);
     sim->addSource(std::move(source));
 
     sim->setCheckpointInterval(checkpoint_every);

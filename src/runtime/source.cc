@@ -188,10 +188,11 @@ ScheduleSource::sortTail()
         lo = std::min(lo, tail[i].tick);
         hi = std::max(hi, tail[i].tick);
     }
-    const uint64_t range = hi - lo + 1;
     // Beyond a few thousand distinct ticks the count array outgrows
-    // the tail itself; comparison sort wins there.
-    if (range > std::max<uint64_t>(4096, n)) {
+    // the tail itself; comparison sort wins there.  The span is
+    // compared before adding one, so a tail reaching from tick 0 to
+    // UINT64_MAX cannot wrap to an empty count array.
+    if (hi - lo >= std::max<uint64_t>(4096, n)) {
         std::stable_sort(entries_.begin() +
                              static_cast<ptrdiff_t>(prefix_),
                          entries_.end(),
@@ -201,7 +202,7 @@ ScheduleSource::sortTail()
         prefix_ = entries_.size();
         return;
     }
-    countScratch_.assign(static_cast<size_t>(range), 0);
+    countScratch_.assign(static_cast<size_t>(hi - lo + 1), 0);
     for (size_t i = 0; i < n; ++i)
         ++countScratch_[tail[i].tick - lo];
     uint32_t sum = 0;

@@ -7,8 +7,10 @@
 #include "board/traffic.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
+#include <utility>
 
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -77,7 +79,7 @@ trafficProfileToJson(const TrafficProfile &profile)
 
     // Sparse flat triples (src chip, dst chip, spikes).
     JsonValue pairs = JsonValue::array();
-    const uint32_t n = profile.numChips();
+    const uint64_t n = profile.numChips();
     if (!profile.pairSpikes.empty()) {
         NSCS_ASSERT(profile.pairSpikes.size() ==
                         static_cast<size_t>(n) * n,
@@ -134,87 +136,69 @@ trafficProfileFromJson(const JsonValue &doc, TrafficProfile &profile,
     };
     if (doc.type() != JsonValue::Type::Object)
         return fail("traffic profile: document is not an object");
-    if (doc.getString("format", "") != kFormat)
+    std::string format;
+    if (!readString(doc, "format", format) || format != kFormat)
         return fail("traffic profile: missing format tag '" +
                     std::string(kFormat) + "'");
-    if (doc.getInt("version", 0) != kVersion)
+    int64_t version = 0;
+    if (!readInt(doc, "version", version) || version != kVersion)
         return fail("traffic profile: unsupported version");
 
     profile = TrafficProfile{};
-    profile.boardW =
-        static_cast<uint32_t>(doc.getInt("boardWidth", 0));
-    profile.boardH =
-        static_cast<uint32_t>(doc.getInt("boardHeight", 0));
-    profile.chipW = static_cast<uint32_t>(doc.getInt("chipWidth", 0));
-    profile.chipH =
-        static_cast<uint32_t>(doc.getInt("chipHeight", 0));
-    profile.ticks = static_cast<uint64_t>(doc.getInt("ticks", 0));
-    profile.egressSpikes =
-        static_cast<uint64_t>(doc.getInt("egressSpikes", 0));
-    if (profile.boardW == 0 || profile.boardH == 0 ||
-        profile.chipW == 0 || profile.chipH == 0)
-        return fail("traffic profile: zero board or chip dimension");
+    for (auto [key, dst] : {std::pair{"boardWidth", &profile.boardW},
+                            std::pair{"boardHeight", &profile.boardH},
+                            std::pair{"chipWidth", &profile.chipW},
+                            std::pair{"chipHeight", &profile.chipH}})
+        if (!readInt(doc, key, *dst, 1))
+            return fail(std::string("traffic profile: '") + key +
+                        "' is not a positive dimension");
+    for (auto [key, dst] : {std::pair{"ticks", &profile.ticks},
+                            std::pair{"egressSpikes", &profile.egressSpikes}})
+        if (doc.has(key) && !readInt(doc, key, *dst))
+            return fail(std::string("traffic profile: malformed '") +
+                        key + "'");
+    // No Board routes more chips, and cell indices are uint32 (the
+    // per-chip bound keeps numCells() from wrapping).
+    if (profile.numChips() > kMaxRoutedChips)
+        return fail("traffic profile: more than " +
+                    std::to_string(kMaxRoutedChips) + " chips");
+    if (uint64_t{profile.chipW} * profile.chipH > UINT32_MAX ||
+        profile.numCells() > UINT32_MAX)
+        return fail("traffic profile: cell count does not fit 32 bits");
 
-    const uint32_t n = profile.numChips();
-    const auto triples = [&](const char *key, auto &&sink,
-                             uint64_t limit_a, uint64_t limit_b) {
-        if (!doc.has(key))
-            return true;
-        const JsonValue &arr = doc.at(key);
-        if (arr.type() != JsonValue::Type::Array ||
-            arr.size() % 3 != 0)
-            return false;
-        for (size_t i = 0; i < arr.size(); i += 3) {
-            const int64_t a = arr.at(i).asInt();
-            const int64_t b = arr.at(i + 1).asInt();
-            const int64_t v = arr.at(i + 2).asInt();
-            if (a < 0 || b < 0 || v < 0 ||
-                static_cast<uint64_t>(a) >= limit_a ||
-                static_cast<uint64_t>(b) >= limit_b)
-                return false;
-            sink(static_cast<uint32_t>(a), static_cast<uint32_t>(b),
-                 static_cast<uint64_t>(v));
-        }
-        return true;
-    };
-
-    profile.pairSpikes.assign(static_cast<size_t>(n) * n, 0);
-    if (!triples(
-            "pairs",
-            [&](uint32_t s, uint32_t d, uint64_t v) {
-                profile.pairSpikes[static_cast<size_t>(s) * n + d] = v;
-            },
-            n, n))
-        return fail("traffic profile: malformed 'pairs' array");
-
-    profile.links.assign(static_cast<size_t>(n) * 4, {});
-    if (doc.has("links")) {
-        const JsonValue &arr = doc.at("links");
-        if (arr.type() != JsonValue::Type::Array ||
-            arr.size() % 4 != 0)
-            return fail("traffic profile: malformed 'links' array");
-        for (size_t i = 0; i < arr.size(); i += 4) {
-            const int64_t l = arr.at(i).asInt();
-            if (l < 0 || static_cast<uint64_t>(l) >=
-                             static_cast<uint64_t>(n) * 4)
-                return fail("traffic profile: link index out of "
-                            "range");
-            TrafficLinkLoad &ll = profile.links[static_cast<size_t>(l)];
-            ll.packets = static_cast<uint64_t>(arr.at(i + 1).asInt());
-            ll.stalls = static_cast<uint64_t>(arr.at(i + 2).asInt());
-            ll.drops = static_cast<uint64_t>(arr.at(i + 3).asInt());
-        }
+    // Flat (src, dst, spikes) triples and (link, packets, stalls,
+    // drops) quads, every index below its table's size.
+    std::vector<uint64_t> pairs, links, cellTriples;
+    if ((doc.has("pairs") && !readInts(doc.at("pairs"), pairs)) ||
+        (doc.has("links") && !readInts(doc.at("links"), links)) ||
+        (doc.has("cells") && !readInts(doc.at("cells"), cellTriples)) ||
+        pairs.size() % 3 != 0 || links.size() % 4 != 0 ||
+        cellTriples.size() % 3 != 0)
+        return fail("traffic profile: malformed 'pairs', 'links' or "
+                    "'cells' array");
+    const uint64_t n = profile.numChips();
+    profile.pairSpikes.assign(n * n, 0);
+    for (size_t i = 0; i < pairs.size(); i += 3) {
+        if (pairs[i] >= n || pairs[i + 1] >= n)
+            return fail("traffic profile: chip index out of range");
+        profile.pairSpikes[pairs[i] * n + pairs[i + 1]] = pairs[i + 2];
     }
-
-    const uint32_t cells = profile.numCells();
+    profile.links.assign(n * 4, {});
+    for (size_t i = 0; i < links.size(); i += 4) {
+        if (links[i] >= n * 4)
+            return fail("traffic profile: link index out of range");
+        profile.links[links[i]] = {links[i + 1], links[i + 2],
+                                   links[i + 3]};
+    }
+    const uint64_t cells = profile.numCells();
     profile.cells.assign(cells, {});
-    if (!triples(
-            "cells",
-            [&](uint32_t s, uint32_t d, uint64_t v) {
-                profile.cells[s][d] = v;
-            },
-            cells, cells))
-        return fail("traffic profile: malformed 'cells' array");
+    for (size_t i = 0; i < cellTriples.size(); i += 3) {
+        if (cellTriples[i] >= cells || cellTriples[i + 1] >= cells)
+            return fail("traffic profile: cell index out of range");
+        profile.cells[cellTriples[i]]
+                     [static_cast<uint32_t>(cellTriples[i + 1])] =
+            cellTriples[i + 2];
+    }
     return true;
 }
 
@@ -248,7 +232,7 @@ loadTrafficProfile(const std::string &path, TrafficProfile &profile,
 std::vector<uint64_t>
 congestionLinkWeights(const TrafficProfile &profile)
 {
-    const uint32_t n = profile.numChips();
+    const uint64_t n = profile.numChips();
     std::vector<uint64_t> weights(static_cast<size_t>(n) * 4, 16);
     if (profile.links.size() != weights.size())
         return weights;

@@ -74,11 +74,8 @@ struct TrafficProfile
      */
     std::vector<std::map<uint32_t, uint64_t>> cells;
 
-    uint32_t numChips() const { return boardW * boardH; }
-    uint32_t numCells() const
-    {
-        return boardW * chipW * boardH * chipH;
-    }
+    uint64_t numChips() const { return uint64_t{boardW} * boardH; }
+    uint64_t numCells() const { return numChips() * chipW * chipH; }
 };
 
 /** Serialize to the "nscs-traffic" v1 JSON document. */

@@ -153,6 +153,12 @@ struct OutputSpike
     bool operator==(const OutputSpike &other) const = default;
 };
 
+/** Snapshot codec: flat (tick, line, instance) triples; the reader
+ *  rejects an instance at or above @p instances. */
+JsonValue outputSpikesToJson(const std::vector<OutputSpike> &spikes);
+bool readOutputSpikes(const JsonValue &v, std::vector<OutputSpike> &out,
+                      uint32_t instances);
+
 /**
  * A spike whose destination lies beyond this chip's core grid
  * (ChipParams::allowEgress).  Offsets are relative to the source

@@ -48,53 +48,42 @@ Scheduler::reset()
     collisions_ = 0;
 }
 
+const CounterField<Scheduler> Scheduler::kCounterFields[2] = {
+    {"deposits", &Scheduler::deposits_},
+    {"collisions", &Scheduler::collisions_},
+};
+
 void
 Scheduler::saveState(JsonValue &out) const
 {
-    out = JsonValue::object();
+    out = countersToJson(*this, kCounterFields);
     JsonValue slots = JsonValue::array();
     for (size_t i = 0; i < slotCounts_.size(); ++i)
         slots.append(JsonValue::string(
             wordsToHex(bits_.data() + i * planeWords_, planeWords_)));
     out.set("slots", std::move(slots));
-    out.set("deposits", JsonValue::integer(static_cast<int64_t>(deposits_)));
-    out.set("collisions",
-            JsonValue::integer(static_cast<int64_t>(collisions_)));
 }
 
 bool
 Scheduler::restoreState(const JsonValue &in)
 {
-    if (in.type() != JsonValue::Type::Object || !in.has("slots"))
+    if (!in.has("slots") || !readCounters(in, *this, kCounterFields))
         return false;
     const JsonValue &slots = in.at("slots");
     if (slots.type() != JsonValue::Type::Array ||
         slots.size() != slotCounts_.size())
         return false;
-    // The counters are uint64 that a snapshot writes as non-negative
-    // int64; anything else is no scheduler state.
-    int64_t counts[2] = {0, 0};
-    const char *keys[2] = {"deposits", "collisions"};
-    for (int k = 0; k < 2; ++k) {
-        if (!in.has(keys[k]))
-            continue;
-        const JsonValue &c = in.at(keys[k]);
-        if (c.type() != JsonValue::Type::Int || c.asInt() < 0)
-            return false;
-        counts[k] = c.asInt();
-    }
     std::fill(tickCounts_.begin(), tickCounts_.end(), 0);
+    std::string hex;
     for (size_t i = 0; i < slotCounts_.size(); ++i) {
         uint64_t *plane = bits_.data() + i * planeWords_;
-        if (slots.at(i).type() != JsonValue::Type::String ||
-            !wordsFromHex(slots.at(i).asString(), plane, numAxons_))
+        if (!readString(slots.at(i), hex) ||
+            !wordsFromHex(hex, plane, numAxons_))
             return false;
         slotCounts_[i] =
             static_cast<uint32_t>(BitSpan(plane, numAxons_).count());
         tickCounts_[i / instances_] += slotCounts_[i];
     }
-    deposits_ = static_cast<uint64_t>(counts[0]);
-    collisions_ = static_cast<uint64_t>(counts[1]);
     return true;
 }
 

@@ -153,6 +153,9 @@ class Scheduler
     std::vector<uint32_t> tickCounts_;   //!< set bits per slot, all inst
     uint64_t deposits_ = 0;
     uint64_t collisions_ = 0;
+
+    /** Snapshot keys of the two counters. */
+    static const CounterField<Scheduler> kCounterFields[2];
 };
 
 } // namespace nscs

@@ -168,8 +168,9 @@ struct FaultStats {
 /** Serialize @p stats (snapshot helper). */
 JsonValue faultStatsToJson(const FaultStats &stats);
 
-/** Restore faultStatsToJson output. */
-FaultStats faultStatsFromJson(const JsonValue &v);
+/** Read faultStatsToJson output into @p stats; a missing key reads
+ *  as 0.  @return false on a malformed document. */
+bool faultStatsFromJson(const JsonValue &v, FaultStats &stats);
 
 } // namespace nscs
 

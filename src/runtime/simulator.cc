@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "runtime/snapshot.hh"
 #include "util/logging.hh"
@@ -148,38 +149,167 @@ Simulator::handleAlarms()
         std::max(recovery_.maxRecoveryLatencyTicks, span);
 }
 
+namespace {
+
+/** The parameters of @p sim's chip (each chip's, on a board). */
+const ChipParams &
+chipParams(const Simulator &sim)
+{
+    return sim.isBoard() ? sim.board().params().chip : sim.chip().params();
+}
+
+const char *
+engineName(const Simulator &sim)
+{
+    return chipParams(sim).engine == EngineKind::Clock ? "clock" : "event";
+}
+
+/** Static shape of the simulated device, for restore validation. */
+std::vector<std::pair<const char *, int64_t>>
+geometryFields(const Simulator &sim)
+{
+    const ChipParams &cp = chipParams(sim);
+    std::vector<std::pair<const char *, int64_t>> g = {
+        {"chipWidth", cp.width},
+        {"chipHeight", cp.height},
+        {"numAxons", cp.coreGeom.numAxons},
+        {"numNeurons", cp.coreGeom.numNeurons},
+        {"delaySlots", cp.coreGeom.delaySlots},
+        {"instances", cp.instances}};
+    if (sim.isBoard())
+        g.insert(g.end(), {{"boardWidth", sim.board().params().width},
+                           {"boardHeight", sim.board().params().height}});
+    return g;
+}
+
+/** Store @p msg in @p err (when non-null); @return false. */
+bool
+fail(std::string *err, std::string msg)
+{
+    if (err)
+        *err = std::move(msg);
+    return false;
+}
+
+} // anonymous namespace
+
 JsonValue
 Simulator::snapshot() const
 {
-    return snapshotSimulator(*this);
+    JsonValue doc = JsonValue::object();
+    doc.set("format", JsonValue::string(kSnapshotFormat));
+    doc.set("version", JsonValue::integer(kSnapshotVersion));
+    doc.set("target", JsonValue::string(isBoard() ? "board" : "chip"));
+    doc.set("engine", JsonValue::string(engineName(*this)));
+    JsonValue geometry = JsonValue::object();
+    for (const auto &[key, value] : geometryFields(*this))
+        geometry.set(key, JsonValue::integer(value));
+    doc.set("geometry", std::move(geometry));
+
+    JsonValue device;
+    if (chip_)
+        chip_->saveState(device);
+    else
+        board_->saveState(device);
+    doc.set("device", std::move(device));
+    doc.set("recorder", outputSpikesToJson(recorder_.spikes()));
+
+    JsonValue sources = JsonValue::array();
+    for (const auto &source : sources_) {
+        JsonValue s;
+        source->saveState(s);
+        sources.append(std::move(s));
+    }
+    doc.set("sources", std::move(sources));
+    return doc;
 }
 
 bool
 Simulator::restore(const JsonValue &snap, std::string *err)
 {
-    SnapshotStatus status = restoreSimulator(*this, snap);
-    if (!status.ok && err)
-        *err = status.error;
-    return status.ok;
+    if (snap.type() != JsonValue::Type::Object)
+        return fail(err, "snapshot is not a JSON object");
+    std::string format, target = "?", engine = "?";
+    int64_t version = -1;
+    readString(snap, "format", format);
+    readInt(snap, "version", version);
+    readString(snap, "target", target);
+    readString(snap, "engine", engine);
+    if (format != kSnapshotFormat)
+        return fail(err, "not an nscs snapshot (format tag is '" +
+                             format + "')");
+    if (version != kSnapshotVersion)
+        return fail(err, "snapshot version " + std::to_string(version) +
+                             " unsupported (this build reads version " +
+                             std::to_string(kSnapshotVersion) + ")");
+    const std::string ours = std::string(engineName(*this)) + " " +
+                             (isBoard() ? "board" : "chip");
+    if (engine + " " + target != ours)
+        return fail(err, "snapshot target '" + engine + " " + target +
+                             "' does not match simulator '" + ours + "'");
+    if (chip_ && chip_->params().noc != NocModel::Functional)
+        return fail(err, "snapshots require the functional transport "
+                         "model");
+
+    if (!snap.has("geometry") ||
+        snap.at("geometry").type() != JsonValue::Type::Object)
+        return fail(err, "snapshot carries no geometry header");
+    for (const auto &[key, have] : geometryFields(*this)) {
+        int64_t value = -1;
+        readInt(snap.at("geometry"), key, value);
+        if (value != have)
+            return fail(err, std::string("geometry mismatch: snapshot ") +
+                                 key + " is " + std::to_string(value) +
+                                 ", simulator has " + std::to_string(have));
+    }
+
+    if (!snap.has("device") ||
+        !(chip_ ? chip_->restoreState(snap.at("device"))
+                : board_->restoreState(snap.at("device"))))
+        return fail(err, "device state rejected: snapshot is malformed "
+                         "or from a different model");
+
+    std::vector<OutputSpike> recorded;
+    if (snap.has("recorder") &&
+        !readOutputSpikes(snap.at("recorder"), recorded, instances()))
+        return fail(err, "recorder state is malformed");
+    recorder_.clear();
+    recorder_.recordAll(recorded);
+
+    // A snapshot of a simulator without sources may omit the key.
+    const JsonValue none = JsonValue::array();
+    const JsonValue &sources =
+        snap.has("sources") ? snap.at("sources") : none;
+    if (sources.type() != JsonValue::Type::Array ||
+        sources.size() != sources_.size())
+        return fail(err, "snapshot carries no array of " +
+                             std::to_string(sources_.size()) +
+                             " source states");
+    for (size_t i = 0; i < sources_.size(); ++i)
+        if (!sources_[i]->restoreState(sources.at(i)))
+            return fail(err, "source " + std::to_string(i) +
+                                 " rejected its state");
+    return true;
 }
 
 bool
 Simulator::saveStateFile(const std::string &path,
                          std::string *err) const
 {
-    SnapshotStatus status = saveSnapshotFile(*this, path);
-    if (!status.ok && err)
-        *err = status.error;
-    return status.ok;
+    return writeFile(path, snapshot().dump(2) + "\n") ||
+           fail(err, "cannot write snapshot file " + path);
 }
 
 bool
 Simulator::restoreStateFile(const std::string &path, std::string *err)
 {
-    SnapshotStatus status = loadSnapshotFile(*this, path);
-    if (!status.ok && err)
-        *err = status.error;
-    return status.ok;
+    std::string text;
+    if (!readFile(path, text))
+        return fail(err, "cannot read snapshot file " + path);
+    JsonParseResult parsed = parseJson(text);
+    if (!parsed.ok)
+        return fail(err, "snapshot file " + path + ": " + parsed.error);
+    return restore(parsed.value, err);
 }
 
 size_t

@@ -149,21 +149,24 @@ class Simulator
 
     // --- snapshot / checkpoint / recovery --------------------------------
 
-    /** Serialize device + sources + recorder (snapshotSimulator). */
+    /** Serialize device + sources + recorder (runtime/snapshot.hh). */
     JsonValue snapshot() const;
 
     /**
-     * Restore a snapshot() document; on mismatch returns false and,
-     * when @p err is non-null, stores the reason.  See
-     * restoreSimulator for the validation contract.
+     * Restore a snapshot() document.  The simulator must be built
+     * from the same model and parameters (target kind, engine,
+     * geometry and source count are validated).  On a mismatch or a
+     * malformed document returns false and, when @p err is non-null,
+     * stores the reason; the simulator's state is then unspecified —
+     * reset() it before further use.
      */
     bool restore(const JsonValue &snap, std::string *err = nullptr);
 
-    /** Snapshot to a file (saveSnapshotFile). */
+    /** Snapshot to a file (pretty-printed JSON). */
     bool saveStateFile(const std::string &path,
                        std::string *err = nullptr) const;
 
-    /** Restore from a file (loadSnapshotFile). */
+    /** Read @p path and restore() it. */
     bool restoreStateFile(const std::string &path,
                           std::string *err = nullptr);
 

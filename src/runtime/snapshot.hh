@@ -24,18 +24,21 @@
  *
  * Snapshots require the functional transport model; the cycle mesh's
  * in-flight flits are not serialized.
+ *
+ * Simulator::snapshot() writes a document and Simulator::restore()
+ * reads one.  Every field is read through the checked field reader
+ * of util/json.hh, so it is type- and range-checked: a malformed
+ * document (a field of the wrong type, a negative counter, an index
+ * past its table, a flag other than 0/1) is rejected with a
+ * diagnostic, never half-trusted and never a crash.  Keys a document
+ * may omit (the fault keys, the recorder, a counter) read as their
+ * defaults.
  */
 
 #ifndef NSCS_RUNTIME_SNAPSHOT_HH
 #define NSCS_RUNTIME_SNAPSHOT_HH
 
-#include <string>
-
-#include "util/json.hh"
-
 namespace nscs {
-
-class Simulator;
 
 /** Snapshot document version this build reads and writes.
  *  v2 (instance batching): geometry carries the instance-lane count,
@@ -54,33 +57,6 @@ inline constexpr int kSnapshotVersion = 4;
 
 /** Snapshot document format tag. */
 inline constexpr const char *kSnapshotFormat = "nscs-snapshot";
-
-/** Outcome of a snapshot restore/load. */
-struct SnapshotStatus
-{
-    bool ok = true;
-    std::string error;
-};
-
-/** Serialize @p sim's complete mutable state. */
-JsonValue snapshotSimulator(const Simulator &sim);
-
-/**
- * Restore @p snap into @p sim.  The simulator must be built from the
- * same model and parameters (target kind, engine, geometry and source
- * count are validated; a mismatch is reported, not asserted).  On
- * failure the simulator's state is unspecified — reset() it before
- * further use.
- */
-SnapshotStatus restoreSimulator(Simulator &sim, const JsonValue &snap);
-
-/** Snapshot @p sim and write it to @p path (pretty-printed JSON). */
-SnapshotStatus saveSnapshotFile(const Simulator &sim,
-                                const std::string &path);
-
-/** Read @p path and restore it into @p sim. */
-SnapshotStatus loadSnapshotFile(Simulator &sim,
-                                const std::string &path);
 
 } // namespace nscs
 

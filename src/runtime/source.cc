@@ -85,39 +85,30 @@ PoissonSource::saveState(JsonValue &out) const
 bool
 PoissonSource::restoreState(const JsonValue &in)
 {
-    using Type = JsonValue::Type;
-    if (in.type() != Type::Object || !in.has("rng") ||
-        !in.has("kind") || in.at("kind").type() != Type::String ||
-        in.at("kind").asString() != "poisson")
-        return false;
     // The generator state is four hex words, at least one non-zero
     // (xoshiro locks up at zero, so no saved generator holds it),
     // plus an optional cached normal: hex bits and a bool.
+    std::string kind;
+    if (!readString(in, "kind", kind) || kind != "poisson" ||
+        !in.has("rng"))
+        return false;
     const JsonValue &rng = in.at("rng");
-    if (!rng.has("s") || rng.at("s").type() != Type::Array ||
+    if (!rng.has("s") || rng.at("s").type() != JsonValue::Type::Array ||
         rng.at("s").size() != 4)
         return false;
     Xoshiro256::State st;
     uint64_t any = 0;
     for (size_t i = 0; i < 4; ++i) {
-        const JsonValue &word = rng.at("s").at(i);
-        if (word.type() != Type::String ||
-            !u64FromHex(word.asString(), st.s[i]))
+        if (!readHex(rng.at("s").at(i), st.s[i]))
             return false;
         any |= st.s[i];
     }
-    if (!any)
+    if (!any ||
+        (rng.has("cachedNormalBits") &&
+         !readHex(rng.at("cachedNormalBits"), st.cachedNormalBits)) ||
+        (rng.has("hasCachedNormal") &&
+         !readBool(rng, "hasCachedNormal", st.hasCachedNormal)))
         return false;
-    if (rng.has("cachedNormalBits") &&
-        (rng.at("cachedNormalBits").type() != Type::String ||
-         !u64FromHex(rng.at("cachedNormalBits").asString(),
-                     st.cachedNormalBits)))
-        return false;
-    if (rng.has("hasCachedNormal")) {
-        if (rng.at("hasCachedNormal").type() != Type::Bool)
-            return false;
-        st.hasCachedNormal = rng.at("hasCachedNormal").asBool();
-    }
     rng_.restoreState(st);
     return true;
 }

@@ -589,11 +589,12 @@ u64ToHex(uint64_t v)
 }
 
 bool
-u64FromHex(const std::string &s, uint64_t &out)
+readHex(const JsonValue &v, uint64_t &out)
 {
-    if (s.size() != 16)
+    std::string s;
+    if (!readString(v, s) || s.size() != 16)
         return false;
-    uint64_t v = 0;
+    uint64_t x = 0;
     for (char c : s) {
         int d;
         if (c >= '0' && c <= '9')
@@ -604,10 +605,41 @@ u64FromHex(const std::string &s, uint64_t &out)
             d = c - 'A' + 10;
         else
             return false;
-        v = (v << 4) | static_cast<uint64_t>(d);
+        x = (x << 4) | static_cast<uint64_t>(d);
     }
-    out = v;
+    out = x;
     return true;
+}
+
+bool
+readString(const JsonValue &v, std::string &out)
+{
+    if (v.type() != JsonValue::Type::String)
+        return false;
+    out = v.asString();
+    return true;
+}
+
+bool
+readString(const JsonValue &obj, const std::string &key,
+           std::string &out)
+{
+    return obj.has(key) && readString(obj.at(key), out);
+}
+
+bool
+readBool(const JsonValue &obj, const std::string &key, bool &out)
+{
+    if (!obj.has(key) || obj.at(key).type() != JsonValue::Type::Bool)
+        return false;
+    out = obj.at(key).asBool();
+    return true;
+}
+
+bool
+readFlags(const JsonValue &v, std::vector<uint8_t> &flags)
+{
+    return v.size() == flags.size() && readInts(v, flags, 0, 1);
 }
 
 bool

@@ -3,7 +3,9 @@
  * Minimal self-contained JSON value, parser and writer.
  *
  * Used for model-file serialization (compiled networks, core
- * configurations, experiment manifests).  Supports the full JSON
+ * configurations, experiment manifests), and, through the checked
+ * field reader below, for snapshots, fault plans and traffic
+ * profiles.  Supports the full JSON
  * grammar except for \u escapes beyond the Basic Latin range, which
  * model files never contain.  Parsing errors are reported with byte
  * offsets through a status object rather than exceptions.
@@ -12,10 +14,14 @@
 #ifndef NSCS_UTIL_JSON_HH
 #define NSCS_UTIL_JSON_HH
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace nscs {
@@ -149,8 +155,127 @@ JsonParseResult parseJson(const std::string &text);
  */
 std::string u64ToHex(uint64_t v);
 
-/** Decode u64ToHex output; @return false on malformed input. */
-bool u64FromHex(const std::string &s, uint64_t &out);
+// --- checked field reader/writer --------------------------------------
+//
+// Every loader of a document the tools accept (snapshot, fault plan,
+// traffic profile) reads through these.  A reader returns false, and
+// never asserts, when its node is missing, has the wrong type or lies
+// out of range.  Integers must be JSON integer literals (not 2.0).
+
+/** The range of integral @p T that a JSON int64 carries. */
+template <std::integral T>
+inline constexpr int64_t kJsonIntMin =
+    std::is_signed_v<T> ? int64_t{std::numeric_limits<T>::min()} : 0;
+template <std::integral T>
+inline constexpr int64_t kJsonIntMax = static_cast<int64_t>(
+    std::min<uint64_t>(std::numeric_limits<T>::max(), INT64_MAX));
+
+/** Store integer node @p v in @p out if it lies in [lo, hi] (and in
+ *  the range of @p T). */
+template <std::integral T>
+bool
+readInt(const JsonValue &v, T &out, int64_t lo = kJsonIntMin<T>,
+        int64_t hi = kJsonIntMax<T>)
+{
+    if (v.type() != JsonValue::Type::Int ||
+        v.asInt() < std::max(lo, kJsonIntMin<T>) ||
+        v.asInt() > std::min(hi, kJsonIntMax<T>))
+        return false;
+    out = static_cast<T>(v.asInt());
+    return true;
+}
+
+/** readInt on member @p key of object @p obj. */
+template <std::integral T>
+bool
+readInt(const JsonValue &obj, const std::string &key, T &out,
+        int64_t lo = kJsonIntMin<T>, int64_t hi = kJsonIntMax<T>)
+{
+    return obj.has(key) && readInt(obj.at(key), out, lo, hi);
+}
+
+/** Read string node @p v, or member @p key of @p obj. */
+bool readString(const JsonValue &v, std::string &out);
+bool readString(const JsonValue &obj, const std::string &key,
+                std::string &out);
+
+/** Read bool member @p key of object @p obj. */
+bool readBool(const JsonValue &obj, const std::string &key, bool &out);
+
+/** Read a u64ToHex string node. */
+bool readHex(const JsonValue &v, uint64_t &out);
+
+/** Append integers @p xs to array @p arr. */
+template <std::integral... T>
+void
+appendInts(JsonValue &arr, T... xs)
+{
+    (arr.append(JsonValue::integer(static_cast<int64_t>(xs))), ...);
+}
+
+/** @p xs as an integer array. */
+template <std::integral T>
+JsonValue
+intsToJson(const std::vector<T> &xs)
+{
+    JsonValue out = JsonValue::array();
+    for (T x : xs)
+        appendInts(out, x);
+    return out;
+}
+
+/** Read integer array @p v, every element in [lo, hi], into @p out
+ *  (resized to its length; untouched unless @p v is an array). */
+template <std::integral T>
+bool
+readInts(const JsonValue &v, std::vector<T> &out,
+         int64_t lo = kJsonIntMin<T>, int64_t hi = kJsonIntMax<T>)
+{
+    if (v.type() != JsonValue::Type::Array)
+        return false;
+    out.resize(v.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        if (!readInt(v.at(i), out[i], lo, hi))
+            return false;
+    return true;
+}
+
+/** Read a 0/1 flag array of exactly flags.size() elements. */
+bool readFlags(const JsonValue &v, std::vector<uint8_t> &flags);
+
+/** One uint64 counter of struct @p S and its document key. */
+template <typename S>
+struct CounterField
+{
+    const char *key;
+    uint64_t S::*field;
+};
+
+/** The @p fields of @p s as an object of non-negative ints. */
+template <typename S, size_t N>
+JsonValue
+countersToJson(const S &s, const CounterField<S> (&fields)[N])
+{
+    JsonValue out = JsonValue::object();
+    for (const CounterField<S> &f : fields)
+        out.set(f.key, JsonValue::integer(static_cast<int64_t>(s.*f.field)));
+    return out;
+}
+
+/** Read countersToJson output into @p s; a missing key reads as 0. */
+template <typename S, size_t N>
+bool
+readCounters(const JsonValue &v, S &s, const CounterField<S> (&fields)[N])
+{
+    if (v.type() != JsonValue::Type::Object)
+        return false;
+    for (const CounterField<S> &f : fields) {
+        s.*f.field = 0;
+        if (v.has(f.key) && !readInt(v, f.key, s.*f.field))
+            return false;
+    }
+    return true;
+}
 
 /** Read a whole file; returns false on I/O failure. */
 bool readFile(const std::string &path, std::string &out);

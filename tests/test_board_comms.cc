@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "bench/workload.hh"
 #include "board/board.hh"
@@ -566,6 +567,62 @@ TEST(BoardCommsTrace, ProfileIsDeterministicAndRoundTrips)
         << err;
     EXPECT_EQ(trafficProfileToJson(back).dump(),
               trafficProfileToJson(pa).dump());
+}
+
+// A profile is loaded whole or rejected with a diagnostic: wrong
+// types, negative values, out-of-range indices and grids no Board can
+// match are all refused, and the size arithmetic is 64-bit.
+TEST(BoardCommsTrace, MalformedProfilesAreRejected)
+{
+    const std::string good =
+        R"("format": "nscs-traffic", "version": 1, "boardWidth": 2,
+           "boardHeight": 1, "chipWidth": 2, "chipHeight": 2,
+           "ticks": 10, "pairs": [0, 1, 5], "links": [0, 3, 1, 0],
+           "cells": [0, 5, 7])";
+    auto load = [](const std::string &members, TrafficProfile &profile,
+                   std::string &err) {
+        JsonParseResult doc = parseJson("{" + members + "}");
+        EXPECT_TRUE(doc.ok) << doc.error;
+        return trafficProfileFromJson(doc.value, profile, &err);
+    };
+    TrafficProfile profile;
+    std::string err;
+    ASSERT_TRUE(load(good, profile, err)) << err;
+    EXPECT_EQ(profile.numChips(), 2u);
+    EXPECT_EQ(profile.numCells(), 8u);
+    EXPECT_EQ(profile.pairSpikes[1], 5u);
+    EXPECT_EQ(profile.links[0].packets, 3u);
+    EXPECT_EQ(profile.cells[0].at(5), 7u);
+
+    TrafficProfile wide;
+    wide.boardW = wide.boardH = 65536;
+    EXPECT_EQ(wide.numChips(), uint64_t{1} << 32);
+
+    // Later members override the good ones.
+    const char *bad[] = {
+        R"("links": ["a", 0, 0, 0])",
+        R"("links": [2, 0, 0, 0, 0])",
+        R"("links": [8, 0, 0, 0])",
+        R"("pairs": [0, 2, 5])",
+        R"("pairs": [0, 1, -5])",
+        R"("pairs": {"0": 1})",
+        R"("cells": [0, 8, 1])",
+        R"("cells": [0, 1])",
+        R"("chipWidth": "2")",
+        R"("chipWidth": 0)",
+        R"("ticks": -1)",
+        R"("egressSpikes": 2.5)",
+        R"("version": "1")",
+        R"("boardWidth": 65536, "boardHeight": 65536)",
+        R"("boardWidth": 33, "boardHeight": 32)",
+        R"("boardWidth": 32, "boardHeight": 32, "chipWidth": 65536,
+           "chipHeight": 65536)",
+    };
+    for (const char *members : bad) {
+        err.clear();
+        EXPECT_FALSE(load(good + ", " + members, profile, err)) << members;
+        EXPECT_FALSE(err.empty()) << members;
+    }
 }
 
 // --- route table -----------------------------------------------------------

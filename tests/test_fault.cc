@@ -24,10 +24,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "bench/workload.hh"
 #include "runtime/fault.hh"
 #include "runtime/simulator.hh"
+#include "util/json.hh"
 
 namespace nscs {
 namespace {
@@ -590,6 +592,53 @@ TEST(FaultPlanIo, FileRoundTripAndRejection)
     doc.set("version", JsonValue::integer(99));
     EXPECT_FALSE(FaultPlan::fromJson(doc, back, err));
     EXPECT_NE(err.find("version"), std::string::npos) << err;
+}
+
+// Every event field is type- and range-checked; a bad one names its
+// event and field instead of aborting or loading wrapped.
+TEST(FaultPlanIo, MalformedEventFieldsRejectWithTheirIndex)
+{
+    auto load = [](const std::string &event1, FaultPlan &plan,
+                   std::string &err) {
+        JsonParseResult doc = parseJson(
+            R"({"format": "nscs-fault-plan", "version": 1, "events": [)"
+            R"({"kind": "dead-core", "tick": 4, "core": 1}, )" +
+            event1 + "]}");
+        EXPECT_TRUE(doc.ok) << doc.error;
+        return FaultPlan::fromJson(doc.value, plan, err);
+    };
+    FaultPlan plan;
+    std::string err;
+    ASSERT_TRUE(load(R"({"kind": "potential-flip", "tick": 7, "core": 2,
+                         "neuron": 3, "bit": 5, "transient": true})",
+                     plan, err))
+        << err;
+    ASSERT_EQ(plan.events.size(), 2u);
+    EXPECT_EQ(plan.events[1].tick, 7u);
+    EXPECT_EQ(plan.events[1].neuron, 3u);
+    EXPECT_TRUE(plan.events[1].transient);
+    EXPECT_EQ(plan.events[1].chip, 0u);  // absent reads as 0
+
+    const std::pair<const char *, const char *> bad[] = {
+        {R"({"kind": 3})", "kind"},
+        {R"({"tick": 5})", "kind"},
+        {R"({"kind": "dead-core", "tick": "5"})", "'tick'"},
+        {R"({"kind": "dead-core", "tick": -5})", "'tick'"},
+        {R"({"kind": "dead-core", "tick": 2.5})", "'tick'"},
+        {R"({"kind": "link-drop", "tick": 1, "until": -1})", "'until'"},
+        {R"({"kind": "dead-core", "core": -1})", "'core'"},
+        {R"({"kind": "dead-core", "core": 4294967296})", "'core'"},
+        {R"({"kind": "link-delay", "delayTicks": [2]})", "'delayTicks'"},
+        {R"({"kind": "potential-flip", "transient": 1})", "'transient'"},
+        {R"({"kind": "stuck-word", "bits": 255})", "'bits'"},
+        {R"({"kind": "stuck-word"})", "'bits'"},
+    };
+    for (const auto &[event, field] : bad) {
+        err.clear();
+        EXPECT_FALSE(load(event, plan, err)) << event;
+        EXPECT_NE(err.find("event 1"), std::string::npos) << err;
+        EXPECT_NE(err.find(field), std::string::npos) << err;
+    }
 }
 
 TEST(FaultFootprint, PlansAndCheckpointsAreAccounted)

@@ -31,7 +31,15 @@
  * the side that runs first alternating) and report the median
  * speedup with its min and max over the runs.
  *
- * Part 3 measures the board-comms fast path end to end: a
+ * Part 3 times the input layer alone: a PoissonSource over 32768
+ * targets (the cortical workloads' driven axons) at three rates,
+ *
+ *  - poisson-0.001, poisson-0.02, poisson-0.6: us per tick, spikes
+ *                  per tick and xoshiro draws per tick (the source's
+ *                  draws() counter, deterministic), the time as the
+ *                  median [min-max] over kRuns runs.
+ *
+ * Part 4 measures the board-comms fast path end to end: a
  * 32-population pacemaker ring (mixed fast/slow firing, so measured
  * traffic diverges from the compiler's estimate) compiled onto a 4x4
  * board with a tight per-link packet budget.  The baseline runs the
@@ -45,7 +53,8 @@
  * fabric overhead the fast path removes.
  *
  * Emits machine-readable BENCH_core.json (ticks/s, sops/s, fast-path
- * hit rate, speedup) so CI can record the bench trajectory; see the
+ * hit rate, speedup, the source rows' us, spikes and draws per tick)
+ * so CI can record the bench trajectory; see the
  * perf-smoke step in .github/workflows and tools/nscs_bench_diff.
  *
  * Usage: bench_core [ticks-per-run] (default 1000).
@@ -56,12 +65,15 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "board/board.hh"
 #include "board/traffic.hh"
 #include "core/core.hh"
 #include "prog/compiler.hh"
 #include "runtime/simulator.hh"
+#include "runtime/source.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -283,7 +295,7 @@ runCore(const CoreConfig &cfg,
     return r;
 }
 
-/** Part 3 fabric shape: a 4x4 chip board, two cores per chip. */
+/** Part 4 fabric shape: a 4x4 chip board, two cores per chip. */
 constexpr uint32_t kBoardW = 4;
 constexpr uint32_t kBoardH = 4;
 constexpr uint32_t kGridW = 8;
@@ -291,7 +303,7 @@ constexpr uint32_t kGridH = 4;
 constexpr uint32_t kRingPops = 32;
 
 /**
- * Part 3 network: a ring of 32 single-core pacemaker populations,
+ * Part 4 network: a ring of 32 single-core pacemaker populations,
  * pop i driving pop i+1 one-to-one with weight-0 synapses (traffic
  * without recurrent dynamics).  Every other population is slow
  * (period 16); the rest fire every tick.  To the compiler's per-dest
@@ -372,6 +384,51 @@ runBoard(const CompiledModel &model, uint64_t ticks,
     if (profile_out)
         *profile_out = sim.board().trafficProfile();
     return r;
+}
+
+/** Host seconds, spikes and xoshiro draws of a Poisson source run. */
+struct SourceRunResult
+{
+    double seconds = 0.0;
+    uint64_t spikes = 0;
+    uint64_t draws = 0;
+};
+
+/** Poll a fresh PoissonSource over @p targets for @p ticks ticks. */
+SourceRunResult
+runSource(const std::vector<InputSpike> &targets, double rate,
+          uint64_t ticks)
+{
+    PoissonSource source(targets, rate, 7);
+    std::vector<InputSpike> out;
+    out.reserve(targets.size());
+    SourceRunResult r;
+    auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t t = 0; t < ticks; ++t) {
+        out.clear();
+        source.spikesFor(t, out);
+        r.spikes += out.size();
+    }
+    auto t1 = std::chrono::steady_clock::now();
+    r.seconds = std::chrono::duration<double>(t1 - t0).count();
+    r.draws = source.draws();
+    return r;
+}
+
+/** The host a row was measured on: CPUs, SIMD level and compiler. */
+std::string
+hostName()
+{
+    std::string compiler =
+#if defined(__clang__)
+        std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+        std::string("gcc ") + __VERSION__;
+#else
+        "unknown compiler";
+#endif
+    return std::to_string(std::thread::hardware_concurrency()) +
+        " CPUs, " + simd::levelName(simd::activeLevel()) + ", " + compiler;
 }
 
 } // namespace
@@ -511,6 +568,67 @@ main(int argc, char **argv)
     std::cout << ut.str();
 
     std::cout <<
+        "\n== input-source microbenchmark ==\n"
+        "(PoissonSource over 32768 targets, the cortical workloads'\n"
+        " driven axons; median us/tick [min-max] over " << kRuns <<
+        " runs)\n\n";
+
+    struct SourceSpec
+    {
+        const char *name;
+        double rate;
+    };
+    const SourceSpec source_specs[] = {
+        {"poisson-0.001", 0.001},
+        {"poisson-0.02", 0.02},
+        {"poisson-0.6", 0.6},
+    };
+    const uint64_t source_ticks = ticks * 2;
+    std::vector<InputSpike> source_targets;
+    for (uint32_t c = 0; c < 128; ++c)
+        for (uint32_t a = 0; a < 256; ++a)
+            source_targets.push_back({c, a, 0});
+
+    TextTable st({"workload", "us/tick", "spikes/tick", "draws/tick"});
+    JsonValue source_workloads = JsonValue::array();
+    for (const SourceSpec &spec : source_specs) {
+        std::vector<double> us;
+        SourceRunResult run;
+        for (uint32_t r = 0; r < kRuns; ++r) {
+            run = runSource(source_targets, spec.rate, source_ticks);
+            us.push_back(run.seconds * 1e6 / source_ticks);
+        }
+        const double us_med = median(us);
+        const double us_min = *std::min_element(us.begin(), us.end());
+        const double us_max = *std::max_element(us.begin(), us.end());
+        const double spikes = static_cast<double>(run.spikes) /
+            static_cast<double>(source_ticks);
+        const double draws = static_cast<double>(run.draws) /
+            static_cast<double>(source_ticks);
+        st.addRow({spec.name,
+                   fmtF(us_med, 2) + " [" + fmtF(us_min, 2) + "-" +
+                       fmtF(us_max, 2) + "]",
+                   fmtF(spikes, 1), fmtF(draws, 1)});
+
+        JsonValue w = JsonValue::object();
+        w.set("name", JsonValue::string(spec.name));
+        w.set("targets", JsonValue::integer(
+            static_cast<int64_t>(source_targets.size())));
+        w.set("rate", JsonValue::number(spec.rate));
+        w.set("ticks", JsonValue::integer(
+            static_cast<int64_t>(source_ticks)));
+        w.set("usPerTick", JsonValue::number(us_med));
+        w.set("usPerTickMin", JsonValue::number(us_min));
+        w.set("usPerTickMax", JsonValue::number(us_max));
+        w.set("spikesPerTick", JsonValue::number(spikes));
+        w.set("drawsPerTick", JsonValue::number(draws));
+        w.set("runs", JsonValue::integer(kRuns));
+        w.set("host", JsonValue::string(hostName()));
+        source_workloads.append(std::move(w));
+    }
+    std::cout << st.str();
+
+    std::cout <<
         "\n== board-comms macro-benchmark ==\n"
         "(32-population pacemaker ring on a 4x4 board, 64-packet\n"
         " link budget; estimate placement + XY routes + one packet\n"
@@ -600,6 +718,7 @@ main(int argc, char **argv)
             JsonValue::string(simd::levelName(simd::activeLevel())));
     doc.set("workloads", std::move(workloads));
     doc.set("updateWorkloads", std::move(update_workloads));
+    doc.set("sourceWorkloads", std::move(source_workloads));
     doc.set("boardWorkloads", std::move(board_workloads));
     const std::string path = "BENCH_core.json";
     if (writeFile(path, doc.dump(2) + "\n"))

@@ -367,6 +367,15 @@ class Board
     BoardParams params_;
     uint32_t chipW_ = 0, chipH_ = 0;  //!< cores per chip
     uint32_t gw_ = 0, gh_ = 0;        //!< global core grid
+    /** Where a global core lives on the board. */
+    struct CoreHome
+    {
+        uint32_t chip;   //!< chip index (row-major)
+        uint32_t local;  //!< core index within the chip
+    };
+    std::vector<CoreHome> coreHome_;  //!< per global core
+    /** injectInputs scratch: each chip's spikes, local indices. */
+    std::vector<std::vector<InputSpike>> chipInputs_;
     std::vector<std::unique_ptr<Chip>> chips_;
     std::unique_ptr<ThreadPool> pool_;
     std::vector<OutputSpike> outputs_;

@@ -1,6 +1,8 @@
 #include "runtime/source.hh"
 
+#include <bit>
 #include <cmath>
+#include <map>
 
 #include "util/logging.hh"
 
@@ -22,11 +24,15 @@ drawThreshold(double rate)
 PoissonSource::PoissonSource(std::vector<InputSpike> targets,
                              double rate, uint64_t seed)
     : targets_(std::move(targets)),
-      thresholds_(targets_.size(), drawThreshold(rate)),
+      groupPlanes_((targets_.size() + 63) / 64, 0),
       rng_(seed)
 {
-    NSCS_ASSERT(targets_.size() <= UINT32_MAX, "%zu Poisson targets",
-                targets_.size());
+    // Every group shares one entry, built by broadcasting each
+    // threshold bit to all 64 lanes.
+    const uint64_t thr = drawThreshold(rate);
+    Planes &p = planes_.emplace_back();
+    for (size_t k = 0; k < p.size(); ++k)
+        p[k] = (thr >> k & 1) ? ~0ull : 0;
 }
 
 PoissonSource::PoissonSource(std::vector<InputSpike> targets,
@@ -36,32 +42,50 @@ PoissonSource::PoissonSource(std::vector<InputSpike> targets,
     NSCS_ASSERT(targets_.size() == rates.size(),
                 "targets (%zu) and rates (%zu) size mismatch",
                 targets_.size(), rates.size());
-    NSCS_ASSERT(targets_.size() <= UINT32_MAX, "%zu Poisson targets",
-                targets_.size());
-    thresholds_.reserve(rates.size());
-    for (double r : rates)
-        thresholds_.push_back(drawThreshold(r));
+    std::map<Planes, uint32_t> entryOf;
+    for (size_t base = 0; base < rates.size(); base += 64) {
+        Planes p{};
+        const size_t lanes = std::min<size_t>(64, rates.size() - base);
+        for (size_t j = 0; j < lanes; ++j)
+            for (uint64_t thr = drawThreshold(rates[base + j]); thr;
+                 thr &= thr - 1)
+                p[std::countr_zero(thr)] |= 1ull << j;
+        auto [it, fresh] = entryOf.try_emplace(
+            p, static_cast<uint32_t>(planes_.size()));
+        if (fresh)
+            planes_.push_back(p);
+        groupPlanes_.push_back(it->second);
+    }
 }
 
 void
 PoissonSource::spikesFor(uint64_t, std::vector<InputSpike> &out)
 {
-    // Branch-free append: every index is written, and the cursor
-    // advances only past the ones that fire.  At mid rates a branch
-    // per draw mispredicts about half the time.
+    // A local generator keeps the state in registers across the
+    // draw loop; the member is written back once.
+    Xoshiro256 rng = rng_;
     const size_t n = targets_.size();
-    hits_.resize(n);
-    uint32_t *hits = hits_.data();
-    const uint64_t *thr = thresholds_.data();
-    size_t k = 0;
-    for (size_t i = 0; i < n; ++i) {
-        hits[k] = static_cast<uint32_t>(i);
-        k += (rng_.next() >> 11) < thr[i];
+    uint64_t draws = 0;
+    for (size_t g = 0; g < groupPlanes_.size(); ++g) {
+        const size_t base = g * 64;
+        const uint64_t lanes =
+            n - base >= 64 ? ~0ull : (1ull << (n - base)) - 1;
+        const uint64_t *p = planes_[groupPlanes_[g]].data();
+        // Bit 53 of every draw-built value is 0: a lane whose
+        // threshold is 2^53 fires before any draw.
+        uint64_t fire = p[53] & lanes;
+        uint64_t open = lanes & ~p[53];
+        for (int k = 52; open && k >= 0; --k) {
+            const uint64_t r = rng.next();
+            ++draws;
+            fire |= open & p[k] & ~r;
+            open &= ~(r ^ p[k]);
+        }
+        for (; fire; fire &= fire - 1)
+            out.push_back(targets_[base + std::countr_zero(fire)]);
     }
-    const size_t base = out.size();
-    out.resize(base + k);
-    for (size_t j = 0; j < k; ++j)
-        out[base + j] = targets_[hits[j]];
+    rng_ = rng;
+    draws_ += draws;
 }
 
 void

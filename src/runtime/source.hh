@@ -15,6 +15,7 @@
 #define NSCS_RUNTIME_SOURCE_HH
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -66,13 +67,40 @@ class SpikeSource
  * Independent Bernoulli spiking per target per tick: target i fires
  * with probability rate[i] (spikes/tick, <= 1).
  *
- * Target i fires when a draw's top 53 bits fall below the integer
- * threshold ceil(rate[i] * 2^53), which is exactly
- * Xoshiro256::chance(rate[i]): uniform() is k * 2^-53 for those bits
- * k, and k < rate * 2^53 holds for an integer k exactly when
- * k < ceil(rate * 2^53) (the scaling by 2^53 is exact).  So the
- * stream is the chance() stream, one draw per target per tick in
- * target order, without a double compare per draw.
+ * Definition.  Target i has the integer threshold
+ * T_i = ceil(rate[i] * 2^53), 54 bits wide (T_i = 2^53 at rate 1).
+ * Targets form groups of 64 lanes in target order (the last group
+ * may be shorter), and each group decides its lanes by a bit-serial
+ * comparison U_i < T_i, most significant bit first.  Bit 53 of every
+ * U_i is 0, so a lane whose T_i has bit 53 set fires at once; each
+ * following xoshiro draw then hands its bit j to lane j as the next
+ * bit of U_j (bits 52 down to 0).  A lane fires at its first 0-bit
+ * against a 1-bit of T_i, drops out at its first 1-bit against a
+ * 0-bit, and the group stops drawing as soon as no lane is undecided
+ * (or after 53 draws, when the remaining lanes have U_i == T_i and
+ * do not fire).  Groups draw in order, and the fired targets of each
+ * group are appended in target order.
+ *
+ * Exactness.  Every bit a lane reads is a fresh uniform bit that no
+ * other lane reads, and the lane decides on the first bit that
+ * differs from T_i, as the full comparison of a uniform U_i on
+ * [0, 2^53) would.  So target i fires with probability exactly
+ * T_i / 2^53 = ceil(rate[i] * 2^53) / 2^53, the probability of
+ * Xoshiro256::chance(rate[i]).  Lanes read disjoint bits and a
+ * group's stopping point is decided by bits already read, so
+ * targets are independent within a tick and across ticks.
+ *
+ * Cost.  A lane stays undecided after k draws with probability
+ * 2^-k, so a full group takes the expected maximum of 64 such
+ * waiting times, about 7.3 draws, at any rate.  The hot loop works
+ * on 64-bit planes: each group points at the 54 bit planes of its
+ * lanes' thresholds, and groups with the same thresholds (all full
+ * groups of a single-rate source) share one entry.
+ *
+ * Compatibility.  The source used to draw once per target per tick,
+ * so a seed now gives a different (equally distributed) realization
+ * than it did then.  The snapshot format is unchanged: the only
+ * mutable state is the four xoshiro words.
  */
 class PoissonSource : public SpikeSource
 {
@@ -90,11 +118,20 @@ class PoissonSource : public SpikeSource
     void saveState(JsonValue &out) const override;
     bool restoreState(const JsonValue &in) override;
 
+    /** Xoshiro draws since construction (benchmarks; not part of
+     *  the snapshot). */
+    uint64_t draws() const { return draws_; }
+
   private:
+    /** A group's thresholds as 54 bit planes: bit j of plane k is
+     *  bit k of lane j's threshold. */
+    using Planes = std::array<uint64_t, 54>;
+
     std::vector<InputSpike> targets_;
-    std::vector<uint64_t> thresholds_;  //!< ceil(rate * 2^53)
-    std::vector<uint32_t> hits_;        //!< scratch: firing targets
+    std::vector<Planes> planes_;        //!< distinct group planes
+    std::vector<uint32_t> groupPlanes_; //!< group -> planes_ entry
     Xoshiro256 rng_;
+    uint64_t draws_ = 0;
 };
 
 /** Fires every target every @p period ticks starting at @p phase. */

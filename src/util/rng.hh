@@ -157,8 +157,8 @@ class Xoshiro256
     /** Re-seed via SplitMix64 expansion of @p seed. */
     void reset(uint64_t seed);
 
-    /** Next raw 64-bit draw (inline: per-target input sources draw
-     *  once per target per tick). */
+    /** Next raw 64-bit draw (inline: the Poisson input source's
+     *  bit-serial loop draws in its hot path). */
     uint64_t
     next()
     {

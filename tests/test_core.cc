@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 
 #include "core/core.hh"
@@ -118,6 +119,49 @@ TEST(Scheduler, InstancePlanesNeverMerge)
     EXPECT_FALSE(s.slotEmpty(9));
     EXPECT_TRUE(s.deposit(9, 67, 2));
     EXPECT_EQ(s.collisions(), 1u);
+}
+
+TEST(Scheduler, DepositWordCountsLikeOneBitDeposits)
+{
+    // Random masks, repeated bits included, deposited whole into one
+    // scheduler and bit by bit into another: slot bits, per-plane and
+    // per-tick counts, deposits and collisions all agree.
+    Scheduler words(16, kOddWidth, kOddInstances);
+    Scheduler bits(16, kOddWidth, kOddInstances);
+    Xoshiro256 rng(17);
+    uint64_t collisions = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const uint64_t tick = rng.below(40);
+        const auto inst = static_cast<uint32_t>(rng.below(kOddInstances));
+        const auto word = static_cast<uint32_t>(rng.below(2));
+        uint64_t mask = rng.next() & rng.next() & rng.next();
+        if (word == 1)
+            mask &= (1ull << (kOddWidth - 64)) - 1;
+        if (mask == 0)
+            continue;
+        collisions += words.depositWord(tick % 16, word, mask, inst);
+        for (uint64_t m = mask; m; m &= m - 1)
+            bits.deposit(tick, word * 64 + std::countr_zero(m), inst);
+        if (i % 97 == 0) {
+            words.clearTickSlots(tick);
+            bits.clearTickSlots(tick);
+        }
+    }
+    EXPECT_EQ(words.deposits(), bits.deposits());
+    EXPECT_EQ(words.collisions(), bits.collisions());
+    EXPECT_EQ(words.collisions(), collisions);
+    EXPECT_GT(collisions, 0u);
+    for (uint64_t t = 0; t < 16; ++t) {
+        EXPECT_EQ(words.slotEmpty(t), bits.slotEmpty(t)) << t;
+        for (uint32_t inst = 0; inst < kOddInstances; ++inst) {
+            EXPECT_EQ(words.slotCount(t, inst), bits.slotCount(t, inst));
+            EXPECT_EQ(words.slot(t, inst).count(), bits.slotCount(t, inst));
+        }
+    }
+    JsonValue a, b;
+    words.saveState(a);
+    bits.saveState(b);
+    EXPECT_EQ(a.dump(), b.dump());
 }
 
 TEST(Scheduler, HighAxonsLandInSecondWord)

@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench/workload.hh"
 #include "runtime/fault.hh"
@@ -93,6 +94,35 @@ boardSim(const bench::CorticalWorkload &w, uint32_t bw, uint32_t bh,
 {
     return bench::makeCorticalBoardSim(w, EngineKind::Event, bw, bh, 0,
                                        link, 0, std::move(plan));
+}
+
+/**
+ * Run fault-free @p sim for @p ticks ticks, one at a time; @return
+ * the ticks whose merge phase sent packets over @p link.  A link
+ * fault whose window opens at one of them meets traffic: until its
+ * window opens, a faulty run is this run.
+ */
+std::vector<uint64_t>
+linkBusyTicks(Simulator &sim, uint32_t link, uint64_t ticks)
+{
+    std::vector<uint64_t> busy;
+    for (uint64_t i = 0; i < ticks; ++i) {
+        const uint64_t t = sim.now();
+        const uint64_t before = sim.board().linkCounters()[link].packets;
+        sim.run(1);
+        if (sim.board().linkCounters()[link].packets > before)
+            busy.push_back(t);
+    }
+    return busy;
+}
+
+/** The first of @p busy at or after @p from (ticks when none is). */
+uint64_t
+firstBusyFrom(const std::vector<uint64_t> &busy, uint64_t from,
+              uint64_t ticks)
+{
+    auto it = std::lower_bound(busy.begin(), busy.end(), from);
+    return it == busy.end() ? ticks : *it;
 }
 
 // ---------------------------------------------------------------------------
@@ -279,12 +309,16 @@ TEST(FaultLink, ReliableLinkDedupsDuplicatedPackets)
     LinkParams link;
     link.reliable = true;
     auto ref = boardSim(w, 2, 1, link);
-    ref->run(ticks);
+    // Open the window at the first tick from 6 on at which the
+    // fault-free run sends packets over chip0's east link (link 0).
+    const uint64_t busy =
+        firstBusyFrom(linkBusyTicks(*ref, 0, ticks), 6, ticks);
+    ASSERT_LT(busy + 4, ticks);
 
     FaultEvent dup;
     dup.kind = FaultKind::LinkDuplicate;
-    dup.tick = 6;
-    dup.untilTick = 10;
+    dup.tick = busy;
+    dup.untilTick = busy + 4;
     dup.chip = 0;
     dup.dir = 0;
     dup.transient = true;
@@ -359,11 +393,17 @@ TEST(FaultLink, LinkDelayParksPackets)
 {
     const uint64_t ticks = 30;
     bench::CorticalWorkload w = tappedWorkload(4, 2, 21);
+    // Open the window at the first tick from 5 on at which the
+    // fault-free run sends packets over chip0's east link.
+    auto ref = boardSim(w, 2, 1, LinkParams{});
+    const uint64_t busy =
+        firstBusyFrom(linkBusyTicks(*ref, 0, ticks), 5, ticks);
+    ASSERT_LT(busy + 7, ticks);
 
     FaultEvent slow;
     slow.kind = FaultKind::LinkDelay;
-    slow.tick = 5;
-    slow.untilTick = 12;
+    slow.tick = busy;
+    slow.untilTick = busy + 7;
     slow.chip = 0;
     slow.dir = 0;
     slow.delayTicks = 3;
@@ -425,8 +465,7 @@ TEST(FaultLink, DeadLinkWithNoAlternatePathDropsPackets)
 
 /** 2x2 board whose links carry 32 packets a tick with one tick of
  *  transit: enough for the seed-23 workload's steady load even with
- *  a link dead, but its burst at tick 13 parks packets on chip0's
- *  east link. */
+ *  a link dead, but its bursts park packets on chip0's east link. */
 std::unique_ptr<Simulator>
 congestedBoardSim(const bench::CorticalWorkload &w,
                   std::shared_ptr<const FaultPlan> plan)
@@ -469,8 +508,18 @@ deadEastLinkOfChip0(uint64_t tick)
 
 TEST(FaultLink, LinkDyingUnderParkedPacketsReroutesThem)
 {
-    const uint64_t ticks = 40, killAt = 14;
+    const uint64_t ticks = 40;
     bench::CorticalWorkload w = tappedWorkload(4, 4, 23);
+    // Kill the link at the first tick boundary at which the
+    // fault-free run has packets parked in its stall queue.
+    auto probe = congestedBoardSim(w, nullptr);
+    auto queued = [&] {
+        return probe->snapshot().at("device").at("linkQueued").at(0).asInt();
+    };
+    uint64_t killAt = 0;
+    for (; killAt < ticks && queued() == 0; ++killAt)
+        probe->run(1);
+    ASSERT_LT(killAt, ticks);
     auto faulty =
         congestedBoardSim(w, planOf({deadEastLinkOfChip0(killAt)}));
     faulty->run(killAt);

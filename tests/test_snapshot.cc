@@ -323,8 +323,24 @@ drawsToWrap(const JsonValue &snap)
 // uninterrupted run and to ReferenceSim.
 TEST(SnapshotRoundTrip, StochasticSynapsesAcrossStreamWrap)
 {
-    const CompiledModel model = stochasticModel();
+    CompiledModel model = stochasticModel();
     constexpr uint64_t kRun = 60;
+
+    // Re-seed core 0 so its lane ends tick 0 exactly kLeft draws short
+    // of the wrap.  Tick 0 draws only for input spikes (routed spikes
+    // land from tick 1 on), so its draw count does not depend on the
+    // seed: a probe run measures it.
+    constexpr uint32_t kLeft = 32;
+    uint64_t firstTick = 0;
+    {
+        auto probe = stochasticSim(model, EngineKind::Clock);
+        probe->run(1);
+        firstTick = probe->chip().core(0).counters().rngDraws;
+    }
+    ASSERT_GT(firstTick, 64u - kLeft);
+    ASSERT_LT(firstTick + kLeft, Lfsr16::kPeriod);
+    model.cores[0].rngSeed = Lfsr16::stateAt(
+        Lfsr16::kPeriod - kLeft - static_cast<uint32_t>(firstTick));
 
     ReferenceSim ref(model);
     PoissonSource twin(allAxons(model), kStochRate, kStochSeed);
@@ -344,6 +360,9 @@ TEST(SnapshotRoundTrip, StochasticSynapsesAcrossStreamWrap)
         auto straight = stochasticSim(model, engine);
         straight->run(kRun);
         EXPECT_EQ(straight->recorder().spikes(), ref.outputs());
+        // Core 0's lane runs across the wrap.
+        EXPECT_GT(straight->chip().core(0).counters().rngDraws,
+                  firstTick + kLeft);
 
         // Advance tick by tick to the first boundary at which a lane
         // has at most 64 draws left before the wrap.

@@ -5,7 +5,7 @@
  * Builds a three-neuron logical network (an integrator, a leaky
  * coincidence detector and a pacemaker), compiles it onto a chip,
  * drives it with a schedule of input spikes and prints the output
- * raster plus the chip's statistics.
+ * raster plus the chip's stats document (counters and energy).
  *
  *   build/examples/quickstart [MODEL_OUT.json]
  *
@@ -104,8 +104,6 @@ main(int argc, char **argv)
               << "line 1 = coincidence detector (fires on pairs)\n"
               << "line 2 = pacemaker (fires every 10 ticks)\n\n";
 
-    StatGroup stats;
-    sim.chip().dumpStats("chip", stats);
-    std::cout << stats.format();
+    std::cout << sim.chip().stats().dump(2) << "\n";
     return 0;
 }

@@ -1,6 +1,7 @@
 #include "board/board.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 
@@ -11,17 +12,28 @@
 namespace nscs {
 
 bool
+parseCount(const std::string &text, uint64_t max, uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno == ERANGE || v > max)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
 parseGridSpec(const std::string &spec, uint32_t &w, uint32_t &h)
 {
     size_t x = spec.find('x');
-    if (x == std::string::npos || x == 0 || x + 1 >= spec.size())
+    if (x == std::string::npos)
         return false;
     auto parse = [](const std::string &s, uint32_t &out) {
-        if (s.empty() ||
-            s.find_first_not_of("0123456789") != std::string::npos)
-            return false;
-        unsigned long v = std::strtoul(s.c_str(), nullptr, 10);
-        if (v == 0 || v > 256)
+        uint64_t v = 0;
+        if (!parseCount(s, 256, v) || v == 0)
             return false;
         out = static_cast<uint32_t>(v);
         return true;
@@ -659,13 +671,8 @@ FaultStats
 Board::faultStats() const
 {
     FaultStats s = linkFaultStats_;
-    for (const auto &chip : chips_) {
-        const FaultStats &cs = chip->faultStats();
-        s.deadCores += cs.deadCores;
-        s.stuckWords += cs.stuckWords;
-        s.seuFlips += cs.seuFlips;
-        s.alarms += cs.alarms;
-    }
+    for (const auto &chip : chips_)
+        addCounters(s, chip->faultStats(), kFaultStatsFields);
     return s;
 }
 
@@ -692,33 +699,18 @@ Board::drainDetectedFaults(std::vector<uint32_t> &out)
     detectedAlarms_.clear();
 }
 
-namespace {
-
-/** Snapshot keys of the BoardCounters fields. */
-constexpr CounterField<BoardCounters> kCounterFields[] = {
-    {"ticks", &BoardCounters::ticks},
-    {"egressSpikes", &BoardCounters::egressSpikes},
-    {"linkPackets", &BoardCounters::linkPackets},
-    {"linkStalls", &BoardCounters::linkStalls},
-    {"linkDrops", &BoardCounters::linkDrops},
-    {"hops", &BoardCounters::hops},
-    {"fabricPackets", &BoardCounters::fabricPackets},
-    {"packetsCoalesced", &BoardCounters::packetsCoalesced},
-};
-
-} // anonymous namespace
-
 void
 Board::saveState(JsonValue &out) const
 {
     out = JsonValue::object();
     out.set("now", JsonValue::string(u64ToHex(now_)));
-    out.set("counters", countersToJson(counters_, kCounterFields));
+    out.set("counters", countersToJson(counters_, kBoardCounterFields));
     out.set("outputs", outputSpikesToJson(outputs_));
 
     JsonValue links = JsonValue::array();
     for (const LinkCounters &lc : linkStats_)
-        appendInts(links, lc.packets, lc.stalls, lc.drops, lc.peakQueue);
+        for (const CounterField<LinkCounters> &f : kLinkCounterFields)
+            appendInts(links, lc.*f.field);
     out.set("linkStats", std::move(links));
     out.set("linkQueued", intsToJson(linkQueued_));
 
@@ -771,7 +763,7 @@ Board::saveState(JsonValue &out) const
     out.set("deadLinkSuppressed", intsToJson(deadLinkSuppressed_));
     out.set("linkFaultSuppressed", intsToJson(linkFaultSuppressed_));
     out.set("alarms", intsToJson(detectedAlarms_));
-    out.set("faultStats", faultStatsToJson(linkFaultStats_));
+    out.set("faultStats", countersToJson(linkFaultStats_, kFaultStatsFields));
 
     JsonValue chips = JsonValue::array();
     for (const auto &chip : chips_) {
@@ -802,7 +794,7 @@ Board::restoreState(const JsonValue &in)
             return false;
 
     now_ = now;
-    if (!readCounters(in.at("counters"), counters_, kCounterFields) ||
+    if (!readCounters(in.at("counters"), counters_, kBoardCounterFields) ||
         !readOutputSpikes(in.at("outputs"), outputs_,
                           params_.chip.instances))
         return false;
@@ -810,13 +802,15 @@ Board::restoreState(const JsonValue &in)
     std::vector<uint64_t> links;
     const JsonValue &queued = in.at("linkQueued");
     if (!readInts(in.at("linkStats"), links) ||
-        links.size() != linkStats_.size() * 4 ||
+        links.size() !=
+            linkStats_.size() * std::size(kLinkCounterFields) ||
         queued.size() != linkQueued_.size() ||
         !readInts(queued, linkQueued_))
         return false;
-    for (size_t i = 0; i < linkStats_.size(); ++i)
-        linkStats_[i] = {links[4 * i], links[4 * i + 1], links[4 * i + 2],
-                         links[4 * i + 3]};
+    const uint64_t *next = links.data();
+    for (LinkCounters &lc : linkStats_)
+        for (const CounterField<LinkCounters> &f : kLinkCounterFields)
+            lc.*f.field = *next++;
 
     // In-flight packets are validated field by field: the walk and
     // the chip deposit index by them without further checks.
@@ -927,7 +921,8 @@ Board::restoreState(const JsonValue &in)
                     linkFaultSuppressed_)) ||
         (in.has("alarms") && !readInts(in.at("alarms"), detectedAlarms_)) ||
         (in.has("faultStats") &&
-         !faultStatsFromJson(in.at("faultStats"), linkFaultStats_)))
+         !readCounters(in.at("faultStats"), linkFaultStats_,
+                       kFaultStatsFields)))
         return false;
     cloneScratch_.clear();
     buildRoutes();
@@ -1013,120 +1008,30 @@ Board::linkName(uint32_t link) const
         linkDirName(link % 4);
 }
 
-void
-Board::dumpStats(const char *prefix, StatGroup &group) const
+JsonValue
+Board::stats() const
 {
-    std::string pre(prefix);
-    EnergyEvents e = energyEvents();
-    group.add(pre + ".ticks", static_cast<double>(counters_.ticks),
-              "board ticks executed");
-    group.add(pre + ".chips", static_cast<double>(numChips()),
-              "chips on board");
-    group.add(pre + ".cores", static_cast<double>(e.cores),
-              "cores across chips");
-    group.add(pre + ".neurons", static_cast<double>(e.neurons),
-              "neurons across chips");
-    group.add(pre + ".sops", static_cast<double>(e.sops),
-              "synaptic events");
-    group.add(pre + ".spikes", static_cast<double>(e.spikes),
-              "neuron fires");
-    group.add(pre + ".egressSpikes",
-              static_cast<double>(counters_.egressSpikes),
-              "spikes routed between chips");
-    group.add(pre + ".linkPackets",
-              static_cast<double>(counters_.linkPackets),
-              "inter-chip link traversals");
-    group.add(pre + ".linkStalls",
-              static_cast<double>(counters_.linkStalls),
-              "packets stalled on link bandwidth");
-    group.add(pre + ".linkDrops",
-              static_cast<double>(counters_.linkDrops),
-              "packets dropped at full link queues");
-    group.add(pre + ".fabricPackets",
-              static_cast<double>(counters_.fabricPackets),
-              "packets entering the inter-chip fabric");
-    group.add(pre + ".packetsCoalesced",
-              static_cast<double>(counters_.packetsCoalesced),
-              "spikes that rode an open coalesced packet");
-    if (counters_.fabricPackets != 0)
-        group.add(pre + ".payloadOccupancy",
-                  static_cast<double>(counters_.egressSpikes) /
-                      static_cast<double>(counters_.fabricPackets),
-                  "spikes per fabric packet");
-    group.add(pre + ".hops", static_cast<double>(e.hops),
-              "router traversals (on-chip + board)");
-    uint64_t routed = 0, late = 0, out = 0;
+    JsonValue doc = statsDocument();
+    doc.set("board", countersToJson(counters_, kBoardCounterFields));
+    ChipCounters chips;
+    CoreCounters cores;
     for (const auto &chip : chips_) {
-        routed += chip->counters().spikesRouted;
-        late += chip->counters().lateDeliveries;
-        out += chip->counters().spikesOut;
+        addCounters(chips, chip->counters(), kChipCounterFields);
+        addCounters(cores, chip->coreCounters(), kCoreCounterFields);
     }
-    group.add(pre + ".spikesRouted", static_cast<double>(routed),
-              "intra-chip core-to-core spikes");
-    group.add(pre + ".spikesOut", static_cast<double>(out),
-              "off-board output spikes");
-    group.add(pre + ".lateDeliveries", static_cast<double>(late),
-              "packets that missed their delivery slot");
+    doc.set("chips", countersToJson(chips, kChipCounterFields));
+    doc.set("cores", countersToJson(cores, kCoreCounterFields));
+    JsonValue links = JsonValue::object();
     for (uint32_t l = 0; l < linkStats_.size(); ++l) {
         const LinkCounters &lc = linkStats_[l];
-        if (lc.packets == 0 && lc.stalls == 0 && lc.drops == 0)
-            continue;
-        std::string lp = pre + ".link." + linkName(l);
-        group.add(lp + ".packets", static_cast<double>(lc.packets),
-                  "packets transferred");
-        group.add(lp + ".stalls", static_cast<double>(lc.stalls),
-                  "bandwidth stalls");
-        group.add(lp + ".drops", static_cast<double>(lc.drops),
-                  "queue-full drops");
-        group.add(lp + ".peakQueue",
-                  static_cast<double>(lc.peakQueue),
-                  "stall queue high-water mark");
+        if (lc.packets != 0 || lc.stalls != 0 || lc.drops != 0)
+            links.set(linkName(l), countersToJson(lc, kLinkCounterFields));
     }
-    if (params_.faultPlan) {
-        FaultStats fs = faultStats();
-        group.add(pre + ".fault.deadCores",
-                  static_cast<double>(fs.deadCores),
-                  "cores killed by injected faults");
-        group.add(pre + ".fault.stuckWords",
-                  static_cast<double>(fs.stuckWords),
-                  "crossbar words stuck by injected faults");
-        group.add(pre + ".fault.seuFlips",
-                  static_cast<double>(fs.seuFlips),
-                  "injected potential bit flips");
-        group.add(pre + ".fault.deadLinks",
-                  static_cast<double>(fs.deadLinks),
-                  "links killed by injected faults");
-        group.add(pre + ".fault.linkDrops",
-                  static_cast<double>(fs.linkDrops),
-                  "packets hit by injected drop faults");
-        group.add(pre + ".fault.linkDups",
-                  static_cast<double>(fs.linkDups),
-                  "packets hit by injected duplicate faults");
-        group.add(pre + ".fault.linkDelays",
-                  static_cast<double>(fs.linkDelays),
-                  "packets hit by injected delay faults");
-        group.add(pre + ".fault.retries",
-                  static_cast<double>(fs.retries),
-                  "reliable-link retransmissions");
-        group.add(pre + ".fault.dupsDropped",
-                  static_cast<double>(fs.dupsDropped),
-                  "duplicates discarded by the dedup window");
-        group.add(pre + ".fault.unreachableDrops",
-                  static_cast<double>(fs.unreachableDrops),
-                  "packets lost with no live path to their chip");
-        group.add(pre + ".fault.unrecoveredDrops",
-                  static_cast<double>(fs.unrecoveredDrops),
-                  "packets lost for good to injected faults");
-        group.add(pre + ".fault.checksumErrors",
-                  static_cast<double>(fs.checksumErrors),
-                  "reliable-link checksum rejections");
-        group.add(pre + ".fault.alarms",
-                  static_cast<double>(fs.alarms),
-                  "detected-fault alarms raised");
-    }
-    EnergyBreakdown b = computeEnergy(e, params_.chip.energy);
-    energyStats(b, e, params_.chip.energy, (pre + ".energy").c_str(),
-                group);
+    doc.set("links", std::move(links));
+    if (params_.faultPlan)
+        doc.set("fault", countersToJson(faultStats(), kFaultStatsFields));
+    doc.set("energy", energyToJson(energyEvents(), params_.chip.energy));
+    return doc;
 }
 
 size_t

@@ -66,6 +66,10 @@ namespace nscs {
 
 class ThreadPool;
 
+/** Parse a decimal count in [0, @p max] into @p out: digits only, so
+ *  a sign, a space, a suffix or an overflow is false. */
+bool parseCount(const std::string &text, uint64_t max, uint64_t &out);
+
 /** Parse a "WxH" grid spec; false on malformed or zero dimensions. */
 bool parseGridSpec(const std::string &spec, uint32_t &w, uint32_t &h);
 
@@ -171,6 +175,15 @@ struct LinkCounters
     uint64_t peakQueue = 0; //!< high-water mark of the stall queue
 };
 
+/** Document keys of the LinkCounters fields, in the order a snapshot's
+ *  flat linkStats array carries them. */
+inline constexpr CounterField<LinkCounters> kLinkCounterFields[] = {
+    {"packets", &LinkCounters::packets},
+    {"stalls", &LinkCounters::stalls},
+    {"drops", &LinkCounters::drops},
+    {"peakQueue", &LinkCounters::peakQueue},
+};
+
 /** Board-level aggregate counters (beyond per-chip counters). */
 struct BoardCounters
 {
@@ -182,6 +195,18 @@ struct BoardCounters
     uint64_t hops = 0;         //!< core-grid manhattan of egress spikes
     uint64_t fabricPackets = 0;    //!< packets entering the fabric
     uint64_t packetsCoalesced = 0; //!< spikes that rode an open packet
+};
+
+/** Document keys of the BoardCounters fields. */
+inline constexpr CounterField<BoardCounters> kBoardCounterFields[] = {
+    {"ticks", &BoardCounters::ticks},
+    {"egressSpikes", &BoardCounters::egressSpikes},
+    {"linkPackets", &BoardCounters::linkPackets},
+    {"linkStalls", &BoardCounters::linkStalls},
+    {"linkDrops", &BoardCounters::linkDrops},
+    {"hops", &BoardCounters::hops},
+    {"fabricPackets", &BoardCounters::fabricPackets},
+    {"packetsCoalesced", &BoardCounters::packetsCoalesced},
 };
 
 /** The simulated board. */
@@ -281,8 +306,14 @@ class Board
     /** Construction parameters. */
     const BoardParams &params() const { return params_; }
 
-    /** Append board + aggregate chip stats under @p prefix. */
-    void dumpStats(const char *prefix, StatGroup &group) const;
+    /**
+     * The stats document (see statsDocument): the board's counters
+     * ("board"), its chips' and cores' summed ("chips", "cores"),
+     * each link that carried traffic by linkName ("links"), the
+     * aggregate fault counters with a plan loaded ("fault") and the
+     * energy breakdown ("energy").
+     */
+    JsonValue stats() const;
 
     /** Total heap footprint of chips + fabric in bytes. */
     size_t footprintBytes() const;

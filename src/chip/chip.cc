@@ -534,24 +534,6 @@ Chip::drainDetectedFaults(std::vector<uint32_t> &out)
     detectedAlarms_.clear();
 }
 
-namespace {
-
-/** Snapshot keys of the ChipCounters fields. */
-constexpr CounterField<ChipCounters> kCounterFields[] = {
-    {"ticks", &ChipCounters::ticks},
-    {"coreActivations", &ChipCounters::coreActivations},
-    {"spikesRouted", &ChipCounters::spikesRouted},
-    {"spikesOut", &ChipCounters::spikesOut},
-    {"spikesEgress", &ChipCounters::spikesEgress},
-    {"spikesDropped", &ChipCounters::spikesDropped},
-    {"hops", &ChipCounters::hops},
-    {"lateDeliveries", &ChipCounters::lateDeliveries},
-    {"meshCycles", &ChipCounters::meshCycles},
-    {"injectRetries", &ChipCounters::injectRetries},
-};
-
-} // anonymous namespace
-
 JsonValue
 outputSpikesToJson(const std::vector<OutputSpike> &spikes)
 {
@@ -581,7 +563,7 @@ Chip::saveState(JsonValue &out) const
 {
     out = JsonValue::object();
     out.set("now", JsonValue::string(u64ToHex(now_)));
-    out.set("counters", countersToJson(counters_, kCounterFields));
+    out.set("counters", countersToJson(counters_, kChipCounterFields));
     out.set("outputs", outputSpikesToJson(outputs_));
 
     JsonValue egress = JsonValue::array();
@@ -595,7 +577,7 @@ Chip::saveState(JsonValue &out) const
     out.set("faultSuppressed", intsToJson(faultSuppressed_));
     out.set("coreDead", intsToJson(coreDead_));
     out.set("alarms", intsToJson(detectedAlarms_));
-    out.set("faultStats", faultStatsToJson(faultStats_));
+    out.set("faultStats", countersToJson(faultStats_, kFaultStatsFields));
 
     // Live cores are written settled through the chip's tick, so the
     // document is the same whichever engine wrote it; a dead core's
@@ -635,7 +617,7 @@ Chip::restoreState(const JsonValue &in)
 
     now_ = now;
     nowSlot_ = static_cast<uint32_t>(now % params_.coreGeom.delaySlots);
-    if (!readCounters(in.at("counters"), counters_, kCounterFields) ||
+    if (!readCounters(in.at("counters"), counters_, kChipCounterFields) ||
         !readOutputSpikes(in.at("outputs"), outputs_, instances()))
         return false;
 
@@ -659,7 +641,7 @@ Chip::restoreState(const JsonValue &in)
         (in.has("coreDead") && !readFlags(in.at("coreDead"), coreDead_)) ||
         (in.has("alarms") && !readInts(in.at("alarms"), detectedAlarms_)) ||
         (in.has("faultStats") &&
-         !faultStatsFromJson(in.at("faultStats"), faultStats_)))
+         !readCounters(in.at("faultStats"), faultStats_, kFaultStatsFields)))
         return false;
 
     // A tick-boundary state: no core has run past the chip's tick, and
@@ -690,11 +672,9 @@ Chip::energyEvents() const
     e.cores = numCores();
     e.neurons = static_cast<uint64_t>(numCores()) *
         params_.coreGeom.numNeurons;
-    for (const auto &core : cores_) {
-        const CoreCounters &cc = core->counters();
-        e.sops += cc.sops;
-        e.spikes += cc.spikes;
-    }
+    const CoreCounters cc = coreCounters();
+    e.sops = cc.sops;
+    e.spikes = cc.spikes;
     e.hops = mesh_ ? mesh_->stats().flitMoves : counters_.hops;
     return e;
 }
@@ -705,76 +685,27 @@ Chip::energy() const
     return computeEnergy(energyEvents(), params_.energy);
 }
 
-void
-Chip::dumpStats(const char *prefix, StatGroup &group) const
+CoreCounters
+Chip::coreCounters() const
 {
-    std::string pre(prefix);
-    EnergyEvents e = energyEvents();
-    group.add(pre + ".ticks", static_cast<double>(counters_.ticks),
-              "ticks executed");
-    group.add(pre + ".cores", static_cast<double>(e.cores),
-              "cores on chip");
-    group.add(pre + ".neurons", static_cast<double>(e.neurons),
-              "neurons on chip");
-    group.add(pre + ".sops", static_cast<double>(e.sops),
-              "synaptic events");
-    group.add(pre + ".spikes", static_cast<double>(e.spikes),
-              "neuron fires");
-    group.add(pre + ".spikesRouted",
-              static_cast<double>(counters_.spikesRouted),
-              "core-to-core spikes");
-    group.add(pre + ".spikesOut",
-              static_cast<double>(counters_.spikesOut),
-              "off-chip spikes");
-    if (params_.allowEgress)
-        group.add(pre + ".spikesEgress",
-                  static_cast<double>(counters_.spikesEgress),
-                  "spikes surfaced as edge egress");
-    group.add(pre + ".hops", static_cast<double>(e.hops),
-              "router traversals");
-    group.add(pre + ".lateDeliveries",
-              static_cast<double>(counters_.lateDeliveries),
-              "packets that missed their delivery slot");
-    group.add(pre + ".coreActivations",
-              static_cast<double>(counters_.coreActivations),
-              "core tick evaluations (simulation effort)");
-    uint64_t evals = 0, evals_batched = 0, sops_batched = 0;
-    uint64_t evals_stoch_batched = 0;
-    for (const auto &core : cores_) {
-        const CoreCounters &cc = core->counters();
-        evals += cc.evals;
-        evals_batched += cc.evalsBatched;
-        evals_stoch_batched += cc.evalsStochBatched;
-        sops_batched += cc.sopsBatched;
-    }
-    group.add(pre + ".evals", static_cast<double>(evals),
-              "end-of-tick neuron evaluations");
-    group.add(pre + ".evalsBatched",
-              static_cast<double>(evals_batched),
-              "of evals, via the batched SoA update kernel");
-    group.add(pre + ".evalsStochBatched",
-              static_cast<double>(evals_stoch_batched),
-              "of evalsBatched, stochastic cohort via "
-              "draw-folded lanes");
-    group.add(pre + ".sopsBatched",
-              static_cast<double>(sops_batched),
-              "of sops, via the batched count-lane integrate gear");
-    if (params_.faultPlan) {
-        group.add(pre + ".fault.deadCores",
-                  static_cast<double>(faultStats_.deadCores),
-                  "cores killed by injected faults");
-        group.add(pre + ".fault.stuckWords",
-                  static_cast<double>(faultStats_.stuckWords),
-                  "crossbar words stuck by injected faults");
-        group.add(pre + ".fault.seuFlips",
-                  static_cast<double>(faultStats_.seuFlips),
-                  "injected potential bit flips");
-        group.add(pre + ".fault.alarms",
-                  static_cast<double>(faultStats_.alarms),
-                  "detected-fault alarms raised");
-    }
-    EnergyBreakdown b = computeEnergy(e, params_.energy);
-    energyStats(b, e, params_.energy, (pre + ".energy").c_str(), group);
+    CoreCounters sum;
+    for (const auto &core : cores_)
+        addCounters(sum, core->counters(), kCoreCounterFields);
+    return sum;
+}
+
+JsonValue
+Chip::stats() const
+{
+    JsonValue doc = statsDocument();
+    doc.set("chip", countersToJson(counters_, kChipCounterFields));
+    doc.set("cores", countersToJson(coreCounters(), kCoreCounterFields));
+    if (params_.faultPlan)
+        doc.set("fault", countersToJson(faultStats_, kFaultStatsFields));
+    if (mesh_)
+        doc.set("mesh", countersToJson(mesh_->stats(), kMeshStatsFields));
+    doc.set("energy", energyToJson(energyEvents(), params_.energy));
+    return doc;
 }
 
 size_t

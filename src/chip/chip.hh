@@ -208,6 +208,20 @@ struct ChipCounters
     uint64_t injectRetries = 0;   //!< backpressure retries (Cycle)
 };
 
+/** Document keys of the ChipCounters fields. */
+inline constexpr CounterField<ChipCounters> kChipCounterFields[] = {
+    {"ticks", &ChipCounters::ticks},
+    {"coreActivations", &ChipCounters::coreActivations},
+    {"spikesRouted", &ChipCounters::spikesRouted},
+    {"spikesOut", &ChipCounters::spikesOut},
+    {"spikesEgress", &ChipCounters::spikesEgress},
+    {"spikesDropped", &ChipCounters::spikesDropped},
+    {"hops", &ChipCounters::hops},
+    {"lateDeliveries", &ChipCounters::lateDeliveries},
+    {"meshCycles", &ChipCounters::meshCycles},
+    {"injectRetries", &ChipCounters::injectRetries},
+};
+
 /** The simulated chip. */
 class Chip
 {
@@ -324,6 +338,9 @@ class Chip
     /** Chip-level counters. */
     const ChipCounters &counters() const { return counters_; }
 
+    /** Every core's counters, summed. */
+    CoreCounters coreCounters() const;
+
     /** The pool every core's read-only neuron lanes are interned in. */
     const LanePool &lanePool() const { return *lanePool_; }
 
@@ -339,8 +356,13 @@ class Chip
     /** Construction parameters. */
     const ChipParams &params() const { return params_; }
 
-    /** Append chip stats to @p group under @p prefix. */
-    void dumpStats(const char *prefix, StatGroup &group) const;
+    /**
+     * The stats document (see statsDocument): the chip's counters
+     * ("chip"), its cores' summed ("cores"), the fault counters with
+     * a plan loaded ("fault"), the mesh's under the Cycle model
+     * ("mesh") and the energy breakdown ("energy").
+     */
+    JsonValue stats() const;
 
     /** Total heap footprint of cores + fabric in bytes; each pooled
      *  lane counts once. */

@@ -35,21 +35,21 @@ energyPerSopJ(const EnergyBreakdown &b, const EnergyEvents &e)
     return b.totalJ() / static_cast<double>(e.sops);
 }
 
-void
-energyStats(const EnergyBreakdown &b, const EnergyEvents &e,
-            const EnergyParams &p, const char *prefix,
-            StatGroup &group)
+JsonValue
+energyToJson(const EnergyEvents &e, const EnergyParams &p)
 {
-    std::string pre(prefix);
-    group.add(pre + ".leakageJ", b.leakageJ, "static leakage energy");
-    group.add(pre + ".sopJ", b.sopJ, "synaptic event energy");
-    group.add(pre + ".neuronJ", b.neuronJ, "neuron update energy");
-    group.add(pre + ".spikeJ", b.spikeJ, "spike generation energy");
-    group.add(pre + ".hopJ", b.hopJ, "interconnect energy");
-    group.add(pre + ".totalJ", b.totalJ(), "total energy");
-    group.add(pre + ".powerW", averagePowerW(b, e, p), "mean power");
-    group.add(pre + ".pJPerSop", energyPerSopJ(b, e) * 1e12,
-              "effective energy per synaptic event (pJ)");
+    const EnergyBreakdown b = computeEnergy(e, p);
+    JsonValue out = JsonValue::object();
+    out.set("events", countersToJson(e, kEnergyEventFields));
+    out.set("leakageJ", JsonValue::number(b.leakageJ));
+    out.set("sopJ", JsonValue::number(b.sopJ));
+    out.set("neuronJ", JsonValue::number(b.neuronJ));
+    out.set("spikeJ", JsonValue::number(b.spikeJ));
+    out.set("hopJ", JsonValue::number(b.hopJ));
+    out.set("totalJ", JsonValue::number(b.totalJ()));
+    out.set("powerW", JsonValue::number(averagePowerW(b, e, p)));
+    out.set("pJPerSop", JsonValue::number(energyPerSopJ(b, e) * 1e12));
+    return out;
 }
 
 } // namespace nscs

@@ -44,6 +44,16 @@ struct EnergyEvents
     uint64_t hops = 0;           //!< router traversals
 };
 
+/** Document keys of the EnergyEvents fields. */
+inline constexpr CounterField<EnergyEvents> kEnergyEventFields[] = {
+    {"ticks", &EnergyEvents::ticks},
+    {"cores", &EnergyEvents::cores},
+    {"neurons", &EnergyEvents::neurons},
+    {"sops", &EnergyEvents::sops},
+    {"spikes", &EnergyEvents::spikes},
+    {"hops", &EnergyEvents::hops},
+};
+
 /** Energy decomposition over a measurement window. */
 struct EnergyBreakdown
 {
@@ -74,11 +84,12 @@ double averagePowerW(const EnergyBreakdown &breakdown,
 double energyPerSopJ(const EnergyBreakdown &breakdown,
                      const EnergyEvents &events);
 
-/** Append the breakdown to a stat group under @p prefix. */
-void energyStats(const EnergyBreakdown &breakdown,
-                 const EnergyEvents &events,
-                 const EnergyParams &params,
-                 const char *prefix, StatGroup &group);
+/**
+ * The stats document's energy group for @p events: the events, each
+ * breakdown term, totalJ, powerW and pJPerSop.
+ */
+JsonValue energyToJson(const EnergyEvents &events,
+                       const EnergyParams &params);
 
 } // namespace nscs
 

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "util/bitvec.hh"
-#include "util/json.hh"
+#include "util/stats.hh"
 
 namespace nscs {
 

@@ -58,6 +58,15 @@ struct MeshStats
     RunningStat hops;            //!< per-packet hop count
 };
 
+/** Document keys of the integer MeshStats fields. */
+inline constexpr CounterField<MeshStats> kMeshStatsFields[] = {
+    {"injected", &MeshStats::injected},
+    {"injectStalls", &MeshStats::injectStalls},
+    {"delivered", &MeshStats::delivered},
+    {"flitMoves", &MeshStats::flitMoves},
+    {"cycles", &MeshStats::cycles},
+};
+
 /** The interconnect fabric. */
 class Mesh
 {

@@ -76,12 +76,19 @@ CompiledModel
 compiledModelFromJson(const JsonValue &v)
 {
     CompiledModel m;
-    m.gridWidth = static_cast<uint32_t>(v.at("gridWidth").asInt());
-    m.gridHeight = static_cast<uint32_t>(v.at("gridHeight").asInt());
-    m.boardWidth = static_cast<uint32_t>(v.getInt("boardWidth", 1));
-    m.boardHeight = static_cast<uint32_t>(v.getInt("boardHeight", 1));
-    if (m.boardWidth == 0 || m.boardHeight == 0 ||
-        m.gridWidth % m.boardWidth != 0 ||
+    // Each grid side fits 16 bits, so a core index (y * width + x)
+    // fits the 32-bit InputSpike::core.
+    auto side = [&v](const char *key, uint32_t &out) {
+        if (!readInt(v, key, out, 1, 0xFFFF))
+            fatal("model file: %s must be an integer in [1, 65535]", key);
+    };
+    side("gridWidth", m.gridWidth);
+    side("gridHeight", m.gridHeight);
+    if (v.has("boardWidth"))
+        side("boardWidth", m.boardWidth);
+    if (v.has("boardHeight"))
+        side("boardHeight", m.boardHeight);
+    if (m.gridWidth % m.boardWidth != 0 ||
         m.gridHeight % m.boardHeight != 0)
         fatal("model file: %ux%u board does not tile the %ux%u grid",
               m.boardWidth, m.boardHeight, m.gridWidth, m.gridHeight);

@@ -27,23 +27,6 @@ constexpr KindName kKindNames[] = {
     { FaultKind::DeadLink, "dead-link" },
 };
 
-/** Snapshot keys of the FaultStats fields. */
-constexpr CounterField<FaultStats> kFaultStatsFields[] = {
-    {"deadCores", &FaultStats::deadCores},
-    {"stuckWords", &FaultStats::stuckWords},
-    {"seuFlips", &FaultStats::seuFlips},
-    {"linkDrops", &FaultStats::linkDrops},
-    {"linkDups", &FaultStats::linkDups},
-    {"linkDelays", &FaultStats::linkDelays},
-    {"deadLinks", &FaultStats::deadLinks},
-    {"retries", &FaultStats::retries},
-    {"dupsDropped", &FaultStats::dupsDropped},
-    {"unreachableDrops", &FaultStats::unreachableDrops},
-    {"unrecoveredDrops", &FaultStats::unrecoveredDrops},
-    {"checksumErrors", &FaultStats::checksumErrors},
-    {"alarms", &FaultStats::alarms},
-};
-
 } // anonymous namespace
 
 const char *
@@ -306,18 +289,6 @@ makeRandomFaultPlan(const FaultCampaignSpec &spec, uint64_t seed)
     for (size_t i = 0; i < plan.events.size(); ++i)
         plan.events[i].id = static_cast<uint32_t>(i);
     return plan;
-}
-
-JsonValue
-faultStatsToJson(const FaultStats &stats)
-{
-    return countersToJson(stats, kFaultStatsFields);
-}
-
-bool
-faultStatsFromJson(const JsonValue &v, FaultStats &stats)
-{
-    return readCounters(v, stats, kFaultStatsFields);
 }
 
 } // namespace nscs

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "util/json.hh"
+#include "util/stats.hh"
 
 namespace nscs {
 
@@ -145,8 +145,8 @@ FaultPlan makeRandomFaultPlan(const FaultCampaignSpec &spec, uint64_t seed);
 
 /**
  * Injection/handling counters kept by a Chip (core-level fields) or
- * Board (link-level fields; board dumpStats also aggregates its
- * chips).  Restored verbatim by snapshots so dumpStats stays
+ * Board (link-level fields; Board::faultStats adds its chips').
+ * Restored verbatim by snapshots so the stats document stays
  * bit-identical across a save/restore boundary.
  */
 struct FaultStats {
@@ -165,12 +165,22 @@ struct FaultStats {
     uint64_t alarms = 0;          //!< detection alarms raised
 };
 
-/** Serialize @p stats (snapshot helper). */
-JsonValue faultStatsToJson(const FaultStats &stats);
-
-/** Read faultStatsToJson output into @p stats; a missing key reads
- *  as 0.  @return false on a malformed document. */
-bool faultStatsFromJson(const JsonValue &v, FaultStats &stats);
+/** Document keys of the FaultStats fields. */
+inline constexpr CounterField<FaultStats> kFaultStatsFields[] = {
+    {"deadCores", &FaultStats::deadCores},
+    {"stuckWords", &FaultStats::stuckWords},
+    {"seuFlips", &FaultStats::seuFlips},
+    {"linkDrops", &FaultStats::linkDrops},
+    {"linkDups", &FaultStats::linkDups},
+    {"linkDelays", &FaultStats::linkDelays},
+    {"deadLinks", &FaultStats::deadLinks},
+    {"retries", &FaultStats::retries},
+    {"dupsDropped", &FaultStats::dupsDropped},
+    {"unreachableDrops", &FaultStats::unreachableDrops},
+    {"unrecoveredDrops", &FaultStats::unrecoveredDrops},
+    {"checksumErrors", &FaultStats::checksumErrors},
+    {"alarms", &FaultStats::alarms},
+};
 
 } // namespace nscs
 

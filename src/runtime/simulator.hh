@@ -45,6 +45,16 @@ struct RecoveryStats
     uint64_t maxRecoveryLatencyTicks = 0;  //!< replay span, worst
 };
 
+/** Document keys of the RecoveryStats fields. */
+inline constexpr CounterField<RecoveryStats> kRecoveryStatsFields[] = {
+    {"checkpoints", &RecoveryStats::checkpoints},
+    {"rollbacks", &RecoveryStats::rollbacks},
+    {"replayedTicks", &RecoveryStats::replayedTicks},
+    {"unrecoveredAlarms", &RecoveryStats::unrecoveredAlarms},
+    {"lastRecoveryLatencyTicks", &RecoveryStats::lastRecoveryLatencyTicks},
+    {"maxRecoveryLatencyTicks", &RecoveryStats::maxRecoveryLatencyTicks},
+};
+
 /** Wall-clock performance of a run() call. */
 struct RunPerf
 {

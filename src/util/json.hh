@@ -243,40 +243,6 @@ readInts(const JsonValue &v, std::vector<T> &out,
 /** Read a 0/1 flag array of exactly flags.size() elements. */
 bool readFlags(const JsonValue &v, std::vector<uint8_t> &flags);
 
-/** One uint64 counter of struct @p S and its document key. */
-template <typename S>
-struct CounterField
-{
-    const char *key;
-    uint64_t S::*field;
-};
-
-/** The @p fields of @p s as an object of non-negative ints. */
-template <typename S, size_t N>
-JsonValue
-countersToJson(const S &s, const CounterField<S> (&fields)[N])
-{
-    JsonValue out = JsonValue::object();
-    for (const CounterField<S> &f : fields)
-        out.set(f.key, JsonValue::integer(static_cast<int64_t>(s.*f.field)));
-    return out;
-}
-
-/** Read countersToJson output into @p s; a missing key reads as 0. */
-template <typename S, size_t N>
-bool
-readCounters(const JsonValue &v, S &s, const CounterField<S> (&fields)[N])
-{
-    if (v.type() != JsonValue::Type::Object)
-        return false;
-    for (const CounterField<S> &f : fields) {
-        s.*f.field = 0;
-        if (v.has(f.key) && !readInt(v, f.key, s.*f.field))
-            return false;
-    }
-    return true;
-}
-
 /** Read a whole file; returns false on I/O failure. */
 bool readFile(const std::string &path, std::string &out);
 

@@ -1,7 +1,6 @@
 #include "util/stats.hh"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/logging.hh"
 
@@ -69,33 +68,13 @@ Histogram::reset()
     stat_.reset();
 }
 
-double
-StatGroup::get(const std::string &name) const
+JsonValue
+statsDocument()
 {
-    for (const auto &e : entries_)
-        if (e.name == name)
-            return e.value;
-    return std::nan("");
-}
-
-std::string
-StatGroup::format() const
-{
-    size_t w = 0;
-    for (const auto &e : entries_)
-        if (e.name.size() > w)
-            w = e.name.size();
-    std::ostringstream os;
-    for (const auto &e : entries_) {
-        os << e.name;
-        for (size_t i = e.name.size(); i < w + 2; ++i)
-            os << ' ';
-        os << strprintf("%14.6g", e.value);
-        if (!e.desc.empty())
-            os << "  # " << e.desc;
-        os << '\n';
-    }
-    return os.str();
+    JsonValue doc = JsonValue::object();
+    doc.set("format", JsonValue::string("nscs-stats"));
+    doc.set("version", JsonValue::integer(1));
+    return doc;
 }
 
 } // namespace nscs

@@ -1,7 +1,8 @@
 /**
  * @file
  * Small statistics package: running scalar statistics, linear
- * histograms and named stat groups, in the spirit of gem5's stats.
+ * histograms and the counter tables that name each counter struct's
+ * fields, in the spirit of gem5's stats.
  *
  * Everything is plain value types; benches and the energy model read
  * the counters directly.
@@ -12,8 +13,9 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
+
+#include "util/json.hh"
 
 namespace nscs {
 
@@ -129,41 +131,65 @@ class Histogram
 };
 
 /**
- * A named scalar for human-readable stat dumps.
+ * One uint64 counter of struct @p S and its document key.  Each
+ * counter struct declares one table of these beside it; snapshots,
+ * the stats document (see Chip::stats) and counter sums all read
+ * that table, so every counter has one name everywhere.
  */
-struct StatEntry
+template <typename S>
+struct CounterField
 {
-    std::string name;  //!< dotted stat path, e.g. "core.synEvents"
-    double value;      //!< current value
-    std::string desc;  //!< one-line description
+    const char *key;
+    uint64_t S::*field;
+    /** Recomputed from other state when read, so never snapshotted. */
+    bool derived = false;
 };
 
-/**
- * An ordered collection of named scalars.  Modules expose a
- * `dumpStats` that appends entries; tools print them via formatStats.
- */
-class StatGroup
+/** Add every counter of @p s into @p sum. */
+template <typename S, size_t N>
+void
+addCounters(S &sum, const S &s, const CounterField<S> (&fields)[N])
 {
-  public:
-    /** Append one named scalar. */
-    void
-    add(const std::string &name, double value, const std::string &desc)
-    {
-        entries_.push_back({name, value, desc});
+    for (const CounterField<S> &f : fields)
+        sum.*f.field += s.*f.field;
+}
+
+/** The @p fields of @p s as an object of non-negative ints; derived
+ *  fields are left out unless @p with_derived. */
+template <typename S, size_t N>
+JsonValue
+countersToJson(const S &s, const CounterField<S> (&fields)[N],
+               bool with_derived = true)
+{
+    JsonValue out = JsonValue::object();
+    for (const CounterField<S> &f : fields)
+        if (with_derived || !f.derived)
+            out.set(f.key,
+                    JsonValue::integer(static_cast<int64_t>(s.*f.field)));
+    return out;
+}
+
+/** Read countersToJson output into the non-derived fields of @p s;
+ *  a missing key reads as 0. */
+template <typename S, size_t N>
+bool
+readCounters(const JsonValue &v, S &s, const CounterField<S> (&fields)[N])
+{
+    if (v.type() != JsonValue::Type::Object)
+        return false;
+    for (const CounterField<S> &f : fields) {
+        if (f.derived)
+            continue;
+        s.*f.field = 0;
+        if (v.has(f.key) && !readInt(v, f.key, s.*f.field))
+            return false;
     }
+    return true;
+}
 
-    /** All entries in insertion order. */
-    const std::vector<StatEntry> &entries() const { return entries_; }
-
-    /** Find an entry by exact name; returns NaN when missing. */
-    double get(const std::string &name) const;
-
-    /** Render as an aligned text block. */
-    std::string format() const;
-
-  private:
-    std::vector<StatEntry> entries_;
-};
+/** An empty stats document, {"format": "nscs-stats", "version": 1},
+ *  that Chip::stats and Board::stats fill with counter groups. */
+JsonValue statsDocument();
 
 } // namespace nscs
 

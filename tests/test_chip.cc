@@ -151,6 +151,12 @@ TEST(Chip, MeshStatsOnlyInCycleMode)
     Chip cycle(params1x1(EngineKind::Event, NocModel::Cycle),
                {relayCore()});
     EXPECT_NE(cycle.meshStats(), nullptr);
+    // The stats document carries a mesh group exactly when there is
+    // a mesh.
+    EXPECT_FALSE(functional.stats().has("mesh"));
+    cycle.run(5);
+    EXPECT_EQ(cycle.stats().at("mesh").at("cycles").asInt(),
+              static_cast<int64_t>(cycle.meshStats()->cycles));
 }
 
 TEST(Chip, LateDeliveryUnderTinyCycleBudget)
@@ -254,11 +260,13 @@ TEST(Chip, DumpStatsHasKeyEntries)
 {
     Chip chip(params1x1(), {relayCore()});
     chip.run(10);
-    StatGroup g;
-    chip.dumpStats("chip", g);
-    EXPECT_EQ(g.get("chip.ticks"), 10.0);
-    EXPECT_EQ(g.get("chip.cores"), 1.0);
-    EXPECT_GE(g.get("chip.energy.powerW"), 0.0);
+    const JsonValue doc = chip.stats();
+    EXPECT_EQ(doc.at("format").asString(), "nscs-stats");
+    EXPECT_EQ(doc.at("chip").at("ticks").asInt(), 10);
+    EXPECT_EQ(doc.at("energy").at("events").at("cores").asInt(), 1);
+    EXPECT_GE(doc.at("energy").at("powerW").asDouble(), 0.0);
+    EXPECT_FALSE(doc.has("fault"));  // no plan loaded
+    EXPECT_FALSE(doc.has("mesh"));   // functional transport
 }
 
 // --- engine/transport equivalence property ----------------------------------

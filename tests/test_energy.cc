@@ -114,14 +114,15 @@ TEST(EnergyModel, StatsDumpHasAllComponents)
 {
     EnergyEvents e = nominal4096();
     EnergyParams p;
-    EnergyBreakdown b = computeEnergy(e, p);
-    StatGroup g;
-    energyStats(b, e, p, "en", g);
-    EXPECT_GT(g.get("en.leakageJ"), 0.0);
-    EXPECT_GT(g.get("en.sopJ"), 0.0);
-    EXPECT_GT(g.get("en.totalJ"), 0.0);
-    EXPECT_GT(g.get("en.powerW"), 0.0);
-    EXPECT_GT(g.get("en.pJPerSop"), 0.0);
+    const JsonValue g = energyToJson(e, p);
+    EXPECT_GT(g.at("leakageJ").asDouble(), 0.0);
+    EXPECT_GT(g.at("sopJ").asDouble(), 0.0);
+    EXPECT_DOUBLE_EQ(g.at("totalJ").asDouble(),
+                     computeEnergy(e, p).totalJ());
+    EXPECT_GT(g.at("powerW").asDouble(), 0.0);
+    EXPECT_GT(g.at("pJPerSop").asDouble(), 0.0);
+    EXPECT_EQ(g.at("events").at("sops").asInt(),
+              static_cast<int64_t>(e.sops));
 }
 
 } // anonymous namespace

@@ -92,6 +92,34 @@ TEST(ModelFile, SaveLoadPreservesBehaviour)
     EXPECT_EQ(orig.outputs(), back.outputs());
 }
 
+// A malformed shape field is refused with a diagnostic before
+// anything is sized by it, not with an abort or a failed allocation.
+TEST(ModelFileDeath, NonIntegerGridWidthRejected)
+{
+    JsonValue doc =
+        compiledModelToJson(compile(pipelineNetwork(), smallOptions()));
+    doc.set("gridWidth", JsonValue::string("x"));
+    EXPECT_EXIT(compiledModelFromJson(doc), ::testing::ExitedWithCode(1),
+                "gridWidth must be an integer");
+}
+
+TEST(ModelFileDeath, NegativeNumAxonsRejected)
+{
+    JsonValue doc =
+        compiledModelToJson(compile(pipelineNetwork(), smallOptions()));
+    JsonValue core = doc.at("cores").at(0);
+    JsonValue geom = core.at("geometry");
+    geom.set("numAxons", JsonValue::integer(-1));
+    core.set("geometry", std::move(geom));
+    JsonValue cores = JsonValue::array();
+    cores.append(std::move(core));
+    for (size_t i = 1; i < doc.at("cores").size(); ++i)
+        cores.append(doc.at("cores").at(i));
+    doc.set("cores", std::move(cores));
+    EXPECT_EXIT(compiledModelFromJson(doc), ::testing::ExitedWithCode(1),
+                "geometry.numAxons must be an integer");
+}
+
 TEST(ModelFile, BoardTargetRoundTripAndDeploy)
 {
     Network net = pipelineNetwork();
@@ -518,13 +546,13 @@ TEST(Pipeline, StatsDumpIsComprehensive)
         model.inputTargets("in"), 2));
     sim.run(50);
 
-    StatGroup g;
-    sim.chip().dumpStats("chip", g);
-    EXPECT_GT(g.get("chip.sops"), 0.0);
-    EXPECT_GT(g.get("chip.spikes"), 0.0);
-    EXPECT_GT(g.get("chip.energy.totalJ"), 0.0);
-    EXPECT_GT(g.get("chip.energy.pJPerSop"), 0.0);
-    EXPECT_FALSE(g.format().empty());
+    const JsonValue doc = sim.chip().stats();
+    EXPECT_GT(doc.at("cores").at("sops").asInt(), 0);
+    EXPECT_GT(doc.at("cores").at("spikes").asInt(), 0);
+    EXPECT_GT(doc.at("energy").at("totalJ").asDouble(), 0.0);
+    EXPECT_GT(doc.at("energy").at("pJPerSop").asDouble(), 0.0);
+    // Text round trip: the document is valid JSON.
+    EXPECT_TRUE(parseJson(doc.dump(2)).ok);
 }
 
 } // anonymous namespace

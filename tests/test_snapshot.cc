@@ -34,6 +34,8 @@
 #include "runtime/snapshot.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
+#include "util/stats.hh"
 
 namespace nscs {
 namespace {
@@ -1261,6 +1263,155 @@ TEST(SnapshotRejects, EveryBoardLeafMutationIsRejectedOrRuns)
     ASSERT_TRUE(board.has("dedupRings"));
     ASSERT_GT(board.at("faultStats").at("linkDrops").asInt(), 0);
     expectMutationsRejectedOrRun(snap, sweepBoardSim);
+}
+
+// ---------------------------------------------------------------------------
+// The stats document: deterministic, and its counter groups are the
+// snapshot's counters
+// ---------------------------------------------------------------------------
+
+/** The stats document of @p sim's device. */
+JsonValue
+deviceStats(const Simulator &sim)
+{
+    return sim.isBoard() ? sim.board().stats() : sim.chip().stats();
+}
+
+/** Counters are architectural or effort counts of the run, never
+ *  host-dependent: the document is byte-identical at every thread
+ *  count and SIMD level. */
+TEST(StatsDocument, IdenticalAcrossThreadsAndSimdLevels)
+{
+    struct LevelGuard
+    {
+        simd::Level saved = simd::activeLevel();
+        ~LevelGuard() { simd::setActiveLevel(saved); }
+    } guard;
+    bench::CorticalWorkload w = tappedWorkload(4, 4, 5);
+    for (auto make : {chipSim, boardSim}) {
+        std::string ref;
+        for (uint32_t threads : {0u, 2u}) {
+            for (simd::Level lvl : simd::availableLevels()) {
+                SCOPED_TRACE(testing::Message()
+                             << "threads=" << threads
+                             << " simd=" << simd::levelName(lvl));
+                ASSERT_TRUE(simd::setActiveLevel(lvl));
+                auto sim = make(w, EngineKind::Event, threads);
+                sim->run(kTicks);
+                const std::string doc = deviceStats(*sim).dump(2);
+                if (ref.empty())
+                    ref = doc;
+                EXPECT_EQ(doc, ref);
+            }
+        }
+        EXPECT_NE(ref.find("\"nscs-stats\""), std::string::npos);
+    }
+}
+
+/** Snapshot counter object @p v read through @p fields. */
+template <typename S, size_t N>
+S
+stateCounters(const JsonValue &v, const CounterField<S> (&fields)[N])
+{
+    S s;
+    EXPECT_TRUE(readCounters(v, s, fields));
+    return s;
+}
+
+/** The counters under @p key of every element of @p states, summed. */
+template <typename S, size_t N>
+S
+summedState(const JsonValue &states, const char *key,
+            const CounterField<S> (&fields)[N])
+{
+    S sum;
+    for (size_t i = 0; i < states.size(); ++i)
+        addCounters(sum, stateCounters(states.at(i).at(key), fields),
+                    fields);
+    return sum;
+}
+
+/** @p c's stored fields (those a snapshot carries) as JSON text. */
+std::string
+storedCoreCounters(const CoreCounters &c)
+{
+    return countersToJson(c, kCoreCounterFields, false).dump();
+}
+
+TEST(StatsDocument, ChipGroupsEqualSnapshotCounters)
+{
+    auto sim = sweepChipSim();
+    sim->run(12);
+    const JsonValue doc = sim->chip().stats();
+    const JsonValue dev = sim->snapshot().at("device");
+    EXPECT_EQ(doc.at("format").asString(), "nscs-stats");
+    EXPECT_EQ(doc.at("version").asInt(), 1);
+    EXPECT_EQ(doc.at("chip").dump(), dev.at("counters").dump());
+    EXPECT_EQ(
+        storedCoreCounters(
+            stateCounters(doc.at("cores"), kCoreCounterFields)),
+        storedCoreCounters(
+            summedState(dev.at("cores"), "counters", kCoreCounterFields)));
+    EXPECT_EQ(doc.at("fault").dump(), dev.at("faultStats").dump());
+    EXPECT_GT(doc.at("fault").at("seuFlips").asInt(), 0);
+    EXPECT_FALSE(doc.has("mesh"));
+    EXPECT_FALSE(doc.has("run"));
+    EXPECT_GT(doc.at("energy").at("totalJ").asDouble(), 0.0);
+}
+
+TEST(StatsDocument, BoardGroupsEqualSnapshotCounters)
+{
+    auto sim = sweepBoardSim();
+    sim->run(12);
+    const Board &board = sim->board();
+    const JsonValue doc = board.stats();
+    const JsonValue dev = sim->snapshot().at("device");
+    const JsonValue &chips = dev.at("chips");
+    EXPECT_EQ(doc.at("board").dump(), dev.at("counters").dump());
+    EXPECT_EQ(doc.at("chips").dump(),
+              countersToJson(summedState(chips, "counters",
+                                         kChipCounterFields),
+                             kChipCounterFields)
+                  .dump());
+    CoreCounters cores;
+    for (size_t c = 0; c < chips.size(); ++c)
+        addCounters(cores,
+                    summedState(chips.at(c).at("cores"), "counters",
+                                kCoreCounterFields),
+                    kCoreCounterFields);
+    EXPECT_EQ(storedCoreCounters(
+                  stateCounters(doc.at("cores"), kCoreCounterFields)),
+              storedCoreCounters(cores));
+
+    // The board's fault group adds its chips' to its own link stats.
+    FaultStats fault = summedState(chips, "faultStats", kFaultStatsFields);
+    addCounters(fault,
+                stateCounters(dev.at("faultStats"), kFaultStatsFields),
+                kFaultStatsFields);
+    EXPECT_EQ(doc.at("fault").dump(),
+              countersToJson(fault, kFaultStatsFields).dump());
+
+    // A link is listed, by name, when it carried traffic; its entry
+    // is its slice of the snapshot's flat linkStats.
+    const JsonValue &flat = dev.at("linkStats");
+    const size_t width = std::size(kLinkCounterFields);
+    const JsonValue &links = doc.at("links");
+    size_t listed = 0;
+    for (uint32_t l = 0; l < flat.size() / width; ++l) {
+        const std::string name = board.linkName(l);
+        bool traffic = false;
+        for (size_t k = 0; k < 3; ++k)  // packets, stalls, drops
+            traffic = traffic || flat.at(l * width + k).asInt() != 0;
+        ASSERT_EQ(links.has(name), traffic) << name;
+        if (!traffic)
+            continue;
+        ++listed;
+        for (size_t k = 0; k < width; ++k)
+            EXPECT_EQ(links.at(name).at(kLinkCounterFields[k].key).asInt(),
+                      flat.at(l * width + k).asInt());
+    }
+    EXPECT_GT(listed, 0u);
+    EXPECT_EQ(links.size(), listed);
 }
 
 } // anonymous namespace

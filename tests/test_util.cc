@@ -444,16 +444,34 @@ TEST(Histogram, QuantileOrdering)
     EXPECT_NEAR(p99, 99.0, 2.0);
 }
 
-TEST(StatGroup, FormatAndGet)
+/** Sample counter struct for the counter-table helpers. */
+struct TwoCounters
 {
-    StatGroup g;
-    g.add("a.b", 1.5, "first");
-    g.add("a.c", 2.0, "second");
-    EXPECT_DOUBLE_EQ(g.get("a.b"), 1.5);
-    EXPECT_TRUE(std::isnan(g.get("missing")));
-    std::string text = g.format();
-    EXPECT_NE(text.find("a.b"), std::string::npos);
-    EXPECT_NE(text.find("# first"), std::string::npos);
+    uint64_t a = 0;
+    uint64_t b = 0;  // derived
+};
+
+constexpr CounterField<TwoCounters> kTwoFields[] = {
+    {"a", &TwoCounters::a},
+    {"b", &TwoCounters::b, true},
+};
+
+TEST(CounterTable, AddWriteAndReadBack)
+{
+    TwoCounters sum{1, 2};
+    addCounters(sum, TwoCounters{10, 20}, kTwoFields);
+    EXPECT_EQ(sum.a, 11u);
+    EXPECT_EQ(sum.b, 22u);
+    EXPECT_EQ(countersToJson(sum, kTwoFields).dump(), "{\"a\":11,\"b\":22}");
+    // Snapshots leave derived fields out, and reading keeps them.
+    EXPECT_EQ(countersToJson(sum, kTwoFields, false).dump(), "{\"a\":11}");
+    TwoCounters back{0, 5};
+    ASSERT_TRUE(readCounters(parseJson("{\"a\":7,\"b\":9}").value, back,
+                             kTwoFields));
+    EXPECT_EQ(back.a, 7u);
+    EXPECT_EQ(back.b, 5u);
+    EXPECT_FALSE(readCounters(parseJson("{\"a\":-1}").value, back,
+                              kTwoFields));
 }
 
 // --- table -----------------------------------------------------------------

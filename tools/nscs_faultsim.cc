@@ -68,14 +68,16 @@ usage()
     std::exit(2);
 }
 
-uint64_t
-parseCount(const std::string &v)
+/** Store @p v, a count in [0, @p limit], in @p out; anything else is
+ *  a usage error. */
+template <typename T>
+void
+countArg(const std::string &v, uint64_t limit, T &out)
 {
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size())
+    uint64_t n = 0;
+    if (!parseCount(v, limit, n))
         usage();
-    return n;
+    out = static_cast<T>(n);
 }
 
 /** The bench cortical workload with every third neuron re-aimed at
@@ -156,27 +158,27 @@ main(int argc, char **argv)
             if (!parseGridSpec(next(), board_w, board_h))
                 usage();
         } else if (arg == "--ticks") {
-            ticks = parseCount(next());
+            countArg(next(), INT64_MAX, ticks);
         } else if (arg == "--runs") {
-            runs = parseCount(next());
+            countArg(next(), UINT32_MAX, runs);
         } else if (arg == "--seed") {
-            seed = parseCount(next());
+            countArg(next(), UINT64_MAX, seed);
         } else if (arg == "--dead-cores") {
-            spec.nDeadCore = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nDeadCore);
         } else if (arg == "--stuck-words") {
-            spec.nStuckWord = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nStuckWord);
         } else if (arg == "--seu") {
-            spec.nSeu = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nSeu);
         } else if (arg == "--link-drops") {
-            spec.nLinkDrop = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nLinkDrop);
         } else if (arg == "--link-dups") {
-            spec.nLinkDup = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nLinkDup);
         } else if (arg == "--link-delays") {
-            spec.nLinkDelay = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nLinkDelay);
         } else if (arg == "--dead-links") {
-            spec.nDeadLink = static_cast<uint32_t>(parseCount(next()));
+            countArg(next(), UINT32_MAX, spec.nDeadLink);
         } else if (arg == "--checkpoint-every") {
-            checkpoint_every = parseCount(next());
+            countArg(next(), INT64_MAX, checkpoint_every);
         } else if (arg == "--reliable") {
             reliable = true;
         } else if (arg == "--out") {
@@ -256,15 +258,8 @@ main(int argc, char **argv)
         row.set("accuracy", JsonValue::number(acc));
         row.set("spikes", JsonValue::integer(
             static_cast<int64_t>(sim->recorder().size())));
-        row.set("rollbacks", JsonValue::integer(
-            static_cast<int64_t>(rs.rollbacks)));
-        row.set("replayedTicks", JsonValue::integer(
-            static_cast<int64_t>(rs.replayedTicks)));
-        row.set("unrecoveredAlarms", JsonValue::integer(
-            static_cast<int64_t>(rs.unrecoveredAlarms)));
-        row.set("maxRecoveryLatencyTicks", JsonValue::integer(
-            static_cast<int64_t>(rs.maxRecoveryLatencyTicks)));
-        row.set("faults", faultStatsToJson(fs));
+        row.set("recovery", countersToJson(rs, kRecoveryStatsFields));
+        row.set("faults", countersToJson(fs, kFaultStatsFields));
         runsOut.append(std::move(row));
     }
 

@@ -40,8 +40,6 @@
 #include <iostream>
 #include <vector>
 
-#include <cstdlib>
-
 #include "board/board.hh"
 #include "board/traffic.hh"
 #include "chip/chip.hh"
@@ -83,8 +81,8 @@ main(int argc, char **argv)
             per_chip = true;
         } else if (std::strcmp(argv[i], "--instances") == 0 &&
                    i + 1 < argc) {
-            unsigned long v = std::strtoul(argv[++i], nullptr, 10);
-            if (v == 0 || v > 65536) {
+            uint64_t v = 0;
+            if (!parseCount(argv[++i], 65536, v) || v == 0) {
                 std::cerr << "bad --instances '" << argv[i] << "'\n";
                 return 2;
             }
@@ -95,12 +93,11 @@ main(int argc, char **argv)
             per_chip = true;
         } else if (std::strcmp(argv[i], "--drive") == 0 &&
                    i + 1 < argc) {
-            unsigned long v = std::strtoul(argv[++i], nullptr, 10);
-            if (v == 0 || v > 100000000) {
+            if (!parseCount(argv[++i], 100000000, drive_ticks) ||
+                drive_ticks == 0) {
                 std::cerr << "bad --drive '" << argv[i] << "'\n";
                 return 2;
             }
-            drive_ticks = v;
         } else {
             std::cerr << "unknown option '" << argv[i] << "'\n";
             return 2;
@@ -391,18 +388,8 @@ main(int argc, char **argv)
                 }
                 chip.tick();
             }
-            CoreCounters sum;
-            uint64_t lane_ticks = 0;
-            for (uint32_t c = 0; c < chip.numCores(); ++c) {
-                const CoreCounters &cc = chip.core(c).counters();
-                sum.sops += cc.sops;
-                sum.spikes += cc.spikes;
-                sum.sopsBatched += cc.sopsBatched;
-                sum.sopsStochBatched += cc.sopsStochBatched;
-                sum.laneSlotsActive += cc.laneSlotsActive;
-                sum.laneActiveAxons += cc.laneActiveAxons;
-                lane_ticks += cc.ticksRun * lanes;
-            }
+            const CoreCounters sum = chip.coreCounters();
+            const uint64_t lane_ticks = sum.ticksRun * lanes;
             auto pct = [](uint64_t num, uint64_t den) {
                 double p = den ? 100.0 * static_cast<double>(num) /
                         static_cast<double>(den)

@@ -41,7 +41,12 @@
  *                             of hop count
  *   --inputs FILE             input schedule: lines "tick inputName"
  *   --trace FILE              write the output trace here
- *   --stats                   dump device statistics to stderr
+ *   --stats                   write the device's stats document
+ *                             (JSON, format "nscs-stats": its
+ *                             counters, energy and, with
+ *                             --checkpoint-every, recovery, plus
+ *                             the host-timed run.ticksPerSecond)
+ *                             to stderr
  *   --fault-plan FILE         inject the nscs-fault-plan document
  *   --checkpoint-every N      checkpoint every N ticks; detected
  *                             transient faults roll back and replay
@@ -85,14 +90,16 @@ usage()
     std::exit(2);
 }
 
-uint32_t
-parseCount(const std::string &v, uint32_t limit)
+/** Store @p v, a count in [0, @p limit], in @p out; anything else is
+ *  a usage error. */
+template <typename T>
+void
+countArg(const std::string &v, uint64_t limit, T &out)
 {
-    char *end = nullptr;
-    unsigned long n = std::strtoul(v.c_str(), &end, 10);
-    if (v.empty() || end != v.c_str() + v.size() || n > limit)
+    uint64_t n = 0;
+    if (!parseCount(v, limit, n))
         usage();
-    return static_cast<uint32_t>(n);
+    out = static_cast<T>(n);
 }
 
 /**
@@ -138,7 +145,8 @@ main(int argc, char **argv)
     if (argc < 3)
         usage();
     std::string model_path = argv[1];
-    uint64_t ticks = std::strtoull(argv[2], nullptr, 10);
+    uint64_t ticks = 0;
+    countArg(argv[2], INT64_MAX, ticks);
 
     EngineKind engine = EngineKind::Event;
     NocModel noc = NocModel::Functional;
@@ -176,22 +184,22 @@ main(int argc, char **argv)
             else
                 usage();
         } else if (arg == "--threads") {
-            threads = parseCount(next(), 1024);
+            countArg(next(), 1024, threads);
         } else if (arg == "--instances") {
-            instances = parseCount(next(), 1u << 16);
+            countArg(next(), 1u << 16, instances);
             if (instances == 0)
                 usage();
         } else if (arg == "--board") {
             if (!parseGridSpec(next(), board_w, board_h))
                 usage();
         } else if (arg == "--link-budget") {
-            link.packetsPerTick = parseCount(next(), 1u << 30);
+            countArg(next(), 1u << 30, link.packetsPerTick);
         } else if (arg == "--link-delay") {
-            link.extraDelay = parseCount(next(), 1u << 20);
+            countArg(next(), 1u << 20, link.extraDelay);
         } else if (arg == "--link-queue") {
-            link.queueCapacity = parseCount(next(), 1u << 30);
+            countArg(next(), 1u << 30, link.queueCapacity);
         } else if (arg == "--link-coalesce") {
-            link.coalesce = parseCount(next(), 1u << 16);
+            countArg(next(), 1u << 16, link.coalesce);
         } else if (arg == "--trace-traffic") {
             trace_traffic_path = next();
         } else if (arg == "--traffic-profile") {
@@ -205,7 +213,7 @@ main(int argc, char **argv)
         } else if (arg == "--fault-plan") {
             plan_path = next();
         } else if (arg == "--checkpoint-every") {
-            checkpoint_every = parseCount(next(), 1u << 30);
+            countArg(next(), 1u << 30, checkpoint_every);
         } else if (arg == "--save-state") {
             save_path = next();
         } else if (arg == "--restore") {
@@ -327,29 +335,15 @@ main(int argc, char **argv)
     }
 
     if (stats) {
-        StatGroup g;
-        if (board_mode)
-            sim->board().dumpStats("board", g);
-        else
-            sim->chip().dumpStats("chip", g);
-        g.add("run.ticksPerSecond", perf.ticksPerSecond(),
-              "wall-clock simulation speed");
-        if (checkpoint_every != 0) {
-            const RecoveryStats &rs = sim->recoveryStats();
-            g.add("recovery.checkpoints",
-                  static_cast<double>(rs.checkpoints),
-                  "checkpoints taken");
-            g.add("recovery.rollbacks",
-                  static_cast<double>(rs.rollbacks),
-                  "alarm-triggered rollbacks");
-            g.add("recovery.replayedTicks",
-                  static_cast<double>(rs.replayedTicks),
-                  "ticks re-executed after rollbacks");
-            g.add("recovery.unrecoveredAlarms",
-                  static_cast<double>(rs.unrecoveredAlarms),
-                  "alarms with no checkpoint to roll back to");
-        }
-        std::cerr << g.format();
+        JsonValue doc = board_mode ? sim->board().stats()
+                                   : sim->chip().stats();
+        JsonValue run = JsonValue::object();
+        run.set("ticksPerSecond", JsonValue::number(perf.ticksPerSecond()));
+        doc.set("run", std::move(run));
+        if (checkpoint_every != 0)
+            doc.set("recovery", countersToJson(sim->recoveryStats(),
+                                               kRecoveryStatsFields));
+        std::cerr << doc.dump(2) << "\n";
     }
     return 0;
 }

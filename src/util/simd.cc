@@ -13,6 +13,16 @@
  * reference (the AVX-512 count-lane kernels mask them instead) so a
  * level's output never depends on the word count.
  *
+ * No x86 vector body returns or calls out with the upper vector
+ * state dirty.  Everything outside these bodies is baseline-SSE
+ * code, which runs slowly while the YMM/ZMM upper halves are in use
+ * (README.md, "SIMD dispatch", has the measured cost).  The
+ * compiler places vzeroupper at a body's own returns, but GCC 12
+ * omits it when the exit path calls a non-AVX function of this file,
+ * so a body whose tail delegates to a scalar helper issues
+ * _mm256_zeroupper() before the call.  tests/test_util.cc reads
+ * XINUSE after every kernel at every level to hold this.
+ *
  * This is the only file in src/ allowed to use vendor intrinsics
  * (linter rule `simd-guard`).
  */
@@ -373,6 +383,7 @@ updateStripAvx2(const UpdateStrip &s, uint32_t n)
             _mm256_movemask_ps(_mm256_castsi256_ps(fired)));
         fired_bits |= static_cast<uint64_t>(m) << j;
     }
+    _mm256_zeroupper();
     return fired_bits | updateStripScalarRange(s, j, n);
 }
 
@@ -540,6 +551,7 @@ updateStripAvx512(const UpdateStrip &s, uint32_t n)
                           static_cast<uint16_t>(fired))
             << j;
     }
+    _mm256_zeroupper();
     return fired_bits | updateStripScalarRange(s, j, n);
 }
 

@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "util/bitvec.hh"
 #include "util/csv.hh"
@@ -359,6 +365,145 @@ TEST(SimdDispatch, ProbeOnlyKernelsAreScalarAtEveryLevel)
         EXPECT_EQ(o.andPopcount, ref.andPopcount);
         EXPECT_EQ(o.applyWord, ref.applyWord);
     }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/** XINUSE bits of the upper vector state: YMM_Hi128 (bit 2) and
+ *  ZMM_Hi256 (bit 6).  While either is set, legacy-SSE code runs
+ *  under a false dependency on the upper halves (or a state-transition
+ *  penalty), so every kernel must return with both clear. */
+constexpr uint64_t kDirtyUpper = (uint64_t{1} << 2) | (uint64_t{1} << 6);
+
+/** True when XGETBV with ECX = 1 reads XINUSE: the OS enabled XSAVE
+ *  (CPUID.1:ECX[27]) and CPUID.(EAX=0DH,ECX=1):EAX[2] is set. */
+bool
+xinuseReadable()
+{
+    unsigned a, b, c, d;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || !((c >> 27) & 1))
+        return false;
+    return __get_cpuid_count(0xd, 1, &a, &b, &c, &d) && ((a >> 2) & 1);
+}
+
+uint64_t
+xinuse()
+{
+    uint32_t lo, hi;
+    asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1) : "memory");
+    return (uint64_t{hi} << 32) | lo;
+}
+
+/** The dirty upper bits @p call leaves, starting from a clean state
+ *  (a set bit implies AVX, so vzeroupper is safe to issue). */
+template <class F>
+uint64_t
+upperLeftBy(F &&call)
+{
+    if (xinuse() & kDirtyUpper)
+        asm volatile("vzeroupper" ::: "memory");
+    if (xinuse() & kDirtyUpper)
+        return ~uint64_t{0};
+    call();
+    return xinuse() & kDirtyUpper;
+}
+#endif
+
+TEST(SimdDispatch, EveryKernelReturnsWithCleanUpperState)
+{
+#if !defined(__x86_64__) && !defined(__i386__)
+    GTEST_SKIP() << "upper vector state is an x86 notion";
+#else
+    if (!xinuseReadable())
+        GTEST_SKIP() << "XGETBV cannot read XINUSE on this host";
+
+    // Full vectors, a sub-vector tail (61 = 3 * 16 + 8 + 5) and the
+    // early exits: no lane, no row bit, no draw, nothing touched.
+    constexpr uint32_t kLanes = 256;
+    std::vector<int32_t> v(kLanes), leak(kLanes, -1), rev(kLanes),
+        thr(kLanes, 3), negLim(kLanes, -5), posMul(kLanes),
+        posAdd(kLanes), negMul(kLanes, 1), negAdd(kLanes),
+        lo(kLanes, -100), hi(kLanes, 100), weight(kLanes, 2),
+        count(kLanes), succ(kLanes);
+    for (uint32_t j = 0; j < kLanes; ++j) {
+        v[j] = static_cast<int32_t>(j % 11) - 5;
+        rev[j] = static_cast<int32_t>(j & 1);
+    }
+    const simd::UpdateStrip strip{v.data(),      leak.data(),
+                                  rev.data(),    thr.data(),
+                                  negLim.data(), posMul.data(),
+                                  posAdd.data(), negMul.data(),
+                                  negAdd.data(), lo.data(),
+                                  hi.data()};
+    const std::vector<uint64_t> ones(kLanes / 64, ~uint64_t{0}),
+        zeros(kLanes / 64, 0);
+    std::vector<uint64_t> touched(kLanes / 64), out(kLanes / 64),
+        planes(4 * (kLanes / 64));
+    const std::vector<uint8_t> absWeight(kLanes, 128);
+
+    simd::ApplyWord word{};
+    word.v = v.data();
+    word.vLo = lo.data();
+    word.vHi = hi.data();
+
+    simd::CountApply apply{};
+    apply.count[0] = count.data();
+    apply.succ[0] = succ.data();
+    apply.weight[0] = weight.data();
+    apply.stochMask[0] = ones.data();
+    apply.touched = touched.data();
+    apply.v = v.data();
+    apply.vLo = lo.data();
+    apply.vHi = hi.data();
+
+    for (simd::Level l : simd::availableLevels()) {
+        SCOPED_TRACE(simd::levelName(l));
+        const simd::Ops &o = simd::opsFor(l);
+        auto expectClean = [](const char *what, uint64_t dirty) {
+            EXPECT_EQ(dirty, 0u)
+                << what << ": XINUSE upper bits 0x" << std::hex << dirty;
+        };
+        expectClean("foldRow", upperLeftBy([&] {
+            o.foldRow(planes.data(), kLanes / 64, 4, ones.data(),
+                      kLanes / 64);
+        }));
+        expectClean("orAccumulate", upperLeftBy([&] {
+            o.orAccumulate(out.data(), ones.data(), kLanes / 64);
+        }));
+        expectClean("andPopcount", upperLeftBy([&] {
+            o.andPopcount(ones.data(), ones.data(), kLanes / 64);
+        }));
+        expectClean("applyWord", upperLeftBy([&] { o.applyWord(word, 64); }));
+        for (uint32_t n : {64u, 61u, 5u, 0u}) {
+            SCOPED_TRACE(n);
+            expectClean("updateStrip",
+                        upperLeftBy([&] { o.updateStrip(strip, n); }));
+        }
+        for (uint32_t n : {kLanes, 61u}) {
+            SCOPED_TRACE(n);
+            expectClean("countRow", upperLeftBy([&] {
+                o.countRow(count.data(), ones.data(), n);
+            }));
+            expectClean("countRow of a zero row", upperLeftBy([&] {
+                o.countRow(count.data(), zeros.data(), n);
+            }));
+            std::fill(succ.begin(), succ.end(), 1);
+            std::copy(ones.begin(), ones.end(), touched.begin());
+            expectClean("applyCounts",
+                        upperLeftBy([&] { o.applyCounts(apply, n); }));
+            std::fill(touched.begin(), touched.end(), 0);
+            expectClean("applyCounts with nothing touched",
+                        upperLeftBy([&] { o.applyCounts(apply, n); }));
+            expectClean("drawRow", upperLeftBy([&] {
+                o.drawRow(out.data(), ones.data(), ones.data(),
+                          absWeight.data(), n, 7);
+            }));
+            expectClean("drawRow that draws nothing", upperLeftBy([&] {
+                o.drawRow(out.data(), ones.data(), zeros.data(),
+                          absWeight.data(), n, 7);
+            }));
+        }
+    }
+#endif
 }
 
 // --- saturate --------------------------------------------------------------

@@ -348,8 +348,7 @@ main(int argc, char **argv)
                    fmtInt(shared) + " bytes"});
         it.addRow({"per-instance lane",
                    fmtInt(per_lane) + " bytes (" +
-                       std::to_string(share).substr(0, 4) +
-                       "% of total)"});
+                       strprintf("%.1f%%", share) + " of total)"});
         std::cout << it.str();
     }
 
@@ -394,7 +393,7 @@ main(int argc, char **argv)
                 double p = den ? 100.0 * static_cast<double>(num) /
                         static_cast<double>(den)
                                : 0.0;
-                return std::to_string(p).substr(0, 4) + "%";
+                return strprintf("%.1f%%", p);
             };
             std::cout << "\n";
             TextTable dt({"driven occupancy", "value"});

@@ -71,110 +71,46 @@ SpikingClassifier::SpikingClassifier(const QuantizedModel &model,
     cp.instances = opt_.instances;
     sim_ = std::make_unique<Simulator>(cp, compiled_.cores);
 
-    auto sched = std::make_unique<ScheduleSource>();
-    schedule_ = sched.get();
-    sim_->addSource(std::move(sched));
-
-    featureTargets_.resize(qm_.dim);
+    std::vector<std::vector<InputSpike>> targets(qm_.dim);
     for (uint32_t f = 0; f < qm_.dim; ++f) {
-        std::string name = "f" + std::to_string(f);
-        auto it = compiled_.inputs.find(name);
+        auto it = compiled_.inputs.find("f" + std::to_string(f));
         if (it != compiled_.inputs.end())
-            featureTargets_[f] = it->second;
+            targets[f] = it->second;
     }
+    auto source = std::make_unique<RateCodeSource>(std::move(targets));
+    source_ = source.get();
+    sim_->addSource(std::move(source));
 }
 
 void
-SpikingClassifier::beginPass(uint64_t t0)
+SpikingClassifier::beginPass()
 {
-    // Persistent serving: everything scheduled or recorded before
-    // this pass has been consumed (readout windows never look back
-    // past t0), so drop it — otherwise a long-lived server's
-    // schedule and spike log grow without bound and every request
-    // pays for the accumulated history.
-    schedule_->discardBefore(t0);
+    // Persistent serving: readout windows never look back past the
+    // pass's first tick, so drop the previous pass's spike log —
+    // otherwise a long-lived server's log grows without bound.  The
+    // source keeps one pass and is replaced by scheduleBatch.
     sim_->recorder().clear();
-}
-
-uint64_t
-SpikingClassifier::scheduleSample(const Sample &sample, uint64_t t0,
-                                  uint32_t inst)
-{
-    NSCS_ASSERT(sample.features.size() == qm_.dim,
-                "sample dim %zu != model dim %u",
-                sample.features.size(), qm_.dim);
-    uint64_t injected = 0;
-    for (uint32_t f = 0; f < qm_.dim; ++f) {
-        if (featureTargets_[f].empty())
-            continue;
-        encodeRate(sample.features[f], opt_.window, encodeScratch_);
-        for (uint32_t off : encodeScratch_) {
-            for (InputSpike target : featureTargets_[f]) {
-                target.instance = inst;
-                schedule_->add(t0 + off, target);
-                ++injected;
-            }
-        }
-    }
-    return injected;
 }
 
 uint64_t
 SpikingClassifier::scheduleBatch(const Sample *samples, size_t n,
                                  uint64_t t0)
 {
-    if (opt_.window > 64) {
-        // Offsets no longer fit one mask word; fall back to the
-        // per-lane path (the tail sort handles the ordering).
-        uint64_t injected = 0;
-        for (size_t i = 0; i < n; ++i)
-            injected += scheduleSample(samples[i], t0,
-                                       static_cast<uint32_t>(i));
-        return injected;
-    }
-
-    // Encode every (lane, feature) train into one offset mask, then
-    // emit offset-major: adds arrive in ascending tick order, so the
-    // schedule's sorted prefix never goes dirty and spikesFor never
-    // sorts.  Within a tick the lane-major, feature-major emit order
-    // below is exactly the stable-sorted order the per-lane path
-    // produces, so the delivered spike sequence — and therefore the
-    // run — is bit-identical.
-    encodeMasks_.assign(n * qm_.dim, 0);
-    uint64_t any = 0;
+    const size_t words = (opt_.window + 63) / 64;
+    encodeMasks_.assign(n * qm_.dim * words, 0);
     for (size_t i = 0; i < n; ++i) {
         NSCS_ASSERT(samples[i].features.size() == qm_.dim,
                     "sample dim %zu != model dim %u",
                     samples[i].features.size(), qm_.dim);
         for (uint32_t f = 0; f < qm_.dim; ++f) {
-            if (featureTargets_[f].empty())
+            if (source_->targets(f).empty())
                 continue;
-            uint64_t m = encodeRateMask(samples[i].features[f],
-                                        opt_.window);
-            encodeMasks_[i * qm_.dim + f] = m;
-            any |= m;
+            encodeRateMask(samples[i].features[f], opt_.window,
+                           encodeMasks_.data() +
+                               (i * qm_.dim + f) * words);
         }
     }
-
-    uint64_t injected = 0;
-    for (uint32_t off = 0; off < opt_.window; ++off) {
-        const uint64_t bit = 1ull << off;
-        if (!(any & bit))
-            continue;
-        for (size_t i = 0; i < n; ++i) {
-            const uint64_t *row = encodeMasks_.data() + i * qm_.dim;
-            for (uint32_t f = 0; f < qm_.dim; ++f) {
-                if (!(row[f] & bit))
-                    continue;
-                for (InputSpike target : featureTargets_[f]) {
-                    target.instance = static_cast<uint32_t>(i);
-                    schedule_->add(t0 + off, target);
-                    ++injected;
-                }
-            }
-        }
-    }
-    return injected;
+    return source_->load(t0, opt_.window, n, encodeMasks_);
 }
 
 uint32_t
@@ -184,7 +120,7 @@ SpikingClassifier::classify(const Sample &sample)
     uint64_t t0 = chip.now();
     double energy0 = chip.energy().totalJ();
 
-    beginPass(t0);
+    beginPass();
     uint64_t injected = scheduleBatch(&sample, 1, t0);
 
     uint64_t ticks = opt_.window + gap_;
@@ -215,7 +151,7 @@ SpikingClassifier::classifyBatch(const std::vector<Sample> &samples)
     uint64_t t0 = chip.now();
     double energy0 = chip.energy().totalJ();
 
-    beginPass(t0);
+    beginPass();
     uint64_t injected =
         scheduleBatch(samples.data(), samples.size(), t0);
 

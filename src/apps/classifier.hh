@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "apps/dataset.hh"
+#include "apps/rate_source.hh"
 #include "apps/trainer.hh"
 #include "prog/compiler.hh"
 #include "runtime/simulator.hh"
@@ -101,26 +102,19 @@ class SpikingClassifier
     Network net_;
     CompiledModel compiled_;
     std::unique_ptr<Simulator> sim_;
-    ScheduleSource *schedule_ = nullptr;  //!< owned by sim_
-    /** Injection targets per feature (cached from compiled_). */
-    std::vector<std::vector<InputSpike>> featureTargets_;
+    RateCodeSource *source_ = nullptr;  //!< owned by sim_ (source 0)
     InferenceStats lastStats_;
-    /** Reused encodeRate output; avoids one alloc per feature. */
-    std::vector<uint32_t> encodeScratch_;
-    /** Per-(lane, feature) offset masks for scheduleBatch. */
+    /** Per-(lane, feature) offset words for scheduleBatch. */
     std::vector<uint64_t> encodeMasks_;
 
-    /** Drop last pass's schedule and recordings, keeping a
-     *  long-lived server's memory bounded. */
-    void beginPass(uint64_t t0);
-    /** Schedule @p sample's rate-coded spikes on lane @p inst. */
-    uint64_t scheduleSample(const Sample &sample, uint64_t t0,
-                            uint32_t inst);
+    /** Drop last pass's recordings, keeping a long-lived server's
+     *  memory bounded. */
+    void beginPass();
     /**
-     * Schedule @p n samples (one per lane, lane i = samples[i]) in
-     * ascending tick order so the schedule's sorted prefix stays
-     * clean and no pass ever pays a sort.  Emits the same spikes in
-     * the same per-tick order as n scheduleSample calls.
+     * Load @p n samples (one per lane, lane i = samples[i]) into the
+     * source as the pass starting at @p t0: each feature's rate code
+     * becomes ceil(window / 64) offset words.  @return the spikes
+     * the pass injects.
      */
     uint64_t scheduleBatch(const Sample *samples, size_t n,
                            uint64_t t0);

@@ -1,5 +1,6 @@
 #include "apps/encoder.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -31,25 +32,27 @@ encodeRate(double value, uint32_t window)
     return spikes;
 }
 
-uint64_t
-encodeRateMask(double value, uint32_t window)
+void
+encodeRateMask(double value, uint32_t window, uint64_t *words)
 {
-    NSCS_ASSERT(window <= 64,
-                "encodeRateMask window %u exceeds one word", window);
     NSCS_ASSERT(value >= 0.0 && value <= 1.0,
                 "rate value %f outside [0, 1]", value);
-    // Same error-diffusion recurrence as encodeRate: bit t set iff
-    // encodeRate would emit offset t.
-    uint64_t mask = 0;
+    // Same error-diffusion recurrence as encodeRate, its accumulator
+    // carried from word to word: bit t set iff encodeRate would emit
+    // offset t.
     double acc = 0.0;
-    for (uint32_t t = 0; t < window; ++t) {
-        acc += value;
-        if (acc >= 1.0 - 1e-12) {
-            mask |= 1ull << t;
-            acc -= 1.0;
+    for (uint32_t base = 0; base < window; base += 64) {
+        const uint32_t n = std::min<uint32_t>(64, window - base);
+        uint64_t mask = 0;
+        for (uint32_t t = 0; t < n; ++t) {
+            acc += value;
+            if (acc >= 1.0 - 1e-12) {
+                mask |= 1ull << t;
+                acc -= 1.0;
+            }
         }
+        *words++ = mask;
     }
-    return mask;
 }
 
 std::vector<uint32_t>

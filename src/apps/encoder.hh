@@ -26,12 +26,14 @@ void encodeRate(double value, uint32_t window,
                 std::vector<uint32_t> &out);
 
 /**
- * Bitmask variant for windows of at most 64 ticks: bit t is set iff
- * encodeRate(value, window) would emit offset t.  Lets a batch
- * scheduler walk offsets in ascending order across many trains
- * without materialising them.
+ * Bitmask variant: writes ceil(window / 64) words to @p words, where
+ * bit b of words[w] is set iff encodeRate(value, window) would emit
+ * offset 64 * w + b (bits past the window are 0).  The recurrence
+ * runs once across all words, so the train is the same as
+ * encodeRate's for any window.  Lets a batch scheduler walk offsets
+ * across many trains without materialising them.
  */
-uint64_t encodeRateMask(double value, uint32_t window);
+void encodeRateMask(double value, uint32_t window, uint64_t *words);
 
 /** Bernoulli rate code: spike each tick with probability v. */
 std::vector<uint32_t> encodeRateStochastic(double value,

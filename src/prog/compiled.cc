@@ -1,5 +1,7 @@
 #include "prog/compiled.hh"
 
+#include <type_traits>
+
 #include "util/logging.hh"
 
 namespace nscs {
@@ -105,10 +107,15 @@ compiledModelFromJson(const JsonValue &v)
     // at load rather than at its first inject.
     if (v.has("inputs")) {
         const auto &inputs = v.at("inputs");
+        if (inputs.type() != JsonValue::Type::Object)
+            fatal("model file: inputs must be an object of input lines");
         const int64_t lastCore = static_cast<int64_t>(m.cores.size()) - 1;
         for (const auto &name : inputs.keys()) {
             std::vector<InputSpike> targets;
             const auto &arr = inputs.at(name);
+            if (arr.type() != JsonValue::Type::Array)
+                fatal("model file: inputs.%s must be an array of targets",
+                      name.c_str());
             for (size_t i = 0; i < arr.size(); ++i) {
                 const auto &tj = arr.at(i);
                 InputSpike t;
@@ -127,24 +134,39 @@ compiledModelFromJson(const JsonValue &v)
             m.inputs[name] = std::move(targets);
         }
     }
-    m.numOutputs = static_cast<uint32_t>(v.getInt("numOutputs", 0));
+    // Optional fields keep their defaults when absent; present ones
+    // must be integers in their field's range (numbers for the two
+    // real-valued statistics, a bool for profileGuided).
+    auto count = [](const JsonValue &obj, const char *prefix,
+                    const char *key, auto &out) {
+        using T = std::remove_reference_t<decltype(out)>;
+        if (obj.has(key) && !readInt(obj, key, out))
+            fatal("model file: %s%s must be an integer in [0, %lld]",
+                  prefix, key, static_cast<long long>(kJsonIntMax<T>));
+    };
+    count(v, "", "numOutputs", m.numOutputs);
     if (v.has("stats")) {
         const JsonValue &s = v.at("stats");
-        m.stats.logicalCores =
-            static_cast<uint32_t>(s.getInt("logicalCores", 0));
-        m.stats.splitterCores =
-            static_cast<uint32_t>(s.getInt("splitterCores", 0));
-        m.stats.relayNeurons =
-            static_cast<uint32_t>(s.getInt("relayNeurons", 0));
-        m.stats.axonsUsed =
-            static_cast<uint64_t>(s.getInt("axonsUsed", 0));
-        m.stats.synapses =
-            static_cast<uint64_t>(s.getInt("synapses", 0));
-        m.stats.meanDestHops = s.getDouble("meanDestHops", 0.0);
-        m.stats.interChipDests =
-            static_cast<uint64_t>(s.getInt("interChipDests", 0));
-        m.stats.placementCost = s.getDouble("placementCost", 0.0);
-        m.stats.profileGuided = s.getBool("profileGuided", false);
+        if (s.type() != JsonValue::Type::Object)
+            fatal("model file: stats must be an object");
+        count(s, "stats.", "logicalCores", m.stats.logicalCores);
+        count(s, "stats.", "splitterCores", m.stats.splitterCores);
+        count(s, "stats.", "relayNeurons", m.stats.relayNeurons);
+        count(s, "stats.", "axonsUsed", m.stats.axonsUsed);
+        count(s, "stats.", "synapses", m.stats.synapses);
+        count(s, "stats.", "interChipDests", m.stats.interChipDests);
+        auto number = [&s](const char *key, double &out) {
+            if (!s.has(key))
+                return;
+            if (!s.at(key).isNumber())
+                fatal("model file: stats.%s must be a number", key);
+            out = s.at(key).asDouble();
+        };
+        number("meanDestHops", m.stats.meanDestHops);
+        number("placementCost", m.stats.placementCost);
+        if (s.has("profileGuided") &&
+            !readBool(s, "profileGuided", m.stats.profileGuided))
+            fatal("model file: stats.profileGuided must be a bool");
     }
     return m;
 }

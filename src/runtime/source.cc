@@ -178,36 +178,11 @@ ScheduleSource::add(uint64_t tick, InputSpike spike)
     entries_.push_back(Entry{tick, spike});
 }
 
-/**
- * Sort the dirty tail [prefix_, end) by tick, stably, and advance
- * prefix_ past it.  A schedule built per serving pass concentrates
- * its adds in one short tick window, so the tail is counting-sorted
- * through persistent scratch (two linear passes, no allocation once
- * warm) whenever its tick range is small; a stable scatter in scan
- * order preserves per-tick insertion order exactly as stable_sort
- * would, so the emitted spike order — the deterministic trace — is
- * identical on both routes.  Wide-range tails fall back to
- * stable_sort.
- */
 void
-ScheduleSource::sortTail()
+ScheduleSource::spikesFor(uint64_t t, std::vector<InputSpike> &out)
 {
-    const size_t n = entries_.size() - prefix_;
-    if (n == 0) {
-        prefix_ = entries_.size();
-        return;
-    }
-    Entry *tail = entries_.data() + prefix_;
-    uint64_t lo = tail[0].tick, hi = tail[0].tick;
-    for (size_t i = 1; i < n; ++i) {
-        lo = std::min(lo, tail[i].tick);
-        hi = std::max(hi, tail[i].tick);
-    }
-    // Beyond a few thousand distinct ticks the count array outgrows
-    // the tail itself; comparison sort wins there.  The span is
-    // compared before adding one, so a tail reaching from tick 0 to
-    // UINT64_MAX cannot wrap to an empty count array.
-    if (hi - lo >= std::max<uint64_t>(4096, n)) {
+    if (prefix_ != entries_.size()) {
+        // Restore global tick order by sorting the dirty tail.
         std::stable_sort(entries_.begin() +
                              static_cast<ptrdiff_t>(prefix_),
                          entries_.end(),
@@ -215,43 +190,7 @@ ScheduleSource::sortTail()
                              return a.tick < b.tick;
                          });
         prefix_ = entries_.size();
-        return;
     }
-    countScratch_.assign(static_cast<size_t>(hi - lo + 1), 0);
-    for (size_t i = 0; i < n; ++i)
-        ++countScratch_[tail[i].tick - lo];
-    uint32_t sum = 0;
-    for (uint32_t &c : countScratch_) {
-        uint32_t here = c;
-        c = sum;
-        sum += here;
-    }
-    scatterScratch_.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        scatterScratch_[countScratch_[tail[i].tick - lo]++] = tail[i];
-    std::copy(scatterScratch_.begin(), scatterScratch_.end(), tail);
-    prefix_ = entries_.size();
-}
-
-void
-ScheduleSource::discardBefore(uint64_t tick)
-{
-    if (prefix_ != entries_.size())
-        sortTail();
-    auto it = std::lower_bound(entries_.begin(), entries_.end(),
-                               tick,
-                               [](const Entry &e, uint64_t t) {
-                                   return e.tick < t;
-                               });
-    entries_.erase(entries_.begin(), it);
-    prefix_ = entries_.size();
-}
-
-void
-ScheduleSource::spikesFor(uint64_t t, std::vector<InputSpike> &out)
-{
-    if (prefix_ != entries_.size())
-        sortTail();
     auto it = std::lower_bound(entries_.begin(), entries_.end(), t,
                                [](const Entry &e, uint64_t tick) {
                                    return e.tick < tick;

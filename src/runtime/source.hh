@@ -153,17 +153,13 @@ class RegularSource : public SpikeSource
  * Replays an explicit (tick -> spikes) schedule.
  *
  * Entries live in one flat vector kept in tick order, so add() is
- * O(1) — the classifier front-end schedules thousands of
- * rate-coded spikes per request, and a per-spike map insert
- * dominated its serving cost.  Out-of-order adds dirty only the
- * vector's tail: the sorted-prefix boundary drops to the first
- * entry beyond the stray tick, and the next query stable-sorts
- * just the tail (each classifier request touches its own window,
- * so the tail is that request's spikes, not the whole history).
- * The stable sort preserves per-tick insertion order, so emitted
- * spike order (and with it the deterministic trace) is unchanged.
- * Delivered entries are retained: checkpoint rollback replays
- * earlier ticks and must see the same schedule again.
+ * O(1) when ticks arrive in order.  An out-of-order add dirties only
+ * the vector's tail: the sorted-prefix boundary drops to the first
+ * entry beyond the stray tick, and the next query stable-sorts just
+ * the tail.  The stable sort preserves per-tick insertion order, so
+ * emitted spike order (and with it the deterministic trace) is
+ * unchanged.  Delivered entries are retained: checkpoint rollback
+ * replays earlier ticks and must see the same schedule again.
  */
 class ScheduleSource : public SpikeSource
 {
@@ -175,16 +171,6 @@ class ScheduleSource : public SpikeSource
 
     void spikesFor(uint64_t t, std::vector<InputSpike> &out) override;
 
-    /**
-     * Drop every entry scheduled before @p tick.  A persistent
-     * server (the classifier front-end) calls this at the start of
-     * each pass with the pass's first tick: everything older has
-     * been delivered and can never be queried again, so retaining
-     * it only grows the schedule without bound.  Do not call when
-     * checkpoint rollback may replay ticks before @p tick.
-     */
-    void discardBefore(uint64_t tick);
-
     /** Total scheduled spikes. */
     size_t size() const { return entries_.size(); }
 
@@ -195,9 +181,6 @@ class ScheduleSource : public SpikeSource
         InputSpike spike;
     };
 
-    /** Restore global tick order by sorting the dirty tail. */
-    void sortTail();
-
     std::vector<Entry> entries_;
     /**
      * entries_[0, prefix_) is sorted by tick and every entry at or
@@ -205,10 +188,6 @@ class ScheduleSource : public SpikeSource
      * sorting the tail alone restores global order.
      */
     size_t prefix_ = 0;
-    /** Counting-sort scratch (sortTail), reused across passes so a
-     *  per-pass sort never reallocates. */
-    std::vector<Entry> scatterScratch_;
-    std::vector<uint32_t> countScratch_;
 };
 
 } // namespace nscs

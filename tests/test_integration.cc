@@ -180,6 +180,50 @@ TEST(ModelFileDeath, NonIntegerDestKindRejected)
                 "dests\\[0\\].kind must be 0");
 }
 
+// numOutputs and the compile statistics are checked like the shape
+// fields: a wrong type is a diagnostic, not an abort.
+TEST(ModelFileDeath, NonIntegerNumOutputsRejected)
+{
+    JsonValue doc =
+        compiledModelToJson(compile(pipelineNetwork(), smallOptions()));
+    doc.set("numOutputs", JsonValue::string("x"));
+    EXPECT_EXIT(compiledModelFromJson(doc), ::testing::ExitedWithCode(1),
+                "numOutputs must be an integer in \\[0, 4294967295\\]");
+}
+
+TEST(ModelFileDeath, NonIntegerStatsFieldRejected)
+{
+    JsonValue doc =
+        compiledModelToJson(compile(pipelineNetwork(), smallOptions()));
+    JsonValue stats = doc.at("stats");
+    stats.set("synapses", JsonValue::integer(-1));
+    doc.set("stats", std::move(stats));
+    EXPECT_EXIT(compiledModelFromJson(doc), ::testing::ExitedWithCode(1),
+                "stats.synapses must be an integer");
+}
+
+// An input line that is not an array of targets is refused by name;
+// it used to load silently bound to no targets.
+TEST(ModelFileDeath, NonArrayInputLineRejected)
+{
+    JsonValue doc =
+        compiledModelToJson(compile(pipelineNetwork(), smallOptions()));
+    JsonValue inputs = doc.at("inputs");
+    inputs.set("in", JsonValue::integer(5));
+    doc.set("inputs", std::move(inputs));
+    EXPECT_EXIT(compiledModelFromJson(doc), ::testing::ExitedWithCode(1),
+                "inputs.in must be an array of targets");
+}
+
+TEST(ModelFileDeath, NonObjectInputsRejected)
+{
+    JsonValue doc =
+        compiledModelToJson(compile(pipelineNetwork(), smallOptions()));
+    doc.set("inputs", JsonValue::array());
+    EXPECT_EXIT(compiledModelFromJson(doc), ::testing::ExitedWithCode(1),
+                "inputs must be an object of input lines");
+}
+
 TEST(ModelFile, BoardTargetRoundTripAndDeploy)
 {
     Network net = pipelineNetwork();

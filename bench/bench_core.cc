@@ -55,7 +55,8 @@
  * Emits machine-readable BENCH_core.json (ticks/s, sops/s, fast-path
  * hit rate, speedup, the source rows' us, spikes and draws per tick)
  * so CI can record the bench trajectory; see the
- * perf-smoke step in .github/workflows and tools/nscs_bench_diff.
+ * perf-smoke step in .github/workflows.  Parent-vs-change comparisons
+ * of the benchmark go through nscs_bench/run.py compare.
  *
  * Usage: bench_core [ticks-per-run] (default 1000).
  */

@@ -94,13 +94,18 @@ compiledModelFromJson(const JsonValue &v)
         m.gridHeight % m.boardHeight != 0)
         fatal("model file: %ux%u board does not tile the %ux%u grid",
               m.boardWidth, m.boardHeight, m.gridWidth, m.gridHeight);
+    if (!v.has("cores") || v.at("cores").type() != JsonValue::Type::Array)
+        fatal("model file: cores must be an array of core configs");
     const auto &cores = v.at("cores");
     if (cores.size() !=
         static_cast<size_t>(m.gridWidth) * m.gridHeight)
         fatal("model file: %zu cores for a %ux%u grid", cores.size(),
               m.gridWidth, m.gridHeight);
-    for (size_t i = 0; i < cores.size(); ++i)
+    for (size_t i = 0; i < cores.size(); ++i) {
+        if (cores.at(i).type() != JsonValue::Type::Object)
+            fatal("model file: cores[%zu] must be an object", i);
         m.cores.push_back(coreConfigFromJson(cores.at(i)));
+    }
     if (!m.cores.empty())
         m.geom = m.cores.front().geom;
     // Input targets are range-checked here, so a bad one is refused

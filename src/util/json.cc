@@ -142,30 +142,6 @@ JsonValue::at(const std::string &key) const
     return it->second;
 }
 
-int64_t
-JsonValue::getInt(const std::string &key, int64_t dflt) const
-{
-    return has(key) ? at(key).asInt() : dflt;
-}
-
-double
-JsonValue::getDouble(const std::string &key, double dflt) const
-{
-    return has(key) ? at(key).asDouble() : dflt;
-}
-
-bool
-JsonValue::getBool(const std::string &key, bool dflt) const
-{
-    return has(key) ? at(key).asBool() : dflt;
-}
-
-std::string
-JsonValue::getString(const std::string &key, const std::string &dflt) const
-{
-    return has(key) ? at(key).asString() : dflt;
-}
-
 std::vector<std::string>
 JsonValue::keys() const
 {
@@ -628,12 +604,18 @@ readString(const JsonValue &obj, const std::string &key,
 }
 
 bool
+readBool(const JsonValue &v, bool &out)
+{
+    if (v.type() != JsonValue::Type::Bool)
+        return false;
+    out = v.asBool();
+    return true;
+}
+
+bool
 readBool(const JsonValue &obj, const std::string &key, bool &out)
 {
-    if (!obj.has(key) || obj.at(key).type() != JsonValue::Type::Bool)
-        return false;
-    out = obj.at(key).asBool();
-    return true;
+    return obj.has(key) && readBool(obj.at(key), out);
 }
 
 bool

@@ -2,10 +2,10 @@
  * @file
  * Minimal self-contained JSON value, parser and writer.
  *
- * Used for model-file serialization (compiled networks, core
- * configurations, experiment manifests), and, through the checked
- * field reader below, for snapshots, fault plans and traffic
- * profiles.  Supports the full JSON
+ * Used to write model files (compiled networks, core
+ * configurations), snapshots and stats documents, and, through the
+ * checked field reader below, to read model files, snapshots, fault
+ * plans and traffic profiles.  Supports the full JSON
  * grammar except for \u escapes beyond the Basic Latin range, which
  * model files never contain.  Parsing errors are reported with byte
  * offsets through a status object rather than exceptions.
@@ -104,19 +104,6 @@ class JsonValue
     /** Member access; node must be Object and key present. */
     const JsonValue &at(const std::string &key) const;
 
-    /** Member access with default when the key is absent. */
-    int64_t getInt(const std::string &key, int64_t dflt) const;
-
-    /** Member access with default when the key is absent. */
-    double getDouble(const std::string &key, double dflt) const;
-
-    /** Member access with default when the key is absent. */
-    bool getBool(const std::string &key, bool dflt) const;
-
-    /** Member access with default when the key is absent. */
-    std::string getString(const std::string &key,
-                          const std::string &dflt) const;
-
     /** Object keys in sorted order. */
     std::vector<std::string> keys() const;
 
@@ -157,10 +144,11 @@ std::string u64ToHex(uint64_t v);
 
 // --- checked field reader/writer --------------------------------------
 //
-// Every loader of a document the tools accept (snapshot, fault plan,
-// traffic profile) reads through these.  A reader returns false, and
-// never asserts, when its node is missing, has the wrong type or lies
-// out of range.  Integers must be JSON integer literals (not 2.0).
+// Every loader of a document the tools accept (model file, snapshot,
+// fault plan, traffic profile) reads through these.  A reader returns
+// false, and never asserts, when its node is missing, has the wrong
+// type or lies out of range.  Integers must be JSON integer literals
+// (not 2.0).
 
 /** The range of integral @p T that a JSON int64 carries. */
 template <std::integral T>
@@ -199,7 +187,8 @@ bool readString(const JsonValue &v, std::string &out);
 bool readString(const JsonValue &obj, const std::string &key,
                 std::string &out);
 
-/** Read bool member @p key of object @p obj. */
+/** Read bool node @p v, or member @p key of @p obj. */
+bool readBool(const JsonValue &v, bool &out);
 bool readBool(const JsonValue &obj, const std::string &key, bool &out);
 
 /** Read a u64ToHex string node. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util substrate: logging, RNG, bit vectors,
- * saturation, SIMD dispatch, statistics, tables, CSV and JSON.
+ * saturation, SIMD dispatch, statistics, tables and JSON.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <iterator>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -18,7 +17,6 @@
 #endif
 
 #include "util/bitvec.hh"
-#include "util/csv.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -645,24 +643,6 @@ TEST(TextTable, Formatters)
     EXPECT_EQ(fmtBytes(1536 * 1024), "1.50 MiB");
 }
 
-// --- csv -------------------------------------------------------------------
-
-TEST(Csv, EscapesSpecials)
-{
-    EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-    EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-    EXPECT_EQ(CsvWriter::escape("q\"q"), "\"q\"\"q\"");
-}
-
-TEST(Csv, WritesRows)
-{
-    std::ostringstream os;
-    CsvWriter w(os);
-    w.row({"a", "b,c"});
-    w.row({"1", "2"});
-    EXPECT_EQ(os.str(), "a,\"b,c\"\n1,2\n");
-}
-
 // --- json ------------------------------------------------------------------
 
 TEST(Json, ScalarRoundTrip)
@@ -732,16 +712,6 @@ TEST(Json, UnicodeEscapes)
     auto res = parseJson("\"a\\u0041\\u00e9\"");
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.value.asString(), "aA\xc3\xa9");
-}
-
-TEST(Json, GettersWithDefaults)
-{
-    auto res = parseJson("{\"x\": 5}");
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.value.getInt("x", 0), 5);
-    EXPECT_EQ(res.value.getInt("y", 9), 9);
-    EXPECT_EQ(res.value.getString("z", "dflt"), "dflt");
-    EXPECT_TRUE(res.value.getBool("w", true));
 }
 
 TEST(Json, FileRoundTrip)

@@ -24,8 +24,12 @@
  *  - update-homog: a population that draws nothing per tick (one
  *                  strip sweep over the static lanes);
  *  - update-mixed: a quarter of the neurons draw per tick
- *                  (stochastic leak/threshold), adding the per-tick
- *                  draw folding ahead of the same sweep.
+ *                  (stochastic leak or threshold mask), adding the
+ *                  serial per-neuron draw loop ahead of the same
+ *                  sweep;
+ *  - update-stochleak: a quarter of the neurons leak stochastically
+ *                  and none draws a mask (update-clock's cohort), so
+ *                  the draw is one simd drawRow call a tick.
  *
  * Parts 1 and 2 time each row as interleaved A/B runs (fresh cores,
  * the side that runs first alternating) and report the median
@@ -194,10 +198,12 @@ setSpread(JsonValue &w, const AbResult &ab)
 
 /**
  * Update-phase workload: no input spikes, so tickDense is purely the
- * end-of-tick update loop.  @p stoch_rate neurons draw per tick.
+ * end-of-tick update loop.  @p stoch_rate neurons draw per tick, a
+ * @p leak_share of them a stochastic leak and the rest a threshold
+ * mask.
  */
 CoreConfig
-buildUpdateCore(double stoch_rate, uint64_t seed)
+buildUpdateCore(double stoch_rate, double leak_share, uint64_t seed)
 {
     Xoshiro256 rng(seed);
     CoreGeometry geom;  // default 256 x 256 x 16
@@ -213,7 +219,7 @@ buildUpdateCore(double stoch_rate, uint64_t seed)
         p.initialPotential = static_cast<int32_t>(rng.range(-200, 200));
         if (rng.chance(stoch_rate)) {
             // Per-tick draws: stochastic leak or threshold mask.
-            if (rng.chance(0.5))
+            if (rng.chance(leak_share))
                 p.leakStochastic = true;
             else
                 p.thresholdMaskBits = 3;
@@ -515,10 +521,12 @@ main(int argc, char **argv)
     {
         const char *name;
         double stochRate;
+        double leakShare;
     };
     const UpdateSpec update_specs[] = {
-        {"update-homog", 0.0},
-        {"update-mixed", 0.25},
+        {"update-homog", 0.0, 0.5},
+        {"update-mixed", 0.25, 0.5},
+        {"update-stochleak", 0.25, 1.0},
     };
     const uint64_t update_ticks = ticks * 20;
 
@@ -527,7 +535,8 @@ main(int argc, char **argv)
     JsonValue update_workloads = JsonValue::array();
 
     for (const UpdateSpec &spec : update_specs) {
-        CoreConfig cfg = buildUpdateCore(spec.stochRate, 99);
+        CoreConfig cfg =
+            buildUpdateCore(spec.stochRate, spec.leakShare, 99);
         UpdateRunResult fast;
         const AbResult ab = abRuns([&](bool batched) {
             UpdateRunResult r = runUpdate(cfg, update_ticks, batched);
@@ -733,7 +742,8 @@ main(int argc, char **argv)
         "the count-lane gear; stochastic >= 1.5x via\n"
         "pre-drawn outcome batching.  update phase: >= 1.5x ticks/s\n"
         "on update-homog with 100% batched share; update-mixed\n"
-        "adds the per-tick draw folding.  board-comms: >= 1.5x\n"
+        "adds the serial per-tick draw loop, update-stochleak one\n"
+        "drawRow call a tick.  board-comms: >= 1.5x\n"
         "aggregate throughput from coalescing + profile-guided\n"
         "placement + congestion-aware routing over the\n"
         "one-packet-per-spike/XY baseline.\n";

@@ -186,6 +186,9 @@ Core::computeWake() const
     if (hasDense_)
         return doneThrough_;
     const uint32_t n = cfg_.geom.numNeurons;
+    // The pooled leak lane holds sgn(leak), not leak, at a stochastic
+    // leak; such a neuron draws every tick, so it is Dense and the
+    // return above keeps this scan from reading it.
     const int32_t *leak = update_.leak.data();
     const int32_t *thr = update_.thr.data();
     const int32_t *neg = update_.negLim.data();

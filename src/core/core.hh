@@ -15,15 +15,16 @@
  *
  * The update phase, like integration, has two implementations with
  * bit-identical results (see neuron/batch.hh for the kernel, the
- * draw folding and its int32 bound):
+ * draws and its int32 bound):
  *
  *  - scalar:  one endOfTickUpdate call per neuron in ascending index
  *             order (the architectural reference);
  *  - batched: UpdateLanes::draw consumes the stochastic cohort's
- *             per-tick PRNG outcomes in the reference order and
- *             folds them into per-core effective lanes, then one
- *             SIMD strip sweep updates every neuron, writing fired
- *             bits into a BitVec that is scanned in ascending order.
+ *             per-tick PRNG outcomes in the reference order into a
+ *             per-core leakOff mask (and, for threshold masks,
+ *             per-core thr and posAdd lanes), then one SIMD strip
+ *             sweep updates every neuron, writing fired bits into a
+ *             BitVec that is scanned in ascending order.
  *
  * The batched update runs when enabled (CorePaths::batchedUpdate)
  * and every neuron has potentialBits <= 30; a core with a 31-bit
@@ -88,19 +89,21 @@
  *
  * Memory layout: a core reads per tick its potentials, its slot
  * plane, the crossbar rows of the slot's active axons and fourteen
- * read-only per-neuron lanes (the ten update lanes and four integrate
- * weight lanes).  The slot planes (core/scheduler.hh) and crossbar
- * rows (core/crossbar.hh) are each one flat word array, and the
- * configuration's rows are moved into the crossbar, not copied.  The
- * fourteen lanes are interned in a LanePool (neuron/batch.hh) shared
- * by every core of a chip, so cores with equal parameters read the
- * same lanes: a chip of identical cores reads one set of lanes per
- * tick, not one per core.  The core keeps only its mutable state:
- * the potentials, fired bits and LFSR of each lane, the drawn lanes
- * of a stochastic cohort and any stuck-word overrides of its own
- * crossbar.  A core with stochastic synapses also interns one byte
- * lane of every type's |weight|, drawRow's compare operand, in the
- * same pool.
+ * read-only per-neuron int32 lanes (the ten update lanes and four
+ * integrate weight lanes).  The slot planes (core/scheduler.hh) and
+ * crossbar rows (core/crossbar.hh) are each one flat word array, and
+ * the configuration's rows are moved into the crossbar, not copied.
+ * The fourteen lanes are interned in a LanePool (neuron/batch.hh)
+ * shared by every core of a chip, so cores with equal parameters
+ * read the same lanes: a chip of identical cores reads one set of
+ * lanes per tick, not one per core.  drawRow's byte compare
+ * operands live in the same pool: one lane of every type's |weight|
+ * on a core with stochastic synapses, and one of |leak| on a core
+ * with a stochastic leak.  The core keeps only its mutable state:
+ * the potentials, fired bits and LFSR of each lane, its stochastic
+ * cohort's per-tick draw outcomes (a leakOff bit per neuron, plus
+ * drawn thr and posAdd lanes only when some neuron draws a threshold
+ * mask) and any stuck-word overrides of its own crossbar.
  */
 
 #ifndef NSCS_CORE_CORE_HH
@@ -177,7 +180,7 @@ struct CoreCounters
 
     /**
      * Of evalsBatched, stochastic-cohort updates applied under
-     * draw-folded lanes (see neuron/batch.hh).
+     * pre-drawn outcomes (see neuron/batch.hh).
      */
     uint64_t evalsStochBatched = 0;
 };
@@ -490,9 +493,9 @@ class Core
      *  read. */
     std::vector<uint64_t> stochSucc_;
 
-    /** SoA update projection and draw-folded lanes (see
-     *  neuron/batch.hh); the drawn lanes are per-tick scratch that
-     *  each instance lane refills in turn. */
+    /** SoA update projection and per-tick draw outcomes (see
+     *  neuron/batch.hh); leakOff and the drawn lanes are scratch
+     *  that each instance lane refills in turn. */
     UpdateLanes update_;
 
     /** One fault-injected crossbar word, with the configured value it

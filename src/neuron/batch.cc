@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdlib>
 #include <type_traits>
 
 #include "neuron/neuron.hh"
@@ -126,7 +127,11 @@ UpdateLanes::build(const std::vector<NeuronParams> &params,
     using P = const NeuronParams &;
     lo = lane([](P p) { return potentialRange(p).lo; });
     hi = lane([](P p) { return potentialRange(p).hi; });
-    leak = lane([](P p) { return int32_t{p.leak}; });
+    // A stochastic leak adds sgn(leak) or nothing; leakOff picks.
+    leak = lane([](P p) {
+        return p.leakStochastic ? (p.leak > 0) - (p.leak < 0)
+                                : int32_t{p.leak};
+    });
     revSel = lane([](P p) { return p.leakReversal ? 1 : 0; });
     thr = lane([](P p) { return p.threshold; });
     negLim = lane([](P p) { return -p.negThreshold; });
@@ -137,21 +142,37 @@ UpdateLanes::build(const std::vector<NeuronParams> &params,
 
     stoch.clear();
     narrow = true;
+    bool any_leak = false, any_mask = false;
     for (size_t j = 0; j < n; ++j) {
         const NeuronParams &p = params[j];
         if (drawsPerTick(p))
             stoch.push_back({static_cast<uint32_t>(j), p.leakStochastic,
                              p.thresholdMaskBits,
                              p.resetMode == ResetMode::Linear});
+        any_leak = any_leak || p.leakStochastic;
+        any_mask = any_mask || p.thresholdMaskBits;
         if (p.potentialBits > 30)
             narrow = false;
     }
-    if (stoch.empty()) {
-        drawnLeak.clear();
-        drawnThr.clear();
-        drawnPosAdd.clear();
-    } else {
-        drawnLeak.assign(leak.begin(), leak.end());
+    // Only the draws a cohort makes get state: a deterministic core
+    // holds none of it.
+    absLeak = {};
+    stochLeak = {};
+    leakOff = {};
+    if (any_leak) {
+        stochLeak.assign((n + 63) / 64, 0);
+        leakOff.assign(stochLeak.size(), 0);
+        std::vector<uint8_t> abs_leak(n);
+        for (size_t j = 0; j < n; ++j) {
+            abs_leak[j] = static_cast<uint8_t>(std::abs(params[j].leak));
+            if (params[j].leakStochastic)
+                stochLeak[j / 64] |= uint64_t{1} << (j % 64);
+        }
+        absLeak = pool.intern(abs_leak);
+    }
+    drawnThr = {};
+    drawnPosAdd = {};
+    if (any_mask) {
         drawnThr.assign(thr.begin(), thr.end());
         drawnPosAdd.assign(posAdd.begin(), posAdd.end());
     }
@@ -160,21 +181,32 @@ UpdateLanes::build(const std::vector<NeuronParams> &params,
 void
 UpdateLanes::draw(Lfsr16 &rng)
 {
+    if (stoch.empty())
+        return;
+    if (drawnThr.empty()) {
+        // Leak-only cohort: one leak byte per stochastic-leak neuron,
+        // ascending, read from the stream table at the register's
+        // cursor; drawRow's successes are the leaks that apply.
+        const simd::RowDraws d = simd::ops().drawRow(
+            leakOff.data(), stochLeak.data(), stochLeak.data(),
+            absLeak.data(), static_cast<uint32_t>(size()),
+            Lfsr16::cursorOf(rng.state()));
+        for (size_t w = 0; w < leakOff.size(); ++w)
+            leakOff[w] = stochLeak[w] & ~leakOff[w];
+        rng.restoreState(Lfsr16::stateAt(d.cursor), rng.draws() + d.draws);
+        return;
+    }
+    std::fill(leakOff.begin(), leakOff.end(), uint64_t{0});
     for (const StochNeuron &s : stoch) {
         // Architectural draw order per neuron: leak byte first, then
         // the threshold mask (see endOfTickUpdate).  Outcomes depend
         // only on the draw position, never on the potential.
         const uint32_t j = s.neuron;
-        int32_t eff = leak[j];
-        if (s.leakStochastic) {
-            const uint8_t rho = rng.nextByte();
-            eff = rho < (eff < 0 ? -eff : eff) ? (eff > 0) - (eff < 0)
-                                               : 0;
-        }
+        if (s.leakStochastic && rng.nextByte() >= absLeak[j])
+            leakOff[j / 64] |= uint64_t{1} << (j % 64);
         const int32_t eta =
             s.maskBits ? static_cast<int32_t>(rng.nextMasked(s.maskBits))
                        : 0;
-        drawnLeak[j] = eff;
         drawnThr[j] = thr[j] + eta;
         // Linear resets subtract (threshold + eta); Store and None
         // adds are draw-independent.
@@ -185,8 +217,8 @@ UpdateLanes::draw(Lfsr16 &rng)
 UpdateLaneView
 UpdateLanes::view() const
 {
-    const bool drawn = !stoch.empty();
-    return {drawn ? drawnLeak.data() : leak.data(),
+    const bool drawn = !drawnThr.empty();
+    return {leak.data(),
             revSel.data(),
             drawn ? drawnThr.data() : thr.data(),
             negLim.data(),
@@ -195,17 +227,18 @@ UpdateLanes::view() const
             negMul.data(),
             negAdd.data(),
             lo.data(),
-            hi.data()};
+            hi.data(),
+            leakOff.empty() ? nullptr : leakOff.data()};
 }
 
 size_t
 UpdateLanes::footprintBytes() const
 {
-    auto vec = [](const std::vector<int32_t> &v) {
-        return v.capacity() * sizeof(int32_t);
+    auto vec = [](const auto &v) {
+        return v.capacity() * sizeof(v[0]);
     };
-    return stoch.capacity() * sizeof(StochNeuron) + vec(drawnLeak) +
-        vec(drawnThr) + vec(drawnPosAdd);
+    return vec(stoch) + vec(stochLeak) + vec(leakOff) + vec(drawnThr) +
+        vec(drawnPosAdd);
 }
 
 void
@@ -230,6 +263,7 @@ batchUpdateRange(const UpdateLanes &lanes, int32_t *v, uint32_t begin,
             v + j,         V.leak + j,   V.rev + j,    V.thr + j,
             V.negLim + j,  V.posMul + j, V.posAdd + j, V.negMul + j,
             V.negAdd + j,  V.lo + j,     V.hi + j,
+            V.leakOff ? V.leakOff[word] >> (j % 64) : 0,
         };
         const uint64_t bits = ops.updateStrip(s, stop - j);
         if (bits)

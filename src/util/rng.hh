@@ -23,10 +23,11 @@
  *                nextByte() returns from a register at cursor k,
  *                padded so 64 reads from any cursor never wrap.  The
  *                count-lane integrate gear reads a row's stochastic
- *                synapse draws from that byte table in one kernel
- *                call (simd drawRow) and writes the register back
- *                with restoreState; next() stays the specification
- *                every other draw steps.
+ *                synapse draws, and the batched update a leak-only
+ *                cohort's leak draws, from that byte table in one
+ *                kernel call (simd drawRow) and writes the register
+ *                back with restoreState; next() stays the
+ *                specification every other draw steps.
  *
  *  - Xoshiro256: host-side general purpose generator (workload
  *                synthesis, datasets, placement annealing...).  Never

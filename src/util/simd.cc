@@ -123,7 +123,8 @@ updateStripScalarRange(const UpdateStrip &s, uint32_t begin,
         int32_t omega = 1 + s.rev[j] * (sg - 1);
         int32_t lo = s.lo[j];
         int32_t hi = s.hi[j];
-        int32_t u = x + omega * s.leak[j];
+        int32_t leak = (s.leakOff >> j & 1) ? 0 : s.leak[j];
+        int32_t u = x + omega * leak;
         u = u < lo ? lo : (u > hi ? hi : u);
         bool fired = u >= s.thr[j];
         bool neg = u < s.negLim[j];
@@ -345,6 +346,19 @@ clamp256(__m256i x, __m256i lo, __m256i hi)
     return _mm256_min_epi32(_mm256_max_epi32(x, lo), hi);
 }
 
+/** Expand 8 bits of a lane-mask word (lanes sh..sh+7) into 32-bit
+ *  lane masks: all-ones where the bit is set (AVX2 has no mask
+ *  registers, so predication goes through compare + blend vectors). */
+__attribute__((target("avx2"))) inline __m256i
+laneMask256(uint64_t word, unsigned sh)
+{
+    const __m256i sel =
+        _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i bits = _mm256_set1_epi32(
+        static_cast<int32_t>((word >> sh) & 0xff));
+    return _mm256_cmpeq_epi32(_mm256_and_si256(bits, sel), sel);
+}
+
 __attribute__((target("avx2"))) uint64_t
 updateStripAvx2(const UpdateStrip &s, uint32_t n)
 {
@@ -361,8 +375,9 @@ updateStripAvx2(const UpdateStrip &s, uint32_t n)
                                     _mm256_sub_epi32(sg, one)));
         __m256i lo = load256(s.lo + j);
         __m256i hi = load256(s.hi + j);
-        __m256i u = _mm256_add_epi32(
-            x, _mm256_mullo_epi32(omega, load256(s.leak + j)));
+        __m256i leak = _mm256_andnot_si256(laneMask256(s.leakOff, j),
+                                           load256(s.leak + j));
+        __m256i u = _mm256_add_epi32(x, _mm256_mullo_epi32(omega, leak));
         u = clamp256(u, lo, hi);
         __m256i thr = load256(s.thr + j);
         __m256i fired = _mm256_or_si256(_mm256_cmpgt_epi32(u, thr),
@@ -385,19 +400,6 @@ updateStripAvx2(const UpdateStrip &s, uint32_t n)
     }
     _mm256_zeroupper();
     return fired_bits | updateStripScalarRange(s, j, n);
-}
-
-/** Expand 8 plane bits (lanes sh..sh+7 of a word) into 32-bit lane
- *  masks: all-ones where the bit is set (AVX2 has no mask registers,
- *  so predication goes through compare + blend vectors). */
-__attribute__((target("avx2"))) inline __m256i
-laneMask256(uint64_t word, unsigned sh)
-{
-    const __m256i sel =
-        _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    const __m256i bits = _mm256_set1_epi32(
-        static_cast<int32_t>((word >> sh) & 0xff));
-    return _mm256_cmpeq_epi32(_mm256_and_si256(bits, sel), sel);
 }
 
 __attribute__((target("avx2"))) void
@@ -528,9 +530,9 @@ updateStripAvx512(const UpdateStrip &s, uint32_t n)
                                     _mm512_sub_epi32(sg, one)));
         __m512i lo = _mm512_loadu_si512(s.lo + j);
         __m512i hi = _mm512_loadu_si512(s.hi + j);
-        __m512i u = _mm512_add_epi32(
-            x, _mm512_mullo_epi32(omega,
-                                  _mm512_loadu_si512(s.leak + j)));
+        __m512i leak = _mm512_maskz_loadu_epi32(
+            static_cast<__mmask16>(~(s.leakOff >> j)), s.leak + j);
+        __m512i u = _mm512_add_epi32(x, _mm512_mullo_epi32(omega, leak));
         u = clamp512(u, lo, hi);
         __mmask16 fired = _mm512_cmp_epi32_mask(
             u, _mm512_loadu_si512(s.thr + j), _MM_CMPINT_NLT);
@@ -727,8 +729,12 @@ updateStripNeon(const UpdateStrip &s, uint32_t n)
             one, vmulq_s32(vld1q_s32(s.rev + j), vsubq_s32(sg, one)));
         int32x4_t lo = vld1q_s32(s.lo + j);
         int32x4_t hi = vld1q_s32(s.hi + j);
-        int32x4_t u =
-            vmlaq_s32(x, omega, vld1q_s32(s.leak + j));
+        uint32x4_t off = vtstq_u32(
+            vdupq_n_u32(static_cast<uint32_t>(s.leakOff >> j) & 0xfu),
+            bitsel);
+        int32x4_t leak =
+            vbicq_s32(vld1q_s32(s.leak + j), vreinterpretq_s32_u32(off));
+        int32x4_t u = vmlaq_s32(x, omega, leak);
         u = vminq_s32(vmaxq_s32(u, lo), hi);
         uint32x4_t fired = vcgeq_s32(u, vld1q_s32(s.thr + j));
         uint32x4_t neg = vcltq_s32(u, vld1q_s32(s.negLim + j));

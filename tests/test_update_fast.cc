@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 
 #include "chip/chip.hh"
@@ -319,9 +320,25 @@ TEST(UpdateFast, CohortSplitMatchesDrawsPerTick)
         EXPECT_EQ(sn.maskBits, p.thresholdMaskBits);
         EXPECT_EQ(sn.linearReset, p.resetMode == ResetMode::Linear);
     }
-    // Only a core with a cohort carries drawn lanes, seeded with the
-    // static values.
-    EXPECT_TRUE(std::ranges::equal(lanes.drawnLeak, lanes.leak));
+    // The stochastic-leak mask and the |leak| bytes cover exactly the
+    // stochastic leaks, whose pooled leak lane entry is sgn(leak).
+    const size_t words = (cfg.geom.numNeurons + 63) / 64;
+    ASSERT_EQ(lanes.stochLeak.size(), words);
+    ASSERT_EQ(lanes.leakOff.size(), words);
+    ASSERT_EQ(lanes.absLeak.size(), cfg.geom.numNeurons);
+    bool any_mask = false;
+    for (uint32_t n = 0; n < cfg.geom.numNeurons; ++n) {
+        const NeuronParams &p = cfg.neurons[n];
+        const int32_t sgn = (p.leak > 0) - (p.leak < 0);
+        EXPECT_EQ(lanes.leak[n], p.leakStochastic ? sgn : p.leak) << n;
+        EXPECT_EQ((lanes.stochLeak[n / 64] >> (n % 64)) & 1,
+                  uint64_t{p.leakStochastic}) << n;
+        EXPECT_EQ(lanes.absLeak[n], std::abs(p.leak)) << n;
+        any_mask = any_mask || p.thresholdMaskBits;
+    }
+    // A cohort that draws a mask carries drawn thr and posAdd lanes,
+    // seeded with the static values.
+    ASSERT_TRUE(any_mask);
     EXPECT_TRUE(std::ranges::equal(lanes.drawnThr, lanes.thr));
     EXPECT_TRUE(std::ranges::equal(lanes.drawnPosAdd, lanes.posAdd));
     // The generator must produce both kinds of neuron or the
@@ -329,10 +346,28 @@ TEST(UpdateFast, CohortSplitMatchesDrawsPerTick)
     EXPECT_GT(expect.size(), 0u);
     EXPECT_LT(expect.size(), static_cast<size_t>(cfg.geom.numNeurons));
 
+    // A leak-only cohort carries no drawn lane at all.
+    std::vector<NeuronParams> leak_only(8);
+    leak_only[3].leak = -16;
+    leak_only[3].leakStochastic = true;
+    UpdateLanes lo;
+    lo.build(leak_only, pool);
+    EXPECT_EQ(lo.stoch.size(), 1u);
+    EXPECT_EQ(lo.stochLeak, std::vector<uint64_t>{uint64_t{1} << 3});
+    EXPECT_EQ(lo.leak[3], -1);
+    EXPECT_EQ(lo.absLeak[3], 16);
+    EXPECT_TRUE(lo.drawnThr.empty());
+    EXPECT_TRUE(lo.drawnPosAdd.empty());
+
+    // A deterministic core carries none of the draw state.
     UpdateLanes det;
     det.build(std::vector<NeuronParams>(8), pool);
     EXPECT_TRUE(det.stoch.empty());
-    EXPECT_TRUE(det.drawnLeak.empty());
+    EXPECT_TRUE(det.stochLeak.empty());
+    EXPECT_TRUE(det.leakOff.empty());
+    EXPECT_TRUE(det.absLeak.empty());
+    EXPECT_TRUE(det.drawnThr.empty());
+    EXPECT_TRUE(det.drawnPosAdd.empty());
 }
 
 TEST(UpdateFast, ToggleMidRunStaysConsistent)
@@ -364,10 +399,10 @@ TEST(UpdateFast, ToggleMidRunStaysConsistent)
     EXPECT_EQ(mixed.counters().rngDraws, scalar.counters().rngDraws);
 }
 
-// --- stochastic cohort via draw-folded lanes --------------------------------
+// --- stochastic cohort via pre-drawn outcomes ------------------------------
 
 /**
- * The draw-folded batched update of the stochastic cohort must be
+ * The pre-drawn batched update of the stochastic cohort must be
  * invisible next to the scalar reference: identical fires,
  * potentials, and — the load-bearing property — identical LFSR draw
  * positions (drawing leak-then-mask per neuron up front is the same
@@ -799,6 +834,117 @@ TEST(UpdateFast, DispatchLevelSweepBitIdentical)
         EXPECT_EQ(pots, ref_pots) << simd::levelName(lvl);
     }
     setQuiet(false);
+}
+
+/**
+ * 256 neurons whose only per-tick draws are stochastic leaks, so
+ * UpdateLanes::draw takes one drawRow call a tick: @p full makes
+ * every neuron draw, else about one in five does among deterministic
+ * neighbours.  |leak| is 1, 16 or 255 of either sign, some neurons
+ * reverse it, and every reset and negative rule appears.
+ */
+std::vector<NeuronParams>
+leakOnlyParams(bool full, uint64_t seed)
+{
+    Xoshiro256 rng(seed);
+    std::vector<NeuronParams> params(256);
+    const int16_t mags[] = {1, 16, 255};
+    for (size_t j = 0; j < params.size(); ++j) {
+        NeuronParams &p = params[j];
+        p.potentialBits = 16;
+        p.leak = static_cast<int16_t>(mags[j % 3] * (rng.chance(0.5) ? 1 : -1));
+        p.leakReversal = rng.chance(0.3);
+        p.leakStochastic = full || rng.chance(0.2);
+        p.threshold = static_cast<int32_t>(rng.range(50, 2000));
+        p.negThreshold = static_cast<int32_t>(rng.below(2000));
+        p.negSaturate = rng.chance(0.5);
+        p.resetMode = static_cast<ResetMode>(rng.below(3));
+        p.resetPotential = static_cast<int32_t>(rng.range(-100, 100));
+        validateNeuronParams(p, "leak-only");
+    }
+    return params;
+}
+
+/**
+ * A leak-only cohort's drawRow path against the scalar reference,
+ * tick by tick at every dispatch level, with one and with three
+ * instance lanes sharing the core's per-tick leakOff scratch: fired
+ * bits, potentials, LFSR state and draw count after every tick.  One
+ * seed starts 10 draws short of Lfsr16::kPeriod, so the first tick's
+ * draws wrap mid-word; over 300 ticks every run wraps a full cohort.
+ */
+TEST(UpdateFast, LeakOnlyCohortMatchesScalarAtEveryLevel)
+{
+    LevelGuard guard;
+    constexpr uint32_t n = 256;
+    constexpr uint64_t ticks = 300;
+    const int32_t lo = satMin(16), hi = satMax(16);
+    const uint16_t wrap_seed = Lfsr16::stateAt(Lfsr16::kPeriod - 10);
+    for (bool full : {false, true}) {
+        for (uint16_t seed : {uint16_t{0xBEEF}, wrap_seed}) {
+            const std::vector<NeuronParams> params =
+                leakOnlyParams(full, seed);
+            LanePool pool;
+            UpdateLanes lanes;
+            lanes.build(params, pool);
+            ASSERT_TRUE(lanes.narrow);
+            ASSERT_TRUE(lanes.drawnThr.empty());
+            const size_t cohort = lanes.stoch.size();
+            ASSERT_EQ(cohort == n, full);
+            ASSERT_GT(cohort, 0u);
+            for (simd::Level lvl : simd::availableLevels()) {
+                ASSERT_TRUE(simd::setActiveLevel(lvl));
+                for (uint32_t instances : {1u, 3u}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << simd::levelName(lvl) << " full="
+                                 << full << " seed=" << seed
+                                 << " instances=" << instances);
+                    Xoshiro256 kick(seed + instances);
+                    std::vector<std::vector<int32_t>> vb(instances);
+                    std::vector<Lfsr16> rb, rs;
+                    for (uint32_t i = 0; i < instances; ++i) {
+                        for (uint32_t j = 0; j < n; ++j)
+                            vb[i].push_back(
+                                static_cast<int32_t>(kick.range(-2000, 2000)));
+                        const uint16_t s = Lfsr16::stateAt(
+                            (Lfsr16::cursorOf(seed) + 5 * i) %
+                            Lfsr16::kPeriod);
+                        rb.emplace_back(s);
+                        rs.emplace_back(s);
+                    }
+                    std::vector<std::vector<int32_t>> vs = vb;
+                    for (uint64_t t = 0; t < ticks; ++t) {
+                        for (uint32_t i = 0; i < instances; ++i) {
+                            // An integrate-like kick inside the rails,
+                            // so potentials cross both thresholds.
+                            for (uint32_t j = 0; j < n; ++j)
+                                if (kick.chance(0.1))
+                                    vb[i][j] = vs[i][j] = std::clamp(
+                                        vs[i][j] + static_cast<int32_t>(
+                                                       kick.range(-600, 600)),
+                                        lo, hi);
+                            BitVec fired(n);
+                            lanes.draw(rb[i]);
+                            batchUpdateRange(lanes, vb[i].data(), 0, n, fired);
+                            for (uint32_t j = 0; j < n; ++j)
+                                ASSERT_EQ(fired.test(j),
+                                          endOfTickUpdate(vs[i][j], params[j],
+                                                          &rs[i]))
+                                    << "tick " << t << " lane " << i
+                                    << " neuron " << j;
+                            ASSERT_EQ(vb[i], vs[i])
+                                << "tick " << t << " lane " << i;
+                            ASSERT_EQ(rb[i].state(), rs[i].state())
+                                << "tick " << t << " lane " << i;
+                            ASSERT_EQ(rb[i].draws(), rs[i].draws())
+                                << "tick " << t << " lane " << i;
+                        }
+                    }
+                    EXPECT_EQ(rb[0].draws(), ticks * cohort);
+                }
+            }
+        }
+    }
 }
 
 } // anonymous namespace

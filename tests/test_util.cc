@@ -365,6 +365,69 @@ TEST(SimdDispatch, ProbeOnlyKernelsAreScalarAtEveryLevel)
     }
 }
 
+/**
+ * updateStrip at every level against the scalar body, on random
+ * narrow lanes of every strip length with random non-zero leakOff
+ * masks; and the scalar body's leakOff against the same strip with
+ * those lanes' leak zeroed.
+ */
+TEST(SimdDispatch, UpdateStripMatchesScalarUnderLeakOff)
+{
+    constexpr uint32_t kLanes = 64;
+    Xoshiro256 rng(2929);
+    std::vector<int32_t> leak(kLanes), rev(kLanes), thr(kLanes),
+        negLim(kLanes), posMul(kLanes), posAdd(kLanes), negMul(kLanes),
+        negAdd(kLanes), lo(kLanes), hi(kLanes), v0(kLanes),
+        zeroed(kLanes);
+    const simd::Ops &ref = simd::opsFor(simd::Level::Scalar);
+    for (int round = 0; round < 400; ++round) {
+        const uint32_t n = round % 4 == 0
+            ? kLanes : 1 + static_cast<uint32_t>(rng.below(kLanes));
+        for (uint32_t j = 0; j < kLanes; ++j) {
+            const unsigned bits = 8 + static_cast<unsigned>(rng.below(13));
+            lo[j] = satMin(bits);
+            hi[j] = satMax(bits);
+            leak[j] = static_cast<int32_t>(rng.range(-255, 255));
+            rev[j] = static_cast<int32_t>(rng.below(2));
+            thr[j] = static_cast<int32_t>(rng.range(0, hi[j]));
+            negLim[j] = static_cast<int32_t>(rng.range(lo[j], 0));
+            posMul[j] = static_cast<int32_t>(rng.below(2));
+            posAdd[j] = static_cast<int32_t>(rng.range(lo[j], hi[j]));
+            negMul[j] = static_cast<int32_t>(rng.below(2));
+            negAdd[j] = static_cast<int32_t>(rng.range(lo[j], hi[j]));
+            v0[j] = static_cast<int32_t>(rng.range(lo[j], hi[j]));
+        }
+        uint64_t leak_off = 0;
+        while (!leak_off)
+            leak_off = rng.next() & rng.next();
+        const auto run = [&](const simd::Ops &o, const int32_t *lk,
+                             uint64_t off, std::vector<int32_t> &v) {
+            v = v0;
+            const simd::UpdateStrip s{v.data(),      lk,
+                                      rev.data(),    thr.data(),
+                                      negLim.data(), posMul.data(),
+                                      posAdd.data(), negMul.data(),
+                                      negAdd.data(), lo.data(),
+                                      hi.data(),     off};
+            return o.updateStrip(s, n);
+        };
+        for (uint32_t j = 0; j < kLanes; ++j)
+            zeroed[j] = (leak_off >> j & 1) ? 0 : leak[j];
+        std::vector<int32_t> want, got;
+        const uint64_t fired = run(ref, zeroed.data(), 0, want);
+        ASSERT_EQ(run(ref, leak.data(), leak_off, got), fired)
+            << "round " << round;
+        ASSERT_EQ(got, want) << "round " << round;
+        for (simd::Level l : simd::availableLevels()) {
+            SCOPED_TRACE(simd::levelName(l));
+            ASSERT_EQ(run(simd::opsFor(l), leak.data(), leak_off, got),
+                      fired)
+                << "round " << round << " n " << n;
+            ASSERT_EQ(got, want) << "round " << round << " n " << n;
+        }
+    }
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 /** XINUSE bits of the upper vector state: YMM_Hi128 (bit 2) and
  *  ZMM_Hi256 (bit 6).  While either is set, legacy-SSE code runs
@@ -431,7 +494,7 @@ TEST(SimdDispatch, EveryKernelReturnsWithCleanUpperState)
                                   negLim.data(), posMul.data(),
                                   posAdd.data(), negMul.data(),
                                   negAdd.data(), lo.data(),
-                                  hi.data()};
+                                  hi.data(),     0x5a5a5a5a5a5a5a5aull};
     const std::vector<uint64_t> ones(kLanes / 64, ~uint64_t{0}),
         zeros(kLanes / 64, 0);
     std::vector<uint64_t> touched(kLanes / 64), out(kLanes / 64),

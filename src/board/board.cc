@@ -180,6 +180,9 @@ Board::Board(const BoardParams &params, std::vector<CoreConfig> configs)
     linkBudget_.assign(linkStats_.size(), 0);
     linkQueued_.assign(linkStats_.size(), 0);
     linkDead_.assign(linkStats_.size(), 0);
+    linkWindowed_.assign(linkStats_.size(), 0);
+    for (const FaultEvent &ev : linkFaultWindows_)
+        linkWindowed_[ev.chip * 4 + ev.dir] = 1;
     if (params_.link.reliable && params_.link.dedupWindow != 0) {
         dedupRing_.assign(numChips(),
                           std::vector<uint32_t>(
@@ -277,15 +280,8 @@ Board::injectInputs(const std::vector<InputSpike> &spikes,
     }
 }
 
-/**
- * Advance @p p toward its destination chip, consuming link budget
- * per hop.  Cut-through: with zero transit delay a packet crosses as
- * many links as budgets allow within one merge phase.  A nonzero
- * transit delay parks the packet after each hop and resumes it
- * delay ticks later; an exhausted budget parks it in the link's
- * stall queue for the next tick (without moving its delivery tick,
- * so congestion surfaces as the late-delivery hazard).
- */
+/** Index of the first unsuppressed @p kind window open on @p link at
+ *  tick @p t, in plan order, or -1. */
 int
 Board::activeLinkFault(FaultKind kind, uint32_t link, uint64_t t) const
 {
@@ -342,10 +338,10 @@ Board::deliverPacket(const BoardPacket &p)
                     return;
                 }
             }
-            ring[dedupPos_[p.dstChip]] = p.seq;
-            dedupPos_[p.dstChip] =
-                (dedupPos_[p.dstChip] + 1) %
-                static_cast<uint32_t>(ring.size());
+            uint32_t &pos = dedupPos_[p.dstChip];
+            ring[pos] = p.seq;
+            if (++pos == ring.size())
+                pos = 0;
         }
     }
     // Checksum and dedup cleared the packet as a whole; deliver the
@@ -369,6 +365,17 @@ Board::buildRoutes()
         linkDead_);
 }
 
+/**
+ * Advance @p p toward its destination chip, consuming link budget
+ * per hop.  Cut-through: with zero transit delay a packet crosses as
+ * many links as budgets allow within one merge phase.  A nonzero
+ * transit delay parks the packet after each hop and resumes it
+ * delay ticks later; an exhausted budget parks it in the link's
+ * stall queue for the next tick (without moving its delivery tick,
+ * so congestion surfaces as the late-delivery hazard).  Only a link
+ * some plan window names is scanned for drop, duplicate and delay
+ * faults (linkWindowed_).
+ */
 void
 Board::walkPacket(BoardPacket &p, uint64_t t)
 {
@@ -401,7 +408,9 @@ Board::walkPacket(BoardPacket &p, uint64_t t)
             return;
         }
 
-        int drop = activeLinkFault(FaultKind::LinkDrop, link, t);
+        const bool windowed = linkWindowed_[link] != 0;
+        const int drop =
+            windowed ? activeLinkFault(FaultKind::LinkDrop, link, t) : -1;
         if (drop >= 0) {
             const FaultEvent &ev = linkFaultWindows_[drop];
             if (lp.packetsPerTick != 0)
@@ -430,7 +439,9 @@ Board::walkPacket(BoardPacket &p, uint64_t t)
         p.atChip = next;
         p.deliveryTick += lp.extraDelay;
 
-        int dup = activeLinkFault(FaultKind::LinkDuplicate, link, t);
+        const int dup = windowed
+            ? activeLinkFault(FaultKind::LinkDuplicate, link, t)
+            : -1;
         if (dup >= 0 && !p.dupClone) {
             const FaultEvent &ev = linkFaultWindows_[dup];
             ++linkFaultStats_.linkDups;
@@ -446,7 +457,8 @@ Board::walkPacket(BoardPacket &p, uint64_t t)
         }
 
         uint64_t transit = lp.extraDelay;
-        int slow = activeLinkFault(FaultKind::LinkDelay, link, t);
+        const int slow =
+            windowed ? activeLinkFault(FaultKind::LinkDelay, link, t) : -1;
         if (slow >= 0) {
             ++linkFaultStats_.linkDelays;
             transit += linkFaultWindows_[slow].delayTicks;
@@ -533,25 +545,28 @@ Board::mergePhase(uint64_t t)
     // because packet creation reads only the egress buffer while the
     // walk mutates only link state.  A fresh spike delivers within
     // (t, t + delaySlots) (validateCoreConfig bounds the delay), so
-    // deliveryTick mod delaySlots names its tick exactly and the
-    // open-packet table is flat; the walk stage closes every entry
-    // the chip opened.
+    // deliveryTick - t names its tick exactly and the open-packet
+    // table is flat; the walk stage closes every entry the chip
+    // opened.  Destinations resolve through the CoreXY and coreHome_
+    // tables (see the file comment), with no division per spike.
     const uint32_t bw = params_.width;
     const uint32_t cap = lp.coalesce;
     const uint32_t slots = params_.chip.coreGeom.delaySlots;
-    const auto openKey = [slots](uint32_t dstChip, uint64_t tick) {
-        return static_cast<size_t>(dstChip) * slots + tick % slots;
+    const auto openKey = [slots, t](uint32_t dstChip, uint64_t tick) {
+        return static_cast<size_t>(dstChip) * slots +
+            static_cast<size_t>(tick - t);
     };
     for (uint32_t ci = 0; ci < numChips(); ++ci) {
         Chip &chip = *chips_[ci];
         if (chip.egress().empty())
             continue;
-        uint32_t ox = (ci % bw) * chipW_;       // chip origin, cores
-        uint32_t oy = (ci / bw) * chipH_;
-        size_t packets = 0;                     // live batch_ prefix
+        const uint32_t ox = (ci % bw) * chipW_;  // chip origin, cores
+        const uint32_t oy = (ci / bw) * chipH_;
+        size_t packets = 0;                      // live batch_ prefix
         for (const EgressSpike &e : chip.egress()) {
-            uint32_t sx = ox + e.srcCore % chipW_;
-            uint32_t sy = oy + e.srcCore / chipW_;
+            const CoreXY src = chip.coreXY(e.srcCore);
+            const uint32_t sx = ox + src.x;
+            const uint32_t sy = oy + src.y;
             auto gx = static_cast<uint32_t>(
                 static_cast<int32_t>(sx) + e.dx);
             auto gy = static_cast<uint32_t>(
@@ -563,13 +578,12 @@ Board::mergePhase(uint64_t t)
             counters_.hops +=
                 static_cast<uint64_t>(std::abs(e.dx)) +
                 static_cast<uint64_t>(std::abs(e.dy));
-            const uint32_t dstChip = (gy / chipH_) * bw + gx / chipW_;
-            const uint32_t dstCore =
-                (gy % chipH_) * chipW_ + gx % chipW_;
+            const uint32_t dstCell = gy * gw_ + gx;
+            const auto [dstChip, dstCore] = coreHome_[dstCell];
             if (!pairTraffic_.empty()) {
                 pairTraffic_[static_cast<size_t>(ci) * numChips() +
                              dstChip] += 1;
-                cellTraffic_[sy * gw_ + sx][gy * gw_ + gx] += 1;
+                cellTraffic_[sy * gw_ + sx][dstCell] += 1;
             }
             if (cap > 1) {
                 NSCS_ASSERT(e.deliveryTick > t &&
@@ -1066,7 +1080,8 @@ Board::footprintBytes() const
     bytes += linkFaultWindows_.capacity() * sizeof(FaultEvent);
     bytes += deadLinkEvents_.capacity() * sizeof(FaultEvent);
     bytes += linkFaultSuppressed_.capacity() +
-        deadLinkSuppressed_.capacity() + linkDead_.capacity();
+        deadLinkSuppressed_.capacity() + linkDead_.capacity() +
+        linkWindowed_.capacity();
     bytes += detectedAlarms_.capacity() * sizeof(uint32_t);
     bytes += cloneScratch_.capacity() * sizeof(BoardPacket);
     for (const auto &ring : dedupRing_)

@@ -24,21 +24,29 @@
  *     parallel tick engine.
  *  2. Merge phase (serial, deterministic): in-transit packets due
  *     this tick resume first, then each chip's egress buffer drains
- *     in ascending chip order.  A packet follows the board's route
- *     table (buildRouteTable): shortest paths over the live links,
- *     by hop count — X-then-Y dimension order on a healthy fabric —
- *     or by measured congestion when a traffic profile is loaded.
- *     A link killed by a fault leaves the table, which is rebuilt at
- *     the start of that tick, so packets route around it; a packet
- *     with no live path left is dropped.  Every link traversal
- *     consumes one unit of that link's per-tick budget and adds the
- *     link's transit delay to both the packet's progress and its
- *     delivery tick.  A packet meeting an exhausted link
+ *     in ascending chip order.  An egress spike resolves its
+ *     destination through tables, with no division: its source cell
+ *     is the chip's origin plus the chip's per-core (x, y) entry
+ *     (Chip::coreXY), and the per-global-core coreHome_ table names
+ *     the target's (chip, local core).  A packet follows the board's
+ *     route table (buildRouteTable): shortest paths over the live
+ *     links, by hop count — X-then-Y dimension order on a healthy
+ *     fabric — or by measured congestion when a traffic profile is
+ *     loaded.  A link killed by a fault leaves the table, which is
+ *     rebuilt at the start of that tick, so packets route around it;
+ *     a packet with no live path left is dropped.  Every link
+ *     traversal consumes one unit of that link's per-tick budget and
+ *     adds the link's transit delay to both the packet's progress
+ *     and its delivery tick.  A packet meeting an exhausted link
  *     parks in that link's queue (a stall) and retries next tick; a
  *     full queue drops the packet.  Stall ticks do *not* move the
  *     delivery tick, so a congested packet can miss its scheduler
  *     slot and is then handled by the chip's late-delivery wrap rule
- *     — the same architectural hazard the on-chip mesh models.
+ *     — the same architectural hazard the on-chip mesh models.  A
+ *     per-link flag, built at construction, marks the links some
+ *     fault-plan window names; only a hop over a flagged link scans
+ *     the plan's drop, duplicate and delay windows (the first open
+ *     window of a kind, in plan order, applies).
  *
  * Determinism contract: the merge phase is serial and ordered, so
  * output spikes, counters and link statistics are bit-identical
@@ -425,6 +433,9 @@ class Board
     // at tick start like chip faults.
     std::vector<FaultEvent> linkFaultWindows_;
     std::vector<uint8_t> linkFaultSuppressed_;
+    /** Per link (chip * 4 + Dir): 1 when some window names the link.
+     *  A hop over an unflagged link skips the window scans. */
+    std::vector<uint8_t> linkWindowed_;
     std::vector<FaultEvent> deadLinkEvents_;   //!< sorted by tick
     size_t deadLinkCursor_ = 0;
     std::vector<uint8_t> deadLinkSuppressed_;
@@ -450,7 +461,7 @@ class Board
     // Per-chip egress coalescing scratch (mergePhase).  Packets stay
     // alive across chips and ticks so their payloads keep capacity;
     // openPacket_ holds the batch index of the open packet per
-    // (dstChip, deliveryTick mod delaySlots), or -1 (coalesce > 1).
+    // (dstChip, deliveryTick - now), or -1 (coalesce > 1).
     std::vector<BoardPacket> batch_;
     std::vector<int32_t> openPacket_;
 };

@@ -52,16 +52,11 @@ linkNeighbor(uint32_t chip, uint32_t dir, uint32_t bw, uint32_t bh)
 
 } // namespace
 
-std::pair<uint32_t, uint32_t>
-RouteTable::step(uint32_t at, uint32_t dst) const
+void
+RouteTable::badPair(uint32_t at, uint32_t dst) const
 {
-    const uint32_t n = boardW * boardH;
-    NSCS_ASSERT(at < n && dst < n && at != dst,
-                "RouteTable::step: bad chip pair");
-    const uint32_t dir = nextDir[static_cast<size_t>(at) * n + dst];
-    if (dir == kNoRoute)
-        return {kNoRoute, at};
-    return {dir, linkNeighbor(at, dir, boardW, boardH)};
+    panic("RouteTable::step: bad chip pair (%u, %u) on a %ux%u grid",
+          at, dst, boardW, boardH);
 }
 
 JsonValue

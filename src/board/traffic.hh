@@ -123,10 +123,27 @@ struct RouteTable
 
     /**
      * (direction, next chip) one hop from @p at toward @p dst, or
-     * {kNoRoute, at} when no live path connects them.
+     * {kNoRoute, at} when no live path connects them.  The table
+     * names only links between chips of the grid, so the next chip
+     * is @p at plus the direction's offset (E +1, W -1, N +boardW,
+     * S -boardW): one table read and no division per hop.
      */
-    std::pair<uint32_t, uint32_t> step(uint32_t at,
-                                       uint32_t dst) const;
+    std::pair<uint32_t, uint32_t>
+    step(uint32_t at, uint32_t dst) const
+    {
+        const uint32_t n = boardW * boardH;
+        if (at >= n || dst >= n || at == dst) [[unlikely]]
+            badPair(at, dst);
+        const uint32_t dir = nextDir[static_cast<size_t>(at) * n + dst];
+        if (dir == kNoRoute)
+            return {kNoRoute, at};
+        const uint32_t offset = dir < 2 ? 1 : boardW;
+        return {dir, dir & 1 ? at - offset : at + offset};
+    }
+
+  private:
+    /** Panic on a step() pair off the grid or with at == dst. */
+    [[noreturn]] void badPair(uint32_t at, uint32_t dst) const;
 };
 
 /**

@@ -28,11 +28,14 @@ Chip::Chip(const ChipParams &params, std::vector<CoreConfig> configs)
 
     lanePool_ = std::make_shared<LanePool>();
     cores_.reserve(configs.size());
+    coreXY_.reserve(configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         if (!(configs[i].geom == params_.coreGeom))
             fatal("core %zu geometry differs from chip geometry", i);
         cores_.push_back(std::make_unique<Core>(
             std::move(configs[i]), params_.instances, lanePool_));
+        coreXY_.push_back({static_cast<uint32_t>(i % w),
+                           static_cast<uint32_t>(i / w)});
     }
 
     if (params_.allowEgress && params_.noc == NocModel::Cycle)
@@ -44,7 +47,7 @@ Chip::Chip(const ChipParams &params, std::vector<CoreConfig> configs)
     // as egress packets and the board validates them against the
     // global core grid instead.
     for (uint32_t c = 0; c < numCores(); ++c) {
-        uint32_t x = c % w, y = c / w;
+        const auto [x, y] = coreXY_[c];
         const CoreConfig &cfg = cores_[c]->config();
         for (uint32_t n = 0; n < cfg.geom.numNeurons; ++n) {
             const NeuronDest &d = cfg.dests[n];
@@ -276,7 +279,7 @@ Chip::routeSpike(uint32_t src_core, const InstanceFire &fire,
         break;
     }
     const uint32_t w = params_.width;
-    uint32_t sx = src_core % w, sy = src_core / w;
+    const auto [sx, sy] = coreXY_[src_core];
     auto tx = static_cast<uint32_t>(static_cast<int32_t>(sx) + dest.dx);
     auto ty = static_cast<uint32_t>(static_cast<int32_t>(sy) + dest.dy);
     uint64_t delivery = t + dest.delay;
@@ -714,6 +717,7 @@ Chip::footprintBytes() const
     size_t bytes = sizeof(Chip) + lanePool_->footprintBytes();
     for (const auto &core : cores_)
         bytes += core->footprintBytes();
+    bytes += coreXY_.capacity() * sizeof(CoreXY);
     bytes += egress_.capacity() * sizeof(EgressSpike);
     constexpr size_t kMapNode =
         sizeof(std::pair<uint32_t, uint64_t>) + 4 * sizeof(void *);

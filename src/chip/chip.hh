@@ -193,6 +193,13 @@ struct RoutedSpike
     bool operator==(const RoutedSpike &other) const = default;
 };
 
+/** A core's column and row on its chip's core grid. */
+struct CoreXY
+{
+    uint32_t x = 0;
+    uint32_t y = 0;
+};
+
 /** Chip-level aggregate counters (beyond per-core counters). */
 struct ChipCounters
 {
@@ -326,6 +333,10 @@ class Chip
     /** Number of cores. */
     uint32_t numCores() const { return static_cast<uint32_t>(cores_.size()); }
 
+    /** Grid position of core @p core, read from a per-core table so
+     *  that routing a spike takes no division by the grid width. */
+    CoreXY coreXY(uint32_t core) const { return coreXY_[core]; }
+
     /** Replica instance lanes per core. */
     uint32_t instances() const { return params_.instances; }
 
@@ -433,6 +444,7 @@ class Chip
     ChipParams params_;
     std::shared_ptr<LanePool> lanePool_;  //!< shared by all cores_
     std::vector<std::unique_ptr<Core>> cores_;
+    std::vector<CoreXY> coreXY_;          //!< per core: (c % w, c / w)
     std::unique_ptr<Mesh> mesh_;          //!< Cycle model only
     std::vector<OutputSpike> outputs_;
     std::vector<EgressSpike> egress_;     //!< allowEgress only

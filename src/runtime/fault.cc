@@ -1,6 +1,7 @@
 #include "runtime/fault.hh"
 
 #include <utility>
+#include <vector>
 
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -218,9 +219,27 @@ makeRandomFaultPlan(const FaultCampaignSpec &spec, uint64_t seed)
     FaultPlan plan;
     uint32_t numChips = spec.boardW * spec.boardH;
     auto randomTick = [&] { return rng.below(spec.ticks); };
+    // Link events name only links joining two chips of the grid
+    // (chip * 4 + dir, dirs E, W, N, S as Board::Dir).  A one-chip
+    // grid has none; its link events name chip 0's east link, which
+    // carries no traffic.
+    std::vector<uint32_t> links;
+    for (uint32_t c = 0; c < numChips; ++c) {
+        const uint32_t x = c % spec.boardW, y = c / spec.boardW;
+        if (x + 1 < spec.boardW)
+            links.push_back(c * 4 + 0);
+        if (x > 0)
+            links.push_back(c * 4 + 1);
+        if (y + 1 < spec.boardH)
+            links.push_back(c * 4 + 2);
+        if (y > 0)
+            links.push_back(c * 4 + 3);
+    }
     auto randomLink = [&](FaultEvent &ev) {
-        ev.chip = static_cast<uint32_t>(rng.below(numChips ? numChips : 1));
-        ev.dir = static_cast<uint32_t>(rng.below(4));
+        const uint32_t link =
+            links.empty() ? 0 : links[rng.below(links.size())];
+        ev.chip = link / 4;
+        ev.dir = link % 4;
     };
     for (uint32_t i = 0; i < spec.nDeadCore; ++i) {
         FaultEvent ev;

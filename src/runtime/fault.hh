@@ -139,7 +139,8 @@ struct FaultCampaignSpec {
 /**
  * Deterministically scatter @p spec's event counts over the horizon
  * using a Xoshiro256 stream seeded with @p seed.  Same (spec, seed)
- * always yields the same plan.
+ * always yields the same plan.  Link events are drawn uniformly from
+ * the links that join two chips of the boardW x boardH grid.
  */
 FaultPlan makeRandomFaultPlan(const FaultCampaignSpec &spec, uint64_t seed);
 

@@ -22,6 +22,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/workload.hh"
 #include "board/board.hh"
@@ -754,6 +756,82 @@ TEST(BoardCommsRouting, DeadLinksAreRemovedEdges)
               static_cast<uint32_t>(RouteTable::kNoRoute));
     EXPECT_EQ(three.step(0, 2),
               std::make_pair(uint32_t{Board::East}, 1u));
+}
+
+TEST(BoardCommsRouting, StepMatchesNeighbourOnEveryShape)
+{
+    // step() derives the next chip from the direction alone; check
+    // it against grid coordinates on every shape, with every link
+    // live and with two links dead, and check that exactly the pairs
+    // with no live path return {kNoRoute, at}.
+    const std::pair<uint32_t, uint32_t> shapes[] = {
+        {1, 5}, {5, 1}, {2, 2}, {3, 3}, {4, 4}};
+    for (const auto &shape : shapes) {
+        // Plain copies: the lambda below captures them.
+        const uint32_t bw = shape.first, bh = shape.second;
+        const uint32_t n = bw * bh;
+        // The chip across @p dir from @p c, or n off the grid.
+        const auto across = [&](uint32_t c, uint32_t dir) {
+            const uint32_t x = c % bw, y = c / bw;
+            switch (dir) {
+            case Board::East: return x + 1 < bw ? c + 1 : n;
+            case Board::West: return x > 0 ? c - 1 : n;
+            case Board::North: return y + 1 < bh ? c + bw : n;
+            default: return y > 0 ? c - bw : n;
+            }
+        };
+        std::vector<uint32_t> links;
+        for (uint32_t c = 0; c < n; ++c)
+            for (uint32_t dir = 0; dir < 4; ++dir)
+                if (across(c, dir) < n)
+                    links.push_back(c * 4 + dir);
+        std::vector<uint8_t> twoDead(n * 4, 0);
+        twoDead[links[1]] = 1;
+        twoDead[links[links.size() / 2]] = 1;
+
+        for (const std::vector<uint8_t> &dead :
+             {std::vector<uint8_t>{}, twoDead}) {
+            const RouteTable rt = buildRouteTable(bw, bh, {}, dead);
+            for (uint32_t dst = 0; dst < n; ++dst) {
+                // Chips with a live path to dst: a search backwards
+                // over the live links.
+                std::vector<uint8_t> reaches(n, 0);
+                std::vector<uint32_t> frontier{dst};
+                reaches[dst] = 1;
+                while (!frontier.empty()) {
+                    const uint32_t u = frontier.back();
+                    frontier.pop_back();
+                    for (uint32_t v = 0; v < n; ++v)
+                        for (uint32_t dir = 0; dir < 4; ++dir)
+                            if (!reaches[v] && across(v, dir) == u &&
+                                (dead.empty() || !dead[v * 4 + dir])) {
+                                reaches[v] = 1;
+                                frontier.push_back(v);
+                            }
+                }
+                for (uint32_t at = 0; at < n; ++at) {
+                    if (at == dst)
+                        continue;
+                    const auto [dir, next] = rt.step(at, dst);
+                    const std::string where = std::to_string(bw) + "x" +
+                        std::to_string(bh) + " dead " +
+                        std::to_string(dead.size()) + " at " +
+                        std::to_string(at) + " dst " +
+                        std::to_string(dst);
+                    if (!reaches[at]) {
+                        EXPECT_EQ(dir, uint32_t{RouteTable::kNoRoute})
+                            << where;
+                        EXPECT_EQ(next, at) << where;
+                        continue;
+                    }
+                    ASSERT_LT(dir, 4u) << where;
+                    EXPECT_EQ(next, across(at, dir)) << where;
+                    EXPECT_TRUE(dead.empty() || !dead[at * 4 + dir])
+                        << where;
+                }
+            }
+        }
+    }
 }
 
 // --- profile-guided placement ----------------------------------------------

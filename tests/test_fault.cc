@@ -571,6 +571,94 @@ TEST(FaultLink, SnapshotAfterLinkDeathRestoresBitIdentically)
     }
 }
 
+TEST(FaultLink, WindowsTouchOnlyTheirOwnLink)
+{
+    const uint64_t ticks = 30;
+    bench::CorticalWorkload w = tappedWorkload(4, 4, 23);
+    // On a 2x2 board under X-then-Y routing no route crosses both
+    // chip1's west link (1 -> 0, then on to 2) and chip2's east link
+    // (2 -> 3, then on to 1), so a drop on one cannot hide a delay
+    // on the other.
+    const uint32_t dropLink = 1 * 4 + Board::West;
+    const uint32_t delayLink = 2 * 4 + Board::East;
+
+    // Fault-free per-tick transfers on every link.
+    auto ref = boardSim(w, 2, 2, LinkParams{});
+    const size_t links = ref->board().linkCounters().size();
+    std::vector<std::vector<uint64_t>> sent(ticks,
+                                            std::vector<uint64_t>(links));
+    for (uint64_t t = 0; t < ticks; ++t) {
+        std::vector<uint64_t> before(links);
+        for (size_t l = 0; l < links; ++l)
+            before[l] = ref->board().linkCounters()[l].packets;
+        ref->run(1);
+        for (size_t l = 0; l < links; ++l)
+            sent[t][l] = ref->board().linkCounters()[l].packets - before[l];
+    }
+    // The first tick from 5 on at which both named links and some
+    // unnamed link carry packets.
+    uint64_t t0 = 5;
+    const auto othersBusy = [&](uint64_t t) {
+        for (size_t l = 0; l < links; ++l)
+            if (l != dropLink && l != delayLink && sent[t][l] != 0)
+                return true;
+        return false;
+    };
+    while (t0 < ticks && !(sent[t0][dropLink] != 0 &&
+                           sent[t0][delayLink] != 0 && othersBusy(t0)))
+        ++t0;
+    ASSERT_LT(t0, ticks);
+
+    const auto window = [t0](FaultKind kind, uint32_t link,
+                             uint32_t delay) {
+        FaultEvent ev;
+        ev.kind = kind;
+        ev.tick = t0;
+        ev.untilTick = t0 + 1;
+        ev.chip = link / 4;
+        ev.dir = link % 4;
+        ev.delayTicks = delay;
+        return ev;
+    };
+    // Up to the window the faulty run is the fault-free run, so the
+    // window's tick drops exactly the packets the reference sent over
+    // the drop link and delays those it sent over the delay link.
+    auto faulty = boardSim(
+        w, 2, 2, LinkParams{},
+        planOf({window(FaultKind::LinkDrop, dropLink, 0),
+                window(FaultKind::LinkDelay, delayLink, 3)}));
+    faulty->run(t0 + 1);
+    const FaultStats &fs = faulty->board().faultStats();
+    EXPECT_EQ(fs.linkDrops, sent[t0][dropLink]);
+    EXPECT_EQ(fs.linkDelays, sent[t0][delayLink]);
+    EXPECT_EQ(fs.linkDups, 0u);
+    uint64_t dropLinkBefore = 0;
+    for (uint64_t t = 0; t < t0; ++t)
+        dropLinkBefore += sent[t][dropLink];
+    EXPECT_EQ(faulty->board().linkCounters()[dropLink].packets,
+              dropLinkBefore);
+
+    // Two delay windows open on one link: the first in plan order
+    // sets the resume tick of every packet it parks.
+    for (const auto &[first, second] :
+         {std::pair<uint32_t, uint32_t>{2, 5}, {5, 2}}) {
+        auto sim = boardSim(
+            w, 2, 2, LinkParams{},
+            planOf({window(FaultKind::LinkDelay, delayLink, first),
+                    window(FaultKind::LinkDelay, delayLink, second)}));
+        sim->run(t0 + 1);
+        EXPECT_EQ(sim->board().faultStats().linkDelays,
+                  sent[t0][delayLink]);
+        const JsonValue snap = sim->snapshot();
+        const JsonValue &pending = snap.at("device").at("pending");
+        ASSERT_EQ(pending.size(), 1u) << "first " << first;
+        EXPECT_EQ(static_cast<uint64_t>(pending.at(0).at("tick").asInt()),
+                  t0 + first);
+        EXPECT_EQ(pending.at(0).at("packets").size() / 11,
+                  sent[t0][delayLink]);
+    }
+}
+
 TEST(FaultInject, BoardPlanSlicesGlobalCoreIndices)
 {
     const uint64_t ticks = 20;
@@ -617,6 +705,55 @@ TEST(FaultPlanIo, JsonRoundTripPreservesEveryEvent)
 
     // Same (spec, seed) regenerates the identical plan.
     EXPECT_EQ(makeRandomFaultPlan(spec, 31).events, plan.events);
+}
+
+TEST(FaultPlanIo, RandomLinkEventsNameExistingLinks)
+{
+    const std::pair<uint32_t, uint32_t> shapes[] = {
+        {2, 1}, {1, 3}, {2, 2}, {3, 3}};
+    for (const auto &[bw, bh] : shapes) {
+        FaultCampaignSpec spec;
+        spec.numCores = 4 * bw * bh;
+        spec.boardW = bw;
+        spec.boardH = bh;
+        spec.nLinkDrop = 40;
+        spec.nLinkDup = 40;
+        spec.nLinkDelay = 40;
+        spec.nDeadLink = 40;
+        const FaultPlan plan = makeRandomFaultPlan(spec, 11);
+        ASSERT_EQ(plan.events.size(), 160u);
+        // Every link of the grid, named by (chip, dir) with dirs
+        // E, W, N, S.
+        std::vector<uint32_t> existing;
+        for (uint32_t y = 0; y < bh; ++y) {
+            for (uint32_t x = 0; x < bw; ++x) {
+                const uint32_t c = y * bw + x;
+                if (x + 1 < bw)
+                    existing.push_back(c * 4 + Board::East);
+                if (x > 0)
+                    existing.push_back(c * 4 + Board::West);
+                if (y + 1 < bh)
+                    existing.push_back(c * 4 + Board::North);
+                if (y > 0)
+                    existing.push_back(c * 4 + Board::South);
+            }
+        }
+        std::vector<uint32_t> named;
+        for (const FaultEvent &ev : plan.events) {
+            ASSERT_TRUE(isLinkFault(ev.kind));
+            ASSERT_LT(ev.dir, 4u);
+            const uint32_t link = ev.chip * 4 + ev.dir;
+            EXPECT_NE(std::find(existing.begin(), existing.end(), link),
+                      existing.end())
+                << bw << "x" << bh << ": chip " << ev.chip << " dir "
+                << ev.dir << " names no link";
+            named.push_back(link);
+        }
+        // 160 draws over at most 24 links reach every one of them.
+        std::sort(named.begin(), named.end());
+        named.erase(std::unique(named.begin(), named.end()), named.end());
+        EXPECT_EQ(named, existing) << bw << "x" << bh;
+    }
 }
 
 TEST(FaultPlanIo, FileRoundTripAndRejection)

@@ -18,9 +18,9 @@
  * costs under Clock.
  *
  * A second sweep compares the serial tick engine against the
- * multi-threaded one (Chip::tickParallel) on a 64-core chip at busy
- * activity, where per-tick evaluation dominates and parallel core
- * evaluation pays off.  Spike output is bit-identical by
+ * multi-threaded one (ChipParams::threads >= 2) on a 64-core chip at
+ * busy activity, where per-tick evaluation dominates and parallel
+ * core evaluation pays off.  Spike output is bit-identical by
  * construction; only wall clock changes.
  */
 

@@ -51,10 +51,11 @@
  * Determinism contract: the merge phase is serial and ordered, so
  * output spikes, counters and link statistics are bit-identical
  * regardless of the board's (or any chip's) thread count — the same
- * contract Chip::tickParallel honors.  With an unconstrained link
- * (budget 0 = unlimited, transit delay 0) a board is architecturally
- * equivalent to one large chip over the same global core grid: every
- * spike integrates at the same target on the same tick.
+ * contract a chip's parallel tick (ChipParams::threads) honors.  With
+ * an unconstrained link (budget 0 = unlimited, transit delay 0) a
+ * board is architecturally equivalent to one large chip over the
+ * same global core grid: every spike integrates at the same target
+ * on the same tick.
  */
 
 #ifndef NSCS_BOARD_BOARD_HH
@@ -227,10 +228,10 @@ class Board
     /**
      * Build a board.  @p configs holds one CoreConfig per core of
      * the *global* core grid in row-major order (index =
-     * gy * globalWidth() + gx) — the same layout a single chip over
-     * the whole grid would take, which is what makes chip-vs-board
-     * differential testing a pure re-partition.  The chip grid may
-     * hold at most kMaxRoutedChips chips.
+     * gy * W + gx on a grid W cores wide) — the same layout a single
+     * chip over the whole grid would take, which is what makes
+     * chip-vs-board differential testing a pure re-partition.  The
+     * chip grid may hold at most kMaxRoutedChips chips.
      */
     Board(const BoardParams &params, std::vector<CoreConfig> configs);
 
@@ -283,12 +284,6 @@ class Board
 
     /** Mutable chip access (diagnostics/tests). */
     Chip &chip(uint32_t idx) { return *chips_[idx]; }
-
-    /** Global core grid width (cores). */
-    uint32_t globalWidth() const { return gw_; }
-
-    /** Global core grid height (cores). */
-    uint32_t globalHeight() const { return gh_; }
 
     /** Total cores across all chips. */
     uint32_t numCores() const { return gw_ * gh_; }

@@ -475,8 +475,6 @@ Chip::tickParallel()
     // evaluated concurrently.  Contiguous chunks of activeScratch_
     // keep each chunk's fired list in ascending active-index order.
     const auto n = static_cast<uint32_t>(activeScratch_.size());
-    if (chunks_.empty())
-        chunks_.resize(1);
     const auto num_chunks =
         std::min(static_cast<uint32_t>(chunks_.size()), n);
     const auto eval_chunk = [&](uint32_t k) {
@@ -493,12 +491,7 @@ Chip::tickParallel()
                 chunk.fired.emplace_back(i, fired);
         }
     };
-    if (pool_) {
-        pool_->parallelFor(num_chunks, eval_chunk);
-    } else {
-        for (uint32_t k = 0; k < num_chunks; ++k)
-            eval_chunk(k);
-    }
+    pool_->parallelFor(num_chunks, eval_chunk);
     counters_.coreActivations += n;
 
     // Merge phase: route in ascending active-index order — exactly

@@ -272,18 +272,6 @@ class Chip
      */
     void tick();
 
-    /**
-     * Execute one tick on the parallel path: evaluate the active
-     * cores across the worker pool, then merge and route the fired
-     * spikes serially in ascending core order.  Bit-identical to the
-     * serial engine; with params.threads < 2 the evaluation phase
-     * runs on the calling thread only.
-     */
-    void tickParallel();
-
-    /** Execute one tick on the serial engine regardless of params. */
-    void tickSerial();
-
     /** Execute @p n ticks. */
     void run(uint64_t n);
 
@@ -436,6 +424,18 @@ class Chip
         const size_t slot = nowSlot_ + static_cast<size_t>(ahead);
         return slot >= slots ? slot - slots : slot;
     }
+
+    /** The serial engine: evaluate and route each active core in
+     *  ascending core order. */
+    void tickSerial();
+
+    /**
+     * The parallel engine (params.threads >= 2): evaluate the active
+     * cores across the worker pool, then merge and route the fired
+     * spikes serially in ascending core order.  Bit-identical to the
+     * serial engine.
+     */
+    void tickParallel();
 
     void collectActive(uint64_t t);
     void finishTick(uint64_t t);

@@ -131,9 +131,6 @@ class Neuron
     /** Current membrane potential. */
     int32_t potential() const { return v_; }
 
-    /** Overwrite the membrane potential (testing). */
-    void setPotential(int32_t v) { v_ = v; }
-
     /** Parameter set. */
     const NeuronParams &params() const { return params_; }
 

@@ -135,9 +135,6 @@ class Simulator
     /** Next tick to execute, whichever device backs the run. */
     uint64_t now() const { return chip_ ? chip_->now() : board_->now(); }
 
-    /** Number of attached sources. */
-    size_t numSources() const { return sources_.size(); }
-
     /** Source access (snapshot machinery). */
     SpikeSource &source(size_t i) { return *sources_[i]; }
 

@@ -65,20 +65,6 @@ BitVec::none() const
     return true;
 }
 
-void
-BitVec::setWord(size_t word_index, uint64_t bits)
-{
-    NSCS_ASSERT(word_index < words_.size(),
-                "BitVec::setWord(%zu) out of range %zu", word_index,
-                words_.size());
-    uint64_t mask = ~0ull;
-    if ((word_index + 1) * 64 > nbits_) {
-        size_t tail = nbits_ - word_index * 64;
-        mask = tail ? (~0ull >> (64 - tail)) : 0ull;
-    }
-    words_[word_index] = bits & mask;
-}
-
 namespace {
 
 const char kHexDigits[] = "0123456789abcdef";

@@ -148,14 +148,6 @@ class BitVec
     /** Read-only view of the bits. */
     BitSpan span() const { return {words_.data(), nbits_}; }
 
-    /**
-     * Overwrite backing word @p word_index with @p bits.  Bits beyond
-     * size() are masked off, so the count()/none() invariants hold
-     * for any input.  Snapshot restore and fault injection only — not
-     * a hot path.
-     */
-    void setWord(size_t word_index, uint64_t bits);
-
     /** Approximate heap footprint in bytes. */
     size_t footprintBytes() const { return words_.size() * 8; }
 

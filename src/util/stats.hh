@@ -97,9 +97,6 @@ class Histogram
     /** Count in bin @p i. */
     uint64_t binCount(size_t i) const { return bins_[i]; }
 
-    /** Number of bins (excluding under/overflow). */
-    size_t numBins() const { return bins_.size(); }
-
     /** Samples below lo. */
     uint64_t underflow() const { return underflow_; }
 

@@ -1,24 +1,13 @@
 /**
  * @file
- * Board fabric tests.
+ * Board fabric tests: the link model, wake-up on late deliveries,
+ * word-granular inject and the command-line grid parser.
  *
- * The load-bearing property is the board equivalence contract: a
- * network sharded across a board must emit the same spike stream as
- * the identical network on one large chip when the inter-chip link
- * is unconstrained (unlimited budget, zero transit delay), across
- * {Clock, Event} engines and {serial, parallel} execution at both
- * the board and chip level.
- *
- * Stream comparison is canonical per tick: within one tick the
- * monolithic chip emits output spikes in global core order while the
- * board emits them in chip-major order, an evaluation-order artifact
- * with no architectural meaning (hardware output lines fire in
- * parallel within the 1 ms tick).  Canonicalisation sorts each
- * tick's spikes by line, which preserves exactly the architectural
- * content: the (tick, line) multiset and all cross-tick ordering.
- * Board-vs-board comparisons (serial vs parallel) assert raw
- * bit-identical vectors with no canonicalisation, per the
- * determinism contract.
+ * The board's two contracts are columns of the contract matrix
+ * (test_contracts.cc): over an unconstrained link (unlimited budget,
+ * zero transit delay) a board emits the same spikes as one large
+ * chip over the same global core grid, and its outputs, counters and
+ * link statistics do not depend on board or chip thread counts.
  *
  * The link model (budget stalls, queue drops, transit delay, late
  * deliveries) is exercised with a hand-built two-chip pacemaker
@@ -30,187 +19,12 @@
 #include <algorithm>
 #include <tuple>
 
-#include "bench/workload.hh"
 #include "board/board.hh"
 #include "runtime/simulator.hh"
+#include "util/rng.hh"
 
 namespace nscs {
 namespace {
-
-/** Canonical per-tick ordering: sort by (tick, line). */
-std::vector<OutputSpike>
-canonical(std::vector<OutputSpike> v)
-{
-    std::sort(v.begin(), v.end(),
-              [](const OutputSpike &a, const OutputSpike &b) {
-                  return a.tick != b.tick ? a.tick < b.tick
-                                          : a.line < b.line;
-              });
-    return v;
-}
-
-/**
- * The cortical workload with every third neuron re-aimed at an
- * output line (as in test_parallel.cc) so runs produce a comparable
- * OutputSpike stream.
- */
-bench::CorticalWorkload
-tappedWorkload(uint32_t grid_w, uint32_t grid_h, uint64_t seed)
-{
-    bench::CorticalParams wp;
-    wp.gridW = grid_w;
-    wp.gridH = grid_h;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; n += 3) {
-            NeuronDest &d = w.cores[c].dests[n];
-            d = NeuronDest{};
-            d.kind = NeuronDest::Kind::Output;
-            d.line = c * neurons + n;
-        }
-    }
-    return w;
-}
-
-/** Aggregate architectural totals that must be framing-invariant. */
-struct Totals
-{
-    uint64_t sops = 0;
-    uint64_t spikes = 0;
-    uint64_t hops = 0;
-    uint64_t routed = 0;  //!< core-to-core spikes (any framing)
-    uint64_t out = 0;
-    uint64_t late = 0;
-};
-
-Totals
-chipTotals(const Chip &chip)
-{
-    EnergyEvents e = chip.energyEvents();
-    Totals t;
-    t.sops = e.sops;
-    t.spikes = e.spikes;
-    t.hops = e.hops;
-    t.routed = chip.counters().spikesRouted;
-    t.out = chip.counters().spikesOut;
-    t.late = chip.counters().lateDeliveries;
-    return t;
-}
-
-Totals
-boardTotals(const Board &board)
-{
-    EnergyEvents e = board.energyEvents();
-    Totals t;
-    t.sops = e.sops;
-    t.spikes = e.spikes;
-    t.hops = e.hops;
-    for (uint32_t c = 0; c < board.numChips(); ++c) {
-        t.routed += board.chip(c).counters().spikesRouted;
-        t.out += board.chip(c).counters().spikesOut;
-        t.late += board.chip(c).counters().lateDeliveries;
-    }
-    // Egress spikes are the board framing of core-to-core routes.
-    t.routed += board.counters().egressSpikes;
-    return t;
-}
-
-/**
- * The tentpole acceptance test: a network split across a board is
- * bit-identical (canonical stream + aggregate counters) to the same
- * network on one big chip under an unconstrained link, across
- * {Clock, Event} x {serial, parallel}.
- */
-TEST(BoardEquivalence, TwoByOneBoardMatchesSingleChip)
-{
-    const uint64_t ticks = 40;
-    for (uint64_t seed : {1ull, 42ull}) {
-        bench::CorticalWorkload w = tappedWorkload(4, 2, seed);
-        for (EngineKind ek : {EngineKind::Clock, EngineKind::Event}) {
-            auto mono = bench::makeCorticalSim(w, ek);
-            mono->run(ticks);
-            auto ref = canonical(mono->recorder().spikes());
-            ASSERT_FALSE(ref.empty());
-            Totals mt = chipTotals(mono->chip());
-
-            struct Lanes { uint32_t board, chip; };
-            for (Lanes lanes : {Lanes{0, 0}, Lanes{3, 0},
-                                Lanes{2, 2}}) {
-                auto sharded = bench::makeCorticalBoardSim(
-                    w, ek, 2, 1, lanes.board, LinkParams{},
-                    lanes.chip);
-                sharded->run(ticks);
-                EXPECT_EQ(canonical(sharded->recorder().spikes()),
-                          ref)
-                    << "seed " << seed << " engine " << int(ek)
-                    << " lanes " << lanes.board << "/" << lanes.chip;
-                Totals bt = boardTotals(sharded->board());
-                EXPECT_EQ(bt.sops, mt.sops);
-                EXPECT_EQ(bt.spikes, mt.spikes);
-                EXPECT_EQ(bt.hops, mt.hops);
-                EXPECT_EQ(bt.routed, mt.routed);
-                EXPECT_EQ(bt.out, mt.out);
-                EXPECT_EQ(bt.late, mt.late);
-                EXPECT_GT(sharded->board().counters().egressSpikes,
-                          0u);
-                EXPECT_EQ(sharded->board().counters().linkStalls,
-                          0u);
-                EXPECT_EQ(sharded->board().counters().linkDrops, 0u);
-            }
-        }
-    }
-}
-
-TEST(BoardEquivalence, TwoByTwoBoardMatchesSingleChip)
-{
-    const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 7);
-    auto mono = bench::makeCorticalSim(w, EngineKind::Event);
-    mono->run(ticks);
-    auto ref = canonical(mono->recorder().spikes());
-    ASSERT_FALSE(ref.empty());
-
-    auto sharded = bench::makeCorticalBoardSim(
-        w, EngineKind::Event, 2, 2, 3);
-    sharded->run(ticks);
-    EXPECT_EQ(canonical(sharded->recorder().spikes()), ref);
-    // Multi-hop routes exist on a 2x2 board (diagonal chip pairs).
-    EXPECT_GT(sharded->board().counters().linkPackets,
-              sharded->board().counters().egressSpikes);
-}
-
-TEST(BoardDeterminism, SerialAndParallelBitIdentical)
-{
-    // Raw vector equality — no canonicalisation — plus identical
-    // link statistics: the board's own determinism contract.
-    const uint64_t ticks = 35;
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 9);
-    LinkParams link;
-    link.packetsPerTick = 3;  // constrained: stall paths must also
-    link.extraDelay = 1;      // be thread-count-invariant
-    auto serial = bench::makeCorticalBoardSim(
-        w, EngineKind::Event, 2, 2, 0, link);
-    auto parallel = bench::makeCorticalBoardSim(
-        w, EngineKind::Event, 2, 2, 4, link, 2);
-    serial->run(ticks);
-    parallel->run(ticks);
-    EXPECT_EQ(serial->recorder().spikes(),
-              parallel->recorder().spikes());
-    const auto &sl = serial->board().linkCounters();
-    const auto &pl = parallel->board().linkCounters();
-    ASSERT_EQ(sl.size(), pl.size());
-    for (size_t i = 0; i < sl.size(); ++i) {
-        EXPECT_EQ(sl[i].packets, pl[i].packets) << "link " << i;
-        EXPECT_EQ(sl[i].stalls, pl[i].stalls) << "link " << i;
-        EXPECT_EQ(sl[i].drops, pl[i].drops) << "link " << i;
-        EXPECT_EQ(sl[i].peakQueue, pl[i].peakQueue) << "link " << i;
-    }
-    EXPECT_GT(serial->board().counters().linkStalls, 0u);
-}
 
 // --- hand-built two-chip link-model scenarios ------------------------------
 

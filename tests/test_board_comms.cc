@@ -48,30 +48,6 @@ canonical(std::vector<OutputSpike> v)
     return v;
 }
 
-/** Cortical workload with every third neuron tapped to an output
- *  line (as in test_board.cc) so runs emit comparable streams. */
-bench::CorticalWorkload
-tappedWorkload(uint32_t grid_w, uint32_t grid_h, uint64_t seed)
-{
-    bench::CorticalParams wp;
-    wp.gridW = grid_w;
-    wp.gridH = grid_h;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; n += 3) {
-            NeuronDest &d = w.cores[c].dests[n];
-            d = NeuronDest{};
-            d.kind = NeuronDest::Kind::Output;
-            d.line = c * neurons + n;
-        }
-    }
-    return w;
-}
-
 /** Board simulator with the fast-path knobs the bench factory does
  *  not expose: coalescing, route profile, traffic tracing. */
 std::unique_ptr<Simulator>
@@ -107,7 +83,7 @@ commsBoardSim(const bench::CorticalWorkload &w,
 TEST(BoardCommsEquivalence, AllFastPathCombosPreserveSpikes)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 11);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 11);
 
     auto mono = bench::makeCorticalSim(w, EngineKind::Event);
     mono->run(ticks);
@@ -484,7 +460,7 @@ TEST(BoardCommsCoalesce, ResetAndRestoreLeaveNoStaleState)
     // A constrained reliable coalescing board: packets stall, park in
     // transit and carry payloads, sequence numbers and checksums.
     const uint64_t ticks = 40;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 11);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 11);
     const auto inputs = poissonSchedule(w, ticks);
     BoardParams bp;
     bp.width = 2;
@@ -527,7 +503,7 @@ TEST(BoardCommsCoalesce, ResetAndRestoreLeaveNoStaleState)
 TEST(BoardCommsTrace, ProfileIsDeterministicAndRoundTrips)
 {
     const uint64_t ticks = 25;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 3);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 3);
 
     auto a = commsBoardSim(w, 2, 2, 0, nullptr, 0, true);
     auto b = commsBoardSim(w, 2, 2, 4, nullptr, 3, true);

@@ -35,40 +35,6 @@
 namespace nscs {
 namespace {
 
-/**
- * The cortical workload with every third neuron re-aimed at an
- * output line (as in test_board.cc).  Core-bound destinations keep a
- * delay of at least @p min_delay ticks so a one-tick retransmission
- * still lands before the delivery tick (late-delivery wrap would
- * otherwise make "retry masks the drop" timing-dependent).
- */
-bench::CorticalWorkload
-tappedWorkload(uint32_t grid_w, uint32_t grid_h, uint64_t seed,
-               uint8_t min_delay = 1)
-{
-    bench::CorticalParams wp;
-    wp.gridW = grid_w;
-    wp.gridH = grid_h;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; ++n) {
-            NeuronDest &d = w.cores[c].dests[n];
-            if (n % 3 == 0) {
-                d = NeuronDest{};
-                d.kind = NeuronDest::Kind::Output;
-                d.line = c * neurons + n;
-            } else if (d.delay < min_delay) {
-                d.delay = min_delay;
-            }
-        }
-    }
-    return w;
-}
-
 std::shared_ptr<const FaultPlan>
 planOf(std::vector<FaultEvent> events)
 {
@@ -133,7 +99,7 @@ TEST(FaultInject, DeadCoreSilencesItsOutputsFromTheEventTick)
 {
     const uint64_t ticks = 30, killAt = 5;
     const uint32_t neurons = CoreGeometry{}.numNeurons;
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 7);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 7);
 
     auto ref = chipSim(w, EngineKind::Clock);
     ref->run(ticks);
@@ -171,7 +137,7 @@ TEST(FaultInject, DeadCoreSilencesItsOutputsFromTheEventTick)
 TEST(FaultInject, StuckWordPerturbsTheCrossbar)
 {
     const uint64_t ticks = 60;
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 9);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 9);
 
     auto ref = chipSim(w, EngineKind::Event);
     ref->run(ticks);
@@ -195,7 +161,7 @@ TEST(FaultInject, StuckWordPerturbsTheCrossbar)
 
 TEST(FaultInject, ChipPlanRejectsLinkFaults)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 7);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 7);
     FaultEvent drop;
     drop.kind = FaultKind::LinkDrop;
     drop.tick = 3;
@@ -210,7 +176,7 @@ TEST(FaultInject, ChipPlanRejectsLinkFaults)
 TEST(FaultRecovery, SeuRollbackIsBitIdenticalToFaultFree)
 {
     const uint64_t ticks = 40;
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 11);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 11);
 
     auto ref = chipSim(w, EngineKind::Event);
     ref->run(ticks);
@@ -242,7 +208,7 @@ TEST(FaultRecovery, SeuRollbackIsBitIdenticalToFaultFree)
 TEST(FaultRecovery, SeuWithoutCheckpointGoesUnrecovered)
 {
     const uint64_t ticks = 40;
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 11);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 11);
 
     FaultEvent seu;
     seu.kind = FaultKind::PotentialFlip;
@@ -270,7 +236,7 @@ TEST(FaultLink, ReliableLinkRetransmitsDroppedPackets)
     const uint64_t ticks = 30;
     // min_delay 3: a one-tick retransmission still beats the
     // delivery tick, so recovery is invisible in the spike record.
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 13, 3);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 2, 13, 3);
 
     LinkParams link;
     link.reliable = true;
@@ -304,7 +270,7 @@ TEST(FaultLink, ReliableLinkRetransmitsDroppedPackets)
 TEST(FaultLink, ReliableLinkDedupsDuplicatedPackets)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 15);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 2, 15);
 
     LinkParams link;
     link.reliable = true;
@@ -339,7 +305,7 @@ TEST(FaultLink, ReliableLinkDedupsDuplicatedPackets)
 TEST(FaultRecovery, UnprotectedLinkDropRollsBackBitIdentical)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 17);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 2, 17);
 
     LinkParams link;  // unreliable: drops alarm instead of retrying
     auto ref = boardSim(w, 2, 1, link);
@@ -364,7 +330,7 @@ TEST(FaultRecovery, UnprotectedLinkDropRollsBackBitIdentical)
 TEST(FaultRecovery, UnprotectedLinkDuplicateRollsBackBitIdentical)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 19);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 2, 19);
 
     LinkParams link;
     auto ref = boardSim(w, 2, 1, link);
@@ -392,7 +358,7 @@ TEST(FaultRecovery, UnprotectedLinkDuplicateRollsBackBitIdentical)
 TEST(FaultLink, LinkDelayParksPackets)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 21);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 2, 21);
     // Open the window at the first tick from 5 on at which the
     // fault-free run sends packets over chip0's east link.
     auto ref = boardSim(w, 2, 1, LinkParams{});
@@ -417,7 +383,7 @@ TEST(FaultLink, LinkDelayParksPackets)
 TEST(FaultLink, DeadLinkReroutesWithoutChangingTheSpikeStream)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 23);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 23);
 
     auto ref = boardSim(w, 2, 2, LinkParams{});
     ref->run(ticks);
@@ -446,7 +412,7 @@ TEST(FaultLink, DeadLinkReroutesWithoutChangingTheSpikeStream)
 TEST(FaultLink, DeadLinkWithNoAlternatePathDropsPackets)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 2, 25);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 2, 25);
 
     // On a 2x1 board the single east link is chip0's only path to
     // chip1.
@@ -509,7 +475,7 @@ deadEastLinkOfChip0(uint64_t tick)
 TEST(FaultLink, LinkDyingUnderParkedPacketsReroutesThem)
 {
     const uint64_t ticks = 40;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 23);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 23);
     // Kill the link at the first tick boundary at which the
     // fault-free run has packets parked in its stall queue.
     auto probe = congestedBoardSim(w, nullptr);
@@ -545,7 +511,7 @@ TEST(FaultLink, LinkDyingUnderParkedPacketsReroutesThem)
 TEST(FaultLink, SnapshotAfterLinkDeathRestoresBitIdentically)
 {
     const uint64_t ticks = 40, killAt = 14, split = 21;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 23);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 23);
     auto plan = planOf({deadEastLinkOfChip0(killAt)});
 
     auto ref = congestedBoardSim(w, plan);
@@ -574,7 +540,7 @@ TEST(FaultLink, SnapshotAfterLinkDeathRestoresBitIdentically)
 TEST(FaultLink, WindowsTouchOnlyTheirOwnLink)
 {
     const uint64_t ticks = 30;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 23);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 23);
     // On a 2x2 board under X-then-Y routing no route crosses both
     // chip1's west link (1 -> 0, then on to 2) and chip2's east link
     // (2 -> 3, then on to 1), so a drop on one cannot hide a delay
@@ -662,7 +628,7 @@ TEST(FaultLink, WindowsTouchOnlyTheirOwnLink)
 TEST(FaultInject, BoardPlanSlicesGlobalCoreIndices)
 {
     const uint64_t ticks = 20;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 27);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 27);
 
     // Global core 9 on the 4x4 grid = (x 1, y 2) -> chip (0, 1) of a
     // 2x2 board, local core (x 1, y 0).
@@ -829,7 +795,7 @@ TEST(FaultPlanIo, MalformedEventFieldsRejectWithTheirIndex)
 
 TEST(FaultFootprint, PlansAndCheckpointsAreAccounted)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 29);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 29);
 
     FaultCampaignSpec spec;
     spec.numCores = 4;

@@ -1,14 +1,14 @@
 /**
  * @file
- * Instance-batching differential tests: B replica lanes through one
- * shared crossbar must be bit-identical, per lane, to B independent
- * single-instance runs with the same per-lane sources — across
- * {Clock, Event} x {serial, parallel} x {Chip, Board} for
- * B in {2, 8}.  Also covers the uneven last batch in the classifier
- * front-end, per-instance fault isolation, snapshot lane-mismatch
- * rejection, the schedule source's tail sort, the offset-mask
- * encoder the batch scheduler builds on, and the classifier's
- * rate-code source against an explicit stable-sorted schedule.
+ * Instance-batching tests around the lane contract.  That B replica
+ * lanes through one shared crossbar are bit-identical, per lane, to
+ * B independent single-instance runs is a column of the contract
+ * matrix (test_contracts.cc).  Here: the uneven last batch in the
+ * classifier front-end, per-instance fault isolation, snapshot
+ * lane-mismatch rejection, the schedule source's tail sort, the
+ * offset-mask encoder the batch scheduler builds on, and the
+ * classifier's rate-code source against an explicit stable-sorted
+ * schedule.
  */
 
 #include <gtest/gtest.h>
@@ -30,31 +30,6 @@
 namespace nscs {
 namespace {
 
-/**
- * The cortical bench workload with every third neuron re-aimed at an
- * off-chip output line so per-lane spike streams are observable.
- */
-bench::CorticalWorkload
-tappedWorkload(uint32_t side, uint64_t seed)
-{
-    bench::CorticalParams wp;
-    wp.gridW = wp.gridH = side;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; n += 3) {
-            NeuronDest &d = w.cores[c].dests[n];
-            d = NeuronDest{};
-            d.kind = NeuronDest::Kind::Output;
-            d.line = c * neurons + n;
-        }
-    }
-    return w;
-}
-
 /** Distinct deterministic Poisson stream per lane. */
 uint64_t
 laneSeed(uint64_t base, uint32_t lane)
@@ -62,48 +37,30 @@ laneSeed(uint64_t base, uint32_t lane)
     return base ^ (0xD1CEull + 0x9E3779B97F4A7C15ull * (lane + 1));
 }
 
-/**
- * Simulator over @p w with @p lanes instance lanes, as a standalone
- * chip or a 2x1 board of half-width chips, serial or parallel.  No
- * sources attached — callers bind one per lane.
- */
+/** The Event chip over @p w with @p lanes instance lanes.  No
+ *  sources attached — callers bind one per lane. */
 std::unique_ptr<Simulator>
-makeSim(const bench::CorticalWorkload &w, EngineKind engine,
-        uint32_t threads, bool board, uint32_t lanes,
+makeSim(const bench::CorticalWorkload &w, uint32_t lanes,
         std::shared_ptr<const FaultPlan> fault_plan = nullptr)
 {
-    if (board) {
-        BoardParams bp;
-        bp.width = 2;
-        bp.height = 1;
-        bp.chip.width = w.params.gridW / 2;
-        bp.chip.height = w.params.gridH;
-        bp.chip.coreGeom = CoreGeometry{};
-        bp.chip.engine = engine;
-        bp.chip.instances = lanes;
-        bp.threads = threads;
-        bp.faultPlan = std::move(fault_plan);
-        return std::make_unique<Simulator>(bp, w.cores);
-    }
     ChipParams cp;
     cp.width = w.params.gridW;
     cp.height = w.params.gridH;
     cp.coreGeom = CoreGeometry{};
-    cp.engine = engine;
-    cp.threads = threads;
     cp.instances = lanes;
     cp.faultPlan = std::move(fault_plan);
     return std::make_unique<Simulator>(cp, w.cores);
 }
 
+/** Bind lane @p lane's Poisson source to lane @p lane of @p sim. */
 void
 addLaneSource(Simulator &sim, const bench::CorticalWorkload &w,
-              uint32_t lane, uint32_t bind_to)
+              uint32_t lane)
 {
     sim.addSource(std::make_unique<PoissonSource>(
                       w.drivenAxons, w.params.ratePerTick,
                       laneSeed(w.params.seed, lane)),
-                  bind_to);
+                  lane);
 }
 
 /** Lane @p lane's spikes in record order, instance field zeroed so
@@ -121,73 +78,6 @@ laneStream(const std::vector<OutputSpike> &all, uint32_t lane)
     return out;
 }
 
-/**
- * The core differential: one B-lane batched run vs B independent
- * single-instance runs, each fed that lane's source stream.
- */
-void
-runDifferential(uint32_t lanes, EngineKind engine, uint32_t threads,
-                bool board, uint64_t seed = 17)
-{
-    const uint64_t kTicks = 40;
-    bench::CorticalWorkload w = tappedWorkload(2, seed);
-
-    auto batched = makeSim(w, engine, threads, board, lanes);
-    for (uint32_t i = 0; i < lanes; ++i)
-        addLaneSource(*batched, w, i, i);
-    batched->run(kTicks);
-    const std::vector<OutputSpike> &all =
-        batched->recorder().spikes();
-    ASSERT_FALSE(all.empty());
-    // Distinct per-lane seeds must yield distinct streams, or the
-    // per-lane comparison below proves nothing.
-    ASSERT_NE(laneStream(all, 0), laneStream(all, 1));
-
-    for (uint32_t i = 0; i < lanes; ++i) {
-        auto single = makeSim(w, engine, threads, board, 1);
-        addLaneSource(*single, w, i, 0);
-        single->run(kTicks);
-        EXPECT_EQ(laneStream(all, i), single->recorder().spikes())
-            << "lane " << i << " engine " << static_cast<int>(engine)
-            << " threads " << threads << " board " << board;
-    }
-}
-
-TEST(InstanceBatch, BitIdenticalChipSerial)
-{
-    for (uint32_t lanes : {2u, 8u})
-        for (EngineKind ek : {EngineKind::Clock, EngineKind::Event})
-            runDifferential(lanes, ek, 0, false);
-}
-
-TEST(InstanceBatch, BitIdenticalChipParallel)
-{
-    for (uint32_t lanes : {2u, 8u})
-        for (EngineKind ek : {EngineKind::Clock, EngineKind::Event})
-            runDifferential(lanes, ek, 4, false);
-}
-
-TEST(InstanceBatch, BitIdenticalBoardSerial)
-{
-    for (uint32_t lanes : {2u, 8u})
-        for (EngineKind ek : {EngineKind::Clock, EngineKind::Event})
-            runDifferential(lanes, ek, 0, true);
-}
-
-TEST(InstanceBatch, BitIdenticalBoardParallel)
-{
-    for (uint32_t lanes : {2u, 8u})
-        for (EngineKind ek : {EngineKind::Clock, EngineKind::Event})
-            runDifferential(lanes, ek, 4, true);
-}
-
-TEST(InstanceBatch, BitIdenticalAcrossSeeds)
-{
-    // A second seed on the cheapest configuration guards against the
-    // matrix above passing by coincidence of one input pattern.
-    runDifferential(2, EngineKind::Event, 0, false, 103);
-}
-
 // ---------------------------------------------------------------------------
 // Per-instance fault isolation
 // ---------------------------------------------------------------------------
@@ -196,11 +86,11 @@ TEST(InstanceBatch, PotentialFlipStaysOnItsLane)
 {
     const uint64_t kTicks = 40;
     const uint32_t kLanes = 4;
-    bench::CorticalWorkload w = tappedWorkload(2, 29);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 29);
 
-    auto clean = makeSim(w, EngineKind::Event, 0, false, kLanes);
+    auto clean = makeSim(w, kLanes);
     for (uint32_t i = 0; i < kLanes; ++i)
-        addLaneSource(*clean, w, i, i);
+        addLaneSource(*clean, w, i);
     clean->run(kTicks);
 
     // Neuron 6 is one of the output-tapped neurons (every third), so
@@ -216,10 +106,9 @@ TEST(InstanceBatch, PotentialFlipStaysOnItsLane)
     auto plan = std::make_shared<FaultPlan>();
     plan->events.push_back(seu);
 
-    auto faulty =
-        makeSim(w, EngineKind::Event, 0, false, kLanes, plan);
+    auto faulty = makeSim(w, kLanes, plan);
     for (uint32_t i = 0; i < kLanes; ++i)
-        addLaneSource(*faulty, w, i, i);
+        addLaneSource(*faulty, w, i);
     faulty->run(kTicks);
     EXPECT_EQ(faulty->chip().faultStats().seuFlips, 1u);
 
@@ -320,23 +209,23 @@ TEST(InstanceBatch, EvaluateThroughputModeMatchesSequential)
 
 TEST(InstanceSnapshot, LaneCountMismatchRejects)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 5);
-    auto src = makeSim(w, EngineKind::Event, 0, false, 2);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto src = makeSim(w, 2);
     for (uint32_t i = 0; i < 2; ++i)
-        addLaneSource(*src, w, i, i);
+        addLaneSource(*src, w, i);
     src->run(10);
     JsonValue snap = src->snapshot();
 
-    auto wider = makeSim(w, EngineKind::Event, 0, false, 4);
+    auto wider = makeSim(w, 4);
     for (uint32_t i = 0; i < 2; ++i)
-        addLaneSource(*wider, w, i, i);
+        addLaneSource(*wider, w, i);
     std::string err;
     EXPECT_FALSE(wider->restore(snap, &err));
     EXPECT_NE(err.find("instances"), std::string::npos) << err;
 
-    auto same = makeSim(w, EngineKind::Event, 0, false, 2);
+    auto same = makeSim(w, 2);
     for (uint32_t i = 0; i < 2; ++i)
-        addLaneSource(*same, w, i, i);
+        addLaneSource(*same, w, i);
     err.clear();
     EXPECT_TRUE(same->restore(snap, &err)) << err;
     same->run(10);
@@ -346,10 +235,10 @@ TEST(InstanceSnapshot, LaneCountMismatchRejects)
 
 TEST(InstanceSnapshot, PreInstanceVersionRejects)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 5);
-    auto src = makeSim(w, EngineKind::Event, 0, false, 2);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto src = makeSim(w, 2);
     for (uint32_t i = 0; i < 2; ++i)
-        addLaneSource(*src, w, i, i);
+        addLaneSource(*src, w, i);
     src->run(10);
     JsonValue snap = src->snapshot();
     snap.set("version", JsonValue::integer(1));

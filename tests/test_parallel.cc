@@ -1,9 +1,10 @@
 /**
  * @file
- * Parallel tick engine tests: the ThreadPool primitive, and
- * bit-identical OutputSpike streams between Chip::tickParallel and
- * the serial engine across RNG seeds, thread counts, chip sizes,
- * execution engines and transport models.
+ * Parallel tick engine tests: the ThreadPool primitive, the parallel
+ * engine under the cycle-accurate mesh (whose arbitration sees the
+ * merge phase's injection order), run statistics and reset.  The
+ * thread-count contract on the functional transport is a column of
+ * the contract matrix (test_contracts.cc).
  */
 
 #include <gtest/gtest.h>
@@ -72,32 +73,6 @@ TEST(ThreadPool, EmptyAndSingleJobs)
     EXPECT_EQ(ran, 1u);
 }
 
-/**
- * The cortical bench workload with every third neuron re-aimed at an
- * off-chip output line, so engine comparisons can assert on a real
- * OutputSpike stream (the stock workload only routes core-to-core).
- */
-bench::CorticalWorkload
-tappedWorkload(uint32_t side, uint64_t seed)
-{
-    bench::CorticalParams wp;
-    wp.gridW = wp.gridH = side;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; n += 3) {
-            NeuronDest &d = w.cores[c].dests[n];
-            d = NeuronDest{};
-            d.kind = NeuronDest::Kind::Output;
-            d.line = c * neurons + n;
-        }
-    }
-    return w;
-}
-
 /** Everything a run produces that must be engine-invariant. */
 struct RunSnapshot
 {
@@ -107,11 +82,12 @@ struct RunSnapshot
     RunPerf perf;
 };
 
+/** The tapped 2x2 cortical chip run for @p ticks ticks. */
 RunSnapshot
-runTapped(uint32_t side, uint64_t seed, EngineKind ek, NocModel nm,
-          uint32_t threads, uint64_t ticks = 40)
+runTapped(uint64_t seed, EngineKind ek, NocModel nm, uint32_t threads,
+          uint64_t ticks = 40)
 {
-    bench::CorticalWorkload w = tappedWorkload(side, seed);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, seed);
     auto sim = bench::makeCorticalSim(w, ek, nm, threads);
     RunSnapshot snap;
     snap.perf = sim->run(ticks);
@@ -139,84 +115,23 @@ expectIdentical(const RunSnapshot &a, const RunSnapshot &b)
     EXPECT_EQ(a.events.hops, b.events.hops);
 }
 
-TEST(ParallelTick, BitIdenticalClockEngine)
-{
-    for (uint64_t seed : {1ull, 42ull}) {
-        RunSnapshot serial = runTapped(2, seed, EngineKind::Clock,
-                                       NocModel::Functional, 0);
-        ASSERT_FALSE(serial.spikes.empty());
-        for (uint32_t threads : {1u, 2u, 8u}) {
-            RunSnapshot par = runTapped(2, seed, EngineKind::Clock,
-                                        NocModel::Functional, threads);
-            expectIdentical(serial, par);
-        }
-    }
-}
-
-TEST(ParallelTick, BitIdenticalEventEngine)
-{
-    for (uint64_t seed : {1ull, 42ull}) {
-        RunSnapshot serial = runTapped(2, seed, EngineKind::Event,
-                                       NocModel::Functional, 0);
-        ASSERT_FALSE(serial.spikes.empty());
-        for (uint32_t threads : {1u, 2u, 8u}) {
-            RunSnapshot par = runTapped(2, seed, EngineKind::Event,
-                                        NocModel::Functional, threads);
-            expectIdentical(serial, par);
-        }
-    }
-}
-
 TEST(ParallelTick, BitIdenticalCycleMesh)
 {
     // The cycle-accurate mesh is order-sensitive (injection order
     // feeds arbitration), so this also checks that the merge phase
     // reproduces the serial injection sequence exactly.
-    RunSnapshot serial = runTapped(2, 7, EngineKind::Event,
+    RunSnapshot serial = runTapped(7, EngineKind::Event,
                                    NocModel::Cycle, 0);
     for (uint32_t threads : {2u, 8u}) {
-        RunSnapshot par = runTapped(2, 7, EngineKind::Event,
+        RunSnapshot par = runTapped(7, EngineKind::Event,
                                     NocModel::Cycle, threads);
         expectIdentical(serial, par);
     }
 }
 
-TEST(ParallelTick, BitIdenticalAcrossChipSizes)
-{
-    for (uint32_t side : {1u, 2u, 4u}) {
-        RunSnapshot serial = runTapped(side, 5, EngineKind::Clock,
-                                       NocModel::Functional, 0);
-        RunSnapshot par = runTapped(side, 5, EngineKind::Clock,
-                                    NocModel::Functional, 8);
-        expectIdentical(serial, par);
-    }
-}
-
-TEST(ParallelTick, ExplicitTickParallelWithoutPool)
-{
-    // tickParallel on a threads=0 chip runs the two-phase
-    // evaluate-then-route path on the calling thread; it must still
-    // match the serial engine exactly.
-    bench::CorticalWorkload w = tappedWorkload(2, 11);
-    ChipParams cp;
-    cp.width = cp.height = 2;
-    cp.engine = EngineKind::Clock;
-    Chip serial(cp, w.cores);
-    Chip twophase(cp, w.cores);
-    for (uint64_t t = 0; t < 30; ++t) {
-        serial.injectInput(0, 1, t);
-        twophase.injectInput(0, 1, t);
-        serial.tickSerial();
-        twophase.tickParallel();
-    }
-    EXPECT_EQ(serial.outputs(), twophase.outputs());
-    EXPECT_EQ(serial.counters().spikesRouted,
-              twophase.counters().spikesRouted);
-}
-
 TEST(ParallelTick, RunPerfStaysSane)
 {
-    RunSnapshot par = runTapped(2, 3, EngineKind::Clock,
+    RunSnapshot par = runTapped(3, EngineKind::Clock,
                                 NocModel::Functional, 4, 100);
     EXPECT_EQ(par.perf.ticks, 100u);
     EXPECT_GT(par.perf.seconds, 0.0);
@@ -227,7 +142,7 @@ TEST(ParallelTick, RunPerfStaysSane)
 
 TEST(ParallelTick, ResetKeepsParallelEngine)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 13);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 13);
     auto sim = bench::makeCorticalSim(w, EngineKind::Event,
                                       NocModel::Functional, 4);
     sim->run(25);

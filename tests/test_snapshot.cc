@@ -2,20 +2,19 @@
  * @file
  * Snapshot/restore tests.
  *
- * The load-bearing property is restore invisibility: running a
- * simulation straight through must be bit-identical to running part
- * way, snapshotting, restoring the snapshot into a freshly built
- * simulator and running the rest — across {Clock, Event} engines,
- * {serial, parallel} execution and {Chip, Board} targets, including
- * board runs with packets parked in flight on constrained links at
- * the snapshot point.  Thread count is explicitly NOT part of the
- * snapshot contract, so a serial snapshot must restore into a
- * parallel simulator (and vice versa) with the same bit-identical
- * continuation.
+ * Restore invisibility (a run saved part way and restored into a
+ * fresh simulator, at another thread count, continues bit-identically
+ * to the straight run) is a column of the contract matrix
+ * (test_contracts.cc), on chips, the classifier's lanes and boards
+ * with packets parked in flight.  Here: counters, the recorder and
+ * the file round trip, a stochastic run restored next to the LFSR
+ * stream table's wrap, and legacy keys.
  *
  * The rejection paths matter just as much: a snapshot from a
- * different format/version/target/engine/geometry must be refused
- * with a diagnostic, never half-applied.
+ * different format/version/target/engine/geometry, or with any field
+ * of the wrong type or range, must be refused with a diagnostic,
+ * never half-applied.  The stats document's counter groups are held
+ * equal to the snapshot's counters.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +33,6 @@
 #include "runtime/snapshot.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
-#include "util/simd.hh"
 #include "util/stats.hh"
 
 namespace nscs {
@@ -43,147 +41,30 @@ namespace {
 constexpr uint64_t kTicks = 40;      //!< full run length
 constexpr uint64_t kSplit = 17;      //!< snapshot point (off-cycle)
 
-/**
- * The cortical workload with every third neuron re-aimed at an
- * output line (as in test_board.cc) so runs produce a comparable
- * OutputSpike stream.
- */
-bench::CorticalWorkload
-tappedWorkload(uint32_t grid_w, uint32_t grid_h, uint64_t seed)
-{
-    bench::CorticalParams wp;
-    wp.gridW = grid_w;
-    wp.gridH = grid_h;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; n += 3) {
-            NeuronDest &d = w.cores[c].dests[n];
-            d = NeuronDest{};
-            d.kind = NeuronDest::Kind::Output;
-            d.line = c * neurons + n;
-        }
-    }
-    return w;
-}
-
 std::unique_ptr<Simulator>
-chipSim(const bench::CorticalWorkload &w, EngineKind engine,
-        uint32_t threads)
+chipSim(const bench::CorticalWorkload &w, EngineKind engine)
 {
-    return bench::makeCorticalSim(w, engine, NocModel::Functional,
-                                  threads);
+    return bench::makeCorticalSim(w, engine);
 }
 
 /** Board sim with a constrained link so packets park in flight. */
 std::unique_ptr<Simulator>
-boardSim(const bench::CorticalWorkload &w, EngineKind engine,
-         uint32_t threads)
+boardSim(const bench::CorticalWorkload &w, EngineKind engine)
 {
     LinkParams link;
     link.packetsPerTick = 6;  // forces budget stalls into pending_
     link.extraDelay = 2;      // keeps packets in transit across ticks
-    return bench::makeCorticalBoardSim(w, engine, 2, 2, threads, link);
-}
-
-/**
- * Restore invisibility for one (maker, engine, threads) cell:
- * straight-through reference vs snapshot-at-kSplit restored into a
- * fresh simulator, raw vector equality (same framing, so the
- * determinism contract promises bit-identical streams).
- */
-template <typename MakeSim>
-void
-expectRestoreInvisible(const bench::CorticalWorkload &w,
-                       MakeSim make, EngineKind engine,
-                       uint32_t threads)
-{
-    auto ref = make(w, engine, threads);
-    ref->run(kTicks);
-
-    auto subject = make(w, engine, threads);
-    subject->run(kSplit);
-    JsonValue snap = subject->snapshot();
-
-    // Snapshotting is non-destructive: the donor continues
-    // bit-identically.
-    subject->run(kTicks - kSplit);
-    EXPECT_EQ(subject->recorder().spikes(), ref->recorder().spikes());
-
-    auto restored = make(w, engine, threads);
-    std::string err;
-    ASSERT_TRUE(restored->restore(snap, &err)) << err;
-    EXPECT_EQ(restored->now(), kSplit);
-    restored->run(kTicks - kSplit);
-    EXPECT_EQ(restored->recorder().spikes(), ref->recorder().spikes());
-}
-
-TEST(SnapshotRoundTrip, ChipMatrix)
-{
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 7);
-    for (EngineKind engine : {EngineKind::Clock, EngineKind::Event}) {
-        for (uint32_t threads : {0u, 3u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "engine=" << static_cast<int>(engine)
-                         << " threads=" << threads);
-            expectRestoreInvisible(w, chipSim, engine, threads);
-        }
-    }
-}
-
-TEST(SnapshotRoundTrip, BoardMatrixWithInFlightPackets)
-{
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 11);
-    for (EngineKind engine : {EngineKind::Clock, EngineKind::Event}) {
-        for (uint32_t threads : {0u, 2u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "engine=" << static_cast<int>(engine)
-                         << " threads=" << threads);
-            expectRestoreInvisible(w, boardSim, engine, threads);
-        }
-    }
-}
-
-// Thread count is not part of the snapshot contract: a serial
-// snapshot restores into a parallel simulator (and back) with a
-// bit-identical continuation.
-TEST(SnapshotRoundTrip, CrossThreadCountRestore)
-{
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 13);
-    auto ref = chipSim(w, EngineKind::Event, 0);
-    ref->run(kTicks);
-
-    auto donor = chipSim(w, EngineKind::Event, 0);
-    donor->run(kSplit);
-    JsonValue snap = donor->snapshot();
-
-    auto wide = chipSim(w, EngineKind::Event, 3);
-    std::string err;
-    ASSERT_TRUE(wide->restore(snap, &err)) << err;
-    wide->run(kTicks - kSplit);
-    EXPECT_EQ(wide->recorder().spikes(), ref->recorder().spikes());
-
-    // And back: snapshot the parallel sim, restore into serial.
-    auto donor2 = chipSim(w, EngineKind::Event, 3);
-    donor2->run(kSplit);
-    JsonValue snap2 = donor2->snapshot();
-    auto narrow = chipSim(w, EngineKind::Event, 0);
-    ASSERT_TRUE(narrow->restore(snap2, &err)) << err;
-    narrow->run(kTicks - kSplit);
-    EXPECT_EQ(narrow->recorder().spikes(), ref->recorder().spikes());
+    return bench::makeCorticalBoardSim(w, engine, 2, 2, 0, link);
 }
 
 TEST(SnapshotRoundTrip, CountersAndRecorderSurvive)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 3);
-    auto donor = chipSim(w, EngineKind::Clock, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 3);
+    auto donor = chipSim(w, EngineKind::Clock);
     donor->run(kSplit);
     JsonValue snap = donor->snapshot();
 
-    auto restored = chipSim(w, EngineKind::Clock, 0);
+    auto restored = chipSim(w, EngineKind::Clock);
     std::string err;
     ASSERT_TRUE(restored->restore(snap, &err)) << err;
     EXPECT_EQ(restored->recorder().spikes(),
@@ -200,17 +81,17 @@ TEST(SnapshotRoundTrip, CountersAndRecorderSurvive)
 
 TEST(SnapshotRoundTrip, FileRoundTrip)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto ref = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto ref = chipSim(w, EngineKind::Event);
     ref->run(kTicks);
 
-    auto donor = chipSim(w, EngineKind::Event, 0);
+    auto donor = chipSim(w, EngineKind::Event);
     donor->run(kSplit);
     const std::string path = testing::TempDir() + "nscs_snapshot.json";
     std::string err;
     ASSERT_TRUE(donor->saveStateFile(path, &err)) << err;
 
-    auto restored = chipSim(w, EngineKind::Event, 0);
+    auto restored = chipSim(w, EngineKind::Event);
     ASSERT_TRUE(restored->restoreStateFile(path, &err)) << err;
     restored->run(kTicks - kSplit);
     EXPECT_EQ(restored->recorder().spikes(), ref->recorder().spikes());
@@ -637,11 +518,11 @@ TEST(SnapshotRejects, LaneRngOutOfRange)
 // included, so a stale agenda entry cannot add an activation.
 TEST(SnapshotRoundTrip, LegacyWakeKeysIgnored)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto ref = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto ref = chipSim(w, EngineKind::Event);
     ref->run(kTicks);
 
-    auto donor = chipSim(w, EngineKind::Event, 0);
+    auto donor = chipSim(w, EngineKind::Event);
     donor->run(kSplit);
     JsonValue snap = donor->snapshot();
     const JsonValue &device = snap.at("device");
@@ -661,7 +542,7 @@ TEST(SnapshotRoundTrip, LegacyWakeKeysIgnored)
         withMember(withMember(device, "agenda", agenda), "lastWake",
                    last_wake));
 
-    auto restored = chipSim(w, EngineKind::Event, 0);
+    auto restored = chipSim(w, EngineKind::Event);
     std::string err;
     ASSERT_TRUE(restored->restore(legacy, &err)) << err;
     restored->run(kTicks - kSplit);
@@ -773,8 +654,8 @@ TEST(SnapshotRejects, CoreCounterNotUnsigned)
 
 TEST(SnapshotRejects, SourceRngMalformed)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto donor = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto donor = chipSim(w, EngineKind::Event);
     donor->run(5);
     JsonValue snap = donor->snapshot();
     ASSERT_EQ(snap.at("sources").size(), 1u);
@@ -790,7 +671,7 @@ TEST(SnapshotRejects, SourceRngMalformed)
     };
 
     std::string err;
-    ASSERT_TRUE(chipSim(w, EngineKind::Event, 0)->restore(snap, &err)) << err;
+    ASSERT_TRUE(chipSim(w, EngineKind::Event)->restore(snap, &err)) << err;
 
     // Each of these used to abort the process in a JSON accessor or,
     // for the all-zero words, load a state no generator can hold.
@@ -824,7 +705,7 @@ TEST(SnapshotRejects, SourceRngMalformed)
     };
     for (const auto &[what, doc] : bad) {
         err.clear();
-        EXPECT_FALSE(chipSim(w, EngineKind::Event, 0)->restore(doc, &err))
+        EXPECT_FALSE(chipSim(w, EngineKind::Event)->restore(doc, &err))
             << what;
         EXPECT_FALSE(err.empty()) << what;
     }
@@ -832,8 +713,8 @@ TEST(SnapshotRejects, SourceRngMalformed)
 
 TEST(SnapshotRejects, MissingFile)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto sim = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto sim = chipSim(w, EngineKind::Event);
     std::string err;
     EXPECT_FALSE(sim->restoreStateFile(
         testing::TempDir() + "no_such_snapshot.json", &err));
@@ -842,12 +723,12 @@ TEST(SnapshotRejects, MissingFile)
 
 TEST(SnapshotRejects, VersionMismatch)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto sim = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto sim = chipSim(w, EngineKind::Event);
     sim->run(5);
     JsonValue snap = sim->snapshot();
     snap.set("version", JsonValue::integer(kSnapshotVersion + 1));
-    auto fresh = chipSim(w, EngineKind::Event, 0);
+    auto fresh = chipSim(w, EngineKind::Event);
     std::string err;
     EXPECT_FALSE(fresh->restore(snap, &err));
     EXPECT_NE(err.find("version"), std::string::npos) << err;
@@ -855,8 +736,8 @@ TEST(SnapshotRejects, VersionMismatch)
 
 TEST(SnapshotRejects, FormatMismatch)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto sim = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto sim = chipSim(w, EngineKind::Event);
     JsonValue snap = sim->snapshot();
     snap.set("format", JsonValue::string("not-a-snapshot"));
     std::string err;
@@ -866,11 +747,11 @@ TEST(SnapshotRejects, FormatMismatch)
 
 TEST(SnapshotRejects, TargetMismatch)
 {
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 5);
-    auto chip = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 5);
+    auto chip = chipSim(w, EngineKind::Event);
     chip->run(5);
     JsonValue snap = chip->snapshot();
-    auto board = boardSim(w, EngineKind::Event, 0);
+    auto board = boardSim(w, EngineKind::Event);
     std::string err;
     EXPECT_FALSE(board->restore(snap, &err));
     EXPECT_FALSE(err.empty());
@@ -878,11 +759,11 @@ TEST(SnapshotRejects, TargetMismatch)
 
 TEST(SnapshotRejects, EngineMismatch)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto clock = chipSim(w, EngineKind::Clock, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto clock = chipSim(w, EngineKind::Clock);
     clock->run(5);
     JsonValue snap = clock->snapshot();
-    auto event = chipSim(w, EngineKind::Event, 0);
+    auto event = chipSim(w, EngineKind::Event);
     std::string err;
     EXPECT_FALSE(event->restore(snap, &err));
     EXPECT_FALSE(err.empty());
@@ -890,12 +771,12 @@ TEST(SnapshotRejects, EngineMismatch)
 
 TEST(SnapshotRejects, GeometryMismatch)
 {
-    bench::CorticalWorkload big = tappedWorkload(4, 4, 5);
-    auto donor = chipSim(big, EngineKind::Event, 0);
+    bench::CorticalWorkload big = bench::tappedWorkload(4, 4, 5);
+    auto donor = chipSim(big, EngineKind::Event);
     donor->run(5);
     JsonValue snap = donor->snapshot();
-    bench::CorticalWorkload small = tappedWorkload(2, 2, 5);
-    auto sim = chipSim(small, EngineKind::Event, 0);
+    bench::CorticalWorkload small = bench::tappedWorkload(2, 2, 5);
+    auto sim = chipSim(small, EngineKind::Event);
     std::string err;
     EXPECT_FALSE(sim->restore(snap, &err));
     EXPECT_FALSE(err.empty());
@@ -920,7 +801,7 @@ TEST(SnapshotRejects, BoardPendingPacketOutOfRange)
 {
     // Coalescing on a constrained fabric: parked packets carry
     // payloads, and some sit in stall queues.
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 11);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 11);
     LinkParams link;
     link.packetsPerTick = 6;
     link.extraDelay = 2;
@@ -993,15 +874,15 @@ TEST(SnapshotRejects, ChipEgressRecord)
     // The merge drains every chip's egress within its tick, so a
     // snapshot's egress array is empty; a record smuggled into it
     // (here with instance 5 of 1 lane) is rejected, not replayed.
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 5);
-    auto donor = boardSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 5);
+    auto donor = boardSim(w, EngineKind::Event);
     donor->run(kSplit);
     const JsonValue snap = donor->snapshot();
     const JsonValue &device = snap.at("device");
     const JsonValue &chip0 = device.at("chips").at(0);
     ASSERT_EQ(chip0.at("egress").size(), 0u);
     std::string err;
-    ASSERT_TRUE(boardSim(w, EngineKind::Event, 0)->restore(snap, &err))
+    ASSERT_TRUE(boardSim(w, EngineKind::Event)->restore(snap, &err))
         << err;
 
     JsonValue egress = JsonValue::array();
@@ -1014,14 +895,14 @@ TEST(SnapshotRejects, ChipEgressRecord)
                    withElement(device.at("chips"), 0,
                                withMember(chip0, "egress", egress))));
     err.clear();
-    EXPECT_FALSE(boardSim(w, EngineKind::Event, 0)->restore(doc, &err));
+    EXPECT_FALSE(boardSim(w, EngineKind::Event)->restore(doc, &err));
     EXPECT_FALSE(err.empty());
 }
 
 TEST(SnapshotRejects, GarbageDocument)
 {
-    bench::CorticalWorkload w = tappedWorkload(2, 2, 5);
-    auto sim = chipSim(w, EngineKind::Event, 0);
+    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 5);
+    auto sim = chipSim(w, EngineKind::Event);
     std::string err;
     EXPECT_FALSE(sim->restore(JsonValue::integer(42), &err));
     EXPECT_FALSE(err.empty());
@@ -1269,44 +1150,6 @@ TEST(SnapshotRejects, EveryBoardLeafMutationIsRejectedOrRuns)
 // The stats document: deterministic, and its counter groups are the
 // snapshot's counters
 // ---------------------------------------------------------------------------
-
-/** The stats document of @p sim's device. */
-JsonValue
-deviceStats(const Simulator &sim)
-{
-    return sim.isBoard() ? sim.board().stats() : sim.chip().stats();
-}
-
-/** Counters are architectural or effort counts of the run, never
- *  host-dependent: the document is byte-identical at every thread
- *  count and SIMD level. */
-TEST(StatsDocument, IdenticalAcrossThreadsAndSimdLevels)
-{
-    struct LevelGuard
-    {
-        simd::Level saved = simd::activeLevel();
-        ~LevelGuard() { simd::setActiveLevel(saved); }
-    } guard;
-    bench::CorticalWorkload w = tappedWorkload(4, 4, 5);
-    for (auto make : {chipSim, boardSim}) {
-        std::string ref;
-        for (uint32_t threads : {0u, 2u}) {
-            for (simd::Level lvl : simd::availableLevels()) {
-                SCOPED_TRACE(testing::Message()
-                             << "threads=" << threads
-                             << " simd=" << simd::levelName(lvl));
-                ASSERT_TRUE(simd::setActiveLevel(lvl));
-                auto sim = make(w, EngineKind::Event, threads);
-                sim->run(kTicks);
-                const std::string doc = deviceStats(*sim).dump(2);
-                if (ref.empty())
-                    ref = doc;
-                EXPECT_EQ(doc, ref);
-            }
-        }
-        EXPECT_NE(ref.find("\"nscs-stats\""), std::string::npos);
-    }
-}
 
 /** Snapshot counter object @p v read through @p fields. */
 template <typename S, size_t N>

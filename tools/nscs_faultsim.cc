@@ -80,30 +80,6 @@ countArg(const std::string &v, uint64_t limit, T &out)
     out = static_cast<T>(n);
 }
 
-/** The bench cortical workload with every third neuron re-aimed at
- *  an output line, so accuracy has a spike trace to score. */
-bench::CorticalWorkload
-tappedWorkload(uint32_t grid_w, uint32_t grid_h, uint64_t seed)
-{
-    bench::CorticalParams wp;
-    wp.gridW = grid_w;
-    wp.gridH = grid_h;
-    wp.density = 32;
-    wp.ratePerTick = 0.05;
-    wp.seed = seed;
-    bench::CorticalWorkload w = bench::makeCortical(wp);
-    const uint32_t neurons = CoreGeometry{}.numNeurons;
-    for (uint32_t c = 0; c < w.cores.size(); ++c) {
-        for (uint32_t n = 0; n < neurons; n += 3) {
-            NeuronDest &d = w.cores[c].dests[n];
-            d = NeuronDest{};
-            d.kind = NeuronDest::Kind::Output;
-            d.line = c * neurons + n;
-        }
-    }
-    return w;
-}
-
 /** (tick, line) multiset overlap: |a ∩ b| / max(|a|, |b|). */
 double
 traceAccuracy(std::vector<OutputSpike> a, std::vector<OutputSpike> b)
@@ -210,7 +186,7 @@ main(int argc, char **argv)
     LinkParams link;
     link.reliable = reliable;
 
-    bench::CorticalWorkload w = tappedWorkload(grid_w, grid_h, seed);
+    bench::CorticalWorkload w = bench::tappedWorkload(grid_w, grid_h, seed);
     auto makeSim = [&](std::shared_ptr<const FaultPlan> plan) {
         return board_mode
             ? bench::makeCorticalBoardSim(w, EngineKind::Event,

@@ -67,7 +67,6 @@ SpikingClassifier::SpikingClassifier(const QuantizedModel &model,
     cp.height = compiled_.gridHeight;
     cp.coreGeom = compiled_.geom;
     cp.engine = opt_.engine;
-    cp.noc = opt_.noc;
     cp.instances = opt_.instances;
     sim_ = std::make_unique<Simulator>(cp, compiled_.cores);
 
@@ -80,16 +79,6 @@ SpikingClassifier::SpikingClassifier(const QuantizedModel &model,
     auto source = std::make_unique<RateCodeSource>(std::move(targets));
     source_ = source.get();
     sim_->addSource(std::move(source));
-}
-
-void
-SpikingClassifier::beginPass()
-{
-    // Persistent serving: readout windows never look back past the
-    // pass's first tick, so drop the previous pass's spike log —
-    // otherwise a long-lived server's log grows without bound.  The
-    // source keeps one pass and is replaced by scheduleBatch.
-    sim_->recorder().clear();
 }
 
 uint64_t
@@ -113,30 +102,35 @@ SpikingClassifier::scheduleBatch(const Sample *samples, size_t n,
     return source_->load(t0, opt_.window, n, encodeMasks_);
 }
 
+std::vector<uint32_t>
+SpikingClassifier::readout(size_t n)
+{
+    // The log holds only this pass's ticks (classifyBatch clears it
+    // first), so no window test is needed.
+    const uint32_t classes = qm_.classes;
+    std::vector<uint64_t> counts(n * classes, 0);
+    for (const OutputSpike &s : sim_->recorder().spikes()) {
+        if (s.line < classes && s.instance < n) {
+            ++counts[size_t{s.instance} * classes + s.line];
+            ++lastStats_.outputSpikes;
+        }
+    }
+
+    // max_element returns the first maximum: a tie goes to the lowest
+    // class and a silent lane reads class 0.
+    std::vector<uint32_t> preds(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t *lane = counts.data() + i * classes;
+        preds[i] = static_cast<uint32_t>(
+            std::max_element(lane, lane + classes) - lane);
+    }
+    return preds;
+}
+
 uint32_t
 SpikingClassifier::classify(const Sample &sample)
 {
-    Chip &chip = sim_->chip();
-    uint64_t t0 = chip.now();
-    double energy0 = chip.energy().totalJ();
-
-    beginPass();
-    uint64_t injected = scheduleBatch(&sample, 1, t0);
-
-    uint64_t ticks = opt_.window + gap_;
-    sim_->run(ticks);
-
-    uint64_t t1 = chip.now();
-    const SpikeRecorder &rec = sim_->recorder();
-    uint32_t pred = rec.argmaxLineInWindow(0, qm_.classes, t0, t1);
-
-    lastStats_ = InferenceStats{};
-    lastStats_.inputSpikes = injected;
-    for (uint32_t c = 0; c < qm_.classes; ++c)
-        lastStats_.outputSpikes += rec.countInWindow(c, t0, t1);
-    lastStats_.ticks = ticks;
-    lastStats_.energyJ = chip.energy().totalJ() - energy0;
-    return pred;
+    return classifyBatch({sample})[0];
 }
 
 std::vector<uint32_t>
@@ -148,29 +142,22 @@ SpikingClassifier::classifyBatch(const std::vector<Sample> &samples)
                 samples.size(), opt_.instances);
 
     Chip &chip = sim_->chip();
-    uint64_t t0 = chip.now();
     double energy0 = chip.energy().totalJ();
 
-    beginPass();
+    // Drop the previous pass's spikes: the readout scans only this
+    // pass, and a long-lived server's log stays bounded.  The source
+    // keeps one pass and is replaced by scheduleBatch.
+    sim_->recorder().clear();
     uint64_t injected =
-        scheduleBatch(samples.data(), samples.size(), t0);
+        scheduleBatch(samples.data(), samples.size(), chip.now());
 
     uint64_t ticks = opt_.window + gap_;
     sim_->run(ticks);
 
-    uint64_t t1 = chip.now();
-    const SpikeRecorder &rec = sim_->recorder();
-    std::vector<uint32_t> preds(samples.size());
     lastStats_ = InferenceStats{};
     lastStats_.inputSpikes = injected;
     lastStats_.ticks = ticks;
-    for (uint32_t i = 0; i < samples.size(); ++i) {
-        preds[i] =
-            rec.argmaxLineInWindow(0, qm_.classes, t0, t1, i);
-        for (uint32_t c = 0; c < qm_.classes; ++c)
-            lastStats_.outputSpikes +=
-                rec.countInWindow(c, t0, t1, i);
-    }
+    std::vector<uint32_t> preds = readout(samples.size());
     lastStats_.energyJ = chip.energy().totalJ() - energy0;
     return preds;
 }
@@ -185,35 +172,23 @@ SpikingClassifier::evaluate(const Dataset &data, uint32_t max_samples)
     if (n == 0)
         return res;
 
+    // Fill the instance lanes, one sample per lane per pass; the tail
+    // pass runs short.
     uint32_t correct = 0;
     InferenceStats total;
-    if (opt_.instances > 1) {
-        // Throughput mode: fill the instance lanes, one sample per
-        // lane per pass; the tail pass runs short.
-        std::vector<Sample> batch;
-        for (uint32_t i = 0; i < n; i += opt_.instances) {
-            uint32_t m = std::min(opt_.instances, n - i);
-            batch.assign(data.samples.begin() + i,
-                         data.samples.begin() + i + m);
-            std::vector<uint32_t> preds = classifyBatch(batch);
-            for (uint32_t k = 0; k < m; ++k)
-                if (preds[k] == data.samples[i + k].label)
-                    ++correct;
-            total.inputSpikes += lastStats_.inputSpikes;
-            total.outputSpikes += lastStats_.outputSpikes;
-            total.ticks += lastStats_.ticks;
-            total.energyJ += lastStats_.energyJ;
-        }
-    } else {
-        for (uint32_t i = 0; i < n; ++i) {
-            const Sample &s = data.samples[i];
-            if (classify(s) == s.label)
+    std::vector<Sample> batch;
+    for (uint32_t i = 0; i < n; i += opt_.instances) {
+        uint32_t m = std::min(opt_.instances, n - i);
+        batch.assign(data.samples.begin() + i,
+                     data.samples.begin() + i + m);
+        std::vector<uint32_t> preds = classifyBatch(batch);
+        for (uint32_t k = 0; k < m; ++k)
+            if (preds[k] == data.samples[i + k].label)
                 ++correct;
-            total.inputSpikes += lastStats_.inputSpikes;
-            total.outputSpikes += lastStats_.outputSpikes;
-            total.ticks += lastStats_.ticks;
-            total.energyJ += lastStats_.energyJ;
-        }
+        total.inputSpikes += lastStats_.inputSpikes;
+        total.outputSpikes += lastStats_.outputSpikes;
+        total.ticks += lastStats_.ticks;
+        total.energyJ += lastStats_.energyJ;
     }
     res.accuracy = static_cast<double>(correct) /
         static_cast<double>(n);

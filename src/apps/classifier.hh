@@ -35,7 +35,6 @@ struct ClassifierOptions
     uint32_t instances = 1;   //!< model replicas batched per pass
     CompileOptions compile;   //!< tool-flow options
     EngineKind engine = EngineKind::Event;
-    NocModel noc = NocModel::Functional;
 };
 
 /** Per-inference measurements. */
@@ -62,7 +61,7 @@ class SpikingClassifier
     SpikingClassifier(const QuantizedModel &model,
                       const ClassifierOptions &opt);
 
-    /** Classify one sample; returns the predicted label. */
+    /** Classify one sample: classifyBatch({sample})[0]. */
     uint32_t classify(const Sample &sample);
 
     /**
@@ -76,10 +75,14 @@ class SpikingClassifier
     std::vector<uint32_t> classifyBatch(
         const std::vector<Sample> &samples);
 
-    /** Stats of the most recent classify() call. */
+    /** Stats of the most recent pass (classify() or
+     *  classifyBatch()). */
     const InferenceStats &lastStats() const { return lastStats_; }
 
-    /** Evaluate on a dataset (all samples when max_samples == 0). */
+    /**
+     * Evaluate on a dataset (all samples when max_samples == 0), in
+     * passes of ClassifierOptions::instances samples.
+     */
     EvalResult evaluate(const Dataset &data, uint32_t max_samples = 0);
 
     /** The compiled model (inspection). */
@@ -107,9 +110,6 @@ class SpikingClassifier
     /** Per-(lane, feature) offset words for scheduleBatch. */
     std::vector<uint64_t> encodeMasks_;
 
-    /** Drop last pass's recordings, keeping a long-lived server's
-     *  memory bounded. */
-    void beginPass();
     /**
      * Load @p n samples (one per lane, lane i = samples[i]) into the
      * source as the pass starting at @p t0: each feature's rate code
@@ -118,6 +118,14 @@ class SpikingClassifier
      */
     uint64_t scheduleBatch(const Sample *samples, size_t n,
                            uint64_t t0);
+    /**
+     * Read out the pass just run on lanes [0, @p n): one scan of the
+     * recorder tallies each lane's class-line spikes, and each lane
+     * predicts its most-spiking class (ties to the lowest class, a
+     * silent lane to class 0).  Adds the tallied spikes to
+     * lastStats_.outputSpikes.
+     */
+    std::vector<uint32_t> readout(size_t n);
 };
 
 /**

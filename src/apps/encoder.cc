@@ -7,28 +7,20 @@
 
 namespace nscs {
 
-void
-encodeRate(double value, uint32_t window,
-           std::vector<uint32_t> &out)
+std::vector<uint32_t>
+encodeRate(double value, uint32_t window)
 {
     NSCS_ASSERT(value >= 0.0 && value <= 1.0,
                 "rate value %f outside [0, 1]", value);
-    out.clear();
+    std::vector<uint32_t> spikes;
     double acc = 0.0;
     for (uint32_t t = 0; t < window; ++t) {
         acc += value;
         if (acc >= 1.0 - 1e-12) {
-            out.push_back(t);
+            spikes.push_back(t);
             acc -= 1.0;
         }
     }
-}
-
-std::vector<uint32_t>
-encodeRate(double value, uint32_t window)
-{
-    std::vector<uint32_t> spikes;
-    encodeRate(value, window, spikes);
     return spikes;
 }
 

@@ -20,11 +20,6 @@ namespace nscs {
  */
 std::vector<uint32_t> encodeRate(double value, uint32_t window);
 
-/** Allocation-free variant: clears and refills @p out.  The serving
- *  hot path calls this once per feature per request. */
-void encodeRate(double value, uint32_t window,
-                std::vector<uint32_t> &out);
-
 /**
  * Bitmask variant: writes ceil(window / 64) words to @p words, where
  * bit b of words[w] is set iff encodeRate(value, window) would emit

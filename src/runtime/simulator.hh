@@ -141,12 +141,6 @@ class Simulator
     /** Source access (const). */
     const SpikeSource &source(size_t i) const { return *sources_[i]; }
 
-    /** Instance lane source @p i is bound to (0 = pass-through). */
-    uint32_t sourceInstance(size_t i) const
-    {
-        return sourceInstances_[i];
-    }
-
     /** Instance lanes of the backing device. */
     uint32_t instances() const
     {

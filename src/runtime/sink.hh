@@ -1,32 +1,32 @@
 /**
  * @file
- * Output spike recording and analysis.
+ * Output spike log.
  *
- * The SpikeRecorder accumulates off-chip spikes drained from the chip
- * and answers the queries benches and applications need: per-line
- * counts, window counts, rates, first-spike times and full rasters.
+ * The SpikeRecorder appends the off-chip spikes drained from the
+ * device each tick, in arrival order, and nothing more.  Readers
+ * (the classifier's readout, the snapshot writer, the tools' trace
+ * printers) scan spikes() themselves.
  */
 
 #ifndef NSCS_RUNTIME_SINK_HH
 #define NSCS_RUNTIME_SINK_HH
 
-#include <cstdint>
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "chip/chip.hh"
 
 namespace nscs {
 
-/** Accumulates output spikes. */
+/** Append-only log of output spikes. */
 class SpikeRecorder
 {
   public:
-    /** Record one spike. */
-    void record(const OutputSpike &s);
-
-    /** Record a batch. */
-    void recordAll(const std::vector<OutputSpike> &batch);
+    /** Append a batch. */
+    void recordAll(const std::vector<OutputSpike> &batch)
+    {
+        spikes_.insert(spikes_.end(), batch.begin(), batch.end());
+    }
 
     /** All spikes in arrival order. */
     const std::vector<OutputSpike> &spikes() const { return spikes_; }
@@ -34,49 +34,17 @@ class SpikeRecorder
     /** Total recorded spikes. */
     size_t size() const { return spikes_.size(); }
 
-    /** Spike count of @p line on instance lane @p instance. */
-    uint64_t count(uint32_t line, uint32_t instance = 0) const;
+    /** Forget everything (keeps the capacity). */
+    void clear() { spikes_.clear(); }
 
-    /** Spike count of @p line within [t0, t1). */
-    uint64_t countInWindow(uint32_t line, uint64_t t0, uint64_t t1,
-                           uint32_t instance = 0) const;
-
-    /** First spike tick of @p line, or nullopt. */
-    std::optional<uint64_t> firstSpike(uint32_t line,
-                                       uint32_t instance = 0) const;
-
-    /** Spike ticks of @p line in order. */
-    std::vector<uint64_t> ticksOf(uint32_t line,
-                                  uint32_t instance = 0) const;
-
-    /**
-     * Line with the highest count among lines [line0, line0 + n);
-     * ties resolve to the lowest line.  Returns line0 when all are
-     * silent.
-     */
-    uint32_t argmaxLine(uint32_t line0, uint32_t n,
-                        uint32_t instance = 0) const;
-
-    /** As argmaxLine, but counting only within [t0, t1). */
-    uint32_t argmaxLineInWindow(uint32_t line0, uint32_t n,
-                                uint64_t t0, uint64_t t1,
-                                uint32_t instance = 0) const;
-
-    /** Forget everything. */
-    void clear();
-
-    /** Heap footprint of the recorded spikes and per-line index. */
-    size_t footprintBytes() const;
-
-  private:
-    /** Index key: instance lane in the high word, line in the low. */
-    static uint64_t key(uint32_t line, uint32_t instance)
+    /** Heap footprint of the log. */
+    size_t footprintBytes() const
     {
-        return (static_cast<uint64_t>(instance) << 32) | line;
+        return spikes_.capacity() * sizeof(OutputSpike);
     }
 
+  private:
     std::vector<OutputSpike> spikes_;
-    std::unordered_map<uint64_t, std::vector<uint64_t>> byLine_;
 };
 
 } // namespace nscs

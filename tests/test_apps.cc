@@ -274,5 +274,46 @@ TEST(Classifier, DeterministicAcrossRuns)
     }
 }
 
+TEST(Classifier, ReadoutTiesToLowestClassAndSilentLaneToZero)
+{
+    // Classes 1 and 2 share the strongest row, so they integrate the
+    // same input and spike alike on every lane: the tie must go to 1.
+    QuantizedModel qm;
+    qm.classes = 4;
+    qm.dim = 4;
+    qm.q = {-1, -1, -1, -1,
+            2, 2, 2, 2,
+            2, 2, 2, 2,
+            1, 1, 1, 1};
+
+    Sample strong{{0.8, 0.6, 0.7, 0.9}, 0};
+    Sample silent{{0.0, 0.0, 0.0, 0.0}, 0};
+    ClassifierOptions opt;
+    opt.window = 32;
+    opt.instances = 4;
+    SpikingClassifier clf(qm, opt);
+    std::vector<uint32_t> preds =
+        clf.classifyBatch({strong, strong, silent, strong});
+    EXPECT_EQ(preds, (std::vector<uint32_t>{1, 1, 0, 1}));
+
+    // The tally is over the pass's class-line spikes, and the silent
+    // lane really was silent.
+    uint64_t class_spikes = 0;
+    for (const OutputSpike &s : clf.simulator().recorder().spikes()) {
+        if (s.line < qm.classes) {
+            ++class_spikes;
+            EXPECT_NE(s.instance, 2u);
+        }
+    }
+    EXPECT_GT(class_spikes, 0u);
+    EXPECT_EQ(clf.lastStats().outputSpikes, class_spikes);
+
+    ClassifierOptions one = opt;
+    one.instances = 1;
+    SpikingClassifier single(qm, one);
+    EXPECT_EQ(single.classify(strong), 1u);
+    EXPECT_EQ(single.classify(silent), 0u);
+}
+
 } // anonymous namespace
 } // namespace nscs

@@ -20,9 +20,9 @@ using namespace nscs::bench;
 namespace {
 
 void
-report(const char *label, const EnergyEvents &e,
-       const EnergyParams &ep)
+report(const char *label, const EnergyEvents &e)
 {
+    const EnergyParams ep;
     EnergyBreakdown b = computeEnergy(e, ep);
     double window = static_cast<double>(e.ticks) * ep.tickSeconds;
     double power = averagePowerW(b, e, ep);
@@ -74,8 +74,7 @@ main()
     sim->run(500);
 
     EnergyEvents e = sim->chip().energyEvents();
-    const EnergyParams &ep = sim->chip().params().energy;
-    report("simulated 16x16-core chip (500 ticks)", e, ep);
+    report("simulated 16x16-core chip (500 ticks)", e);
 
     EnergyEvents big = e;
     big.cores = 4096;
@@ -83,7 +82,7 @@ main()
     big.sops = e.sops * 16;
     big.spikes = e.spikes * 16;
     big.hops = e.hops * 16 * 2;  // longer mean paths at 64x64
-    report("linear scale-out to the 64x64-core chip", big, ep);
+    report("linear scale-out to the 64x64-core chip", big);
 
     return 0;
 }

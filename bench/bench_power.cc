@@ -53,8 +53,7 @@ main()
             double neuron_hz = static_cast<double>(e.spikes) /
                 (static_cast<double>(e.neurons) * window);
             double sops_s = static_cast<double>(e.sops) / window;
-            double power = averagePowerW(
-                b, e, sim->chip().params().energy);
+            double power = averagePowerW(b, e, EnergyParams{});
 
             // Linear scale-out to the 64x64 chip: 16x the cores and
             // 16x the activity at the same per-core behaviour.
@@ -64,10 +63,8 @@ main()
             big.sops = e.sops * 16;
             big.spikes = e.spikes * 16;
             big.hops = e.hops * 16 * 2;  // mean hop distance ~2x
-            EnergyBreakdown bigB = computeEnergy(
-                big, sim->chip().params().energy);
-            double big_power = averagePowerW(
-                bigB, big, sim->chip().params().energy);
+            EnergyBreakdown bigB = computeEnergy(big, EnergyParams{});
+            double big_power = averagePowerW(bigB, big, EnergyParams{});
 
             t.addRow({std::to_string(density),
                       fmtF(neuron_hz, 1),

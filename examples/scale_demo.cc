@@ -89,9 +89,6 @@ main(int argc, char **argv)
                                 : sim->chip().energyEvents();
     EnergyBreakdown b = board_mode ? sim->board().energy()
                                    : sim->chip().energy();
-    const EnergyParams &ep = board_mode
-        ? sim->board().params().chip.energy
-        : sim->chip().params().energy;
 
     TextTable t({"metric", "value"});
     if (board_mode) {
@@ -118,7 +115,7 @@ main(int argc, char **argv)
         t.addRow({"link stalls", fmtInt(bc.linkStalls)});
     }
     t.addRow({"modelled chip power",
-              fmtF(averagePowerW(b, e, ep) * 1e3, 2) + " mW"});
+              fmtF(averagePowerW(b, e, EnergyParams{}) * 1e3, 2) + " mW"});
     t.addRow({"modelled energy/SOP",
               fmtF(energyPerSopJ(b, e) * 1e12, 1) + " pJ"});
     std::cout << t.str();

@@ -51,13 +51,11 @@ SpikingClassifier::SpikingClassifier(const QuantizedModel &model,
                                      const ClassifierOptions &opt)
     : qm_(model), opt_(opt)
 {
-    threshold_ = opt_.threshold > 0 ? opt_.threshold
-                                    : autoClassifierThreshold(qm_);
+    threshold_ = autoClassifierThreshold(qm_);
     net_ = buildClassifierNetwork(qm_, threshold_);
-    compiled_ = compile(net_, opt_.compile);
+    compiled_ = compile(net_, CompileOptions{});
 
-    gap_ = opt_.gap > 0 ? opt_.gap
-         : std::max<uint32_t>(compiled_.geom.delaySlots,
+    gap_ = std::max<uint32_t>(compiled_.geom.delaySlots,
                               static_cast<uint32_t>(threshold_) + 8);
 
     NSCS_ASSERT(opt_.instances > 0,

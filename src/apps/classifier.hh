@@ -30,10 +30,7 @@ namespace nscs {
 struct ClassifierOptions
 {
     uint32_t window = 64;     //!< rate-code window in ticks
-    uint32_t gap = 0;         //!< settle ticks between samples (0=auto)
-    int32_t threshold = 0;    //!< class-neuron threshold (0 = auto)
     uint32_t instances = 1;   //!< model replicas batched per pass
-    CompileOptions compile;   //!< tool-flow options
     EngineKind engine = EngineKind::Event;
 };
 
@@ -58,6 +55,9 @@ struct EvalResult
 class SpikingClassifier
 {
   public:
+    /** Deploy @p model with default CompileOptions; class neurons
+     *  fire at autoClassifierThreshold and samples are gap() =
+     *  max(delay slots, threshold + 8) ticks apart. */
     SpikingClassifier(const QuantizedModel &model,
                       const ClassifierOptions &opt);
 

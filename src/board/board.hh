@@ -102,19 +102,14 @@ struct LinkParams
     /**
      * Reliable link protocol: packets carry a sequence number and a
      * checksum; a packet lost to an injected drop fault is
-     * retransmitted (up to maxRetries), and duplicated packets are
-     * discarded at the destination by a per-chip dedup window.
-     * Retransmission consumes fresh link budget on the retry tick
-     * and does not move the delivery tick, so recovered losses can
-     * still surface as the late-delivery hazard.
+     * retransmitted (up to Board::kMaxRetries times), and duplicated
+     * packets are discarded at the destination by a per-chip ring of
+     * the last Board::kDedupWindow sequence numbers.  Retransmission
+     * consumes fresh link budget on the retry tick and does not move
+     * the delivery tick, so recovered losses can still surface as the
+     * late-delivery hazard.
      */
     bool reliable = false;
-
-    /** Retransmissions before a drop-faulted packet is abandoned. */
-    uint32_t maxRetries = 3;
-
-    /** Sequence numbers each chip remembers for duplicate discard. */
-    uint32_t dedupWindow = 64;
 
     /**
      * Packet coalescing: spikes leaving one chip for the same
@@ -225,6 +220,14 @@ class Board
     /** Direction of a link leaving a chip. */
     enum Dir : uint32_t { East = 0, West = 1, North = 2, South = 3 };
 
+    /** Reliable links: retransmissions before a drop-faulted packet
+     *  is abandoned. */
+    static constexpr uint32_t kMaxRetries = 3;
+
+    /** Reliable links: sequence numbers each chip remembers for
+     *  duplicate discard. */
+    static constexpr uint32_t kDedupWindow = 64;
+
     /**
      * Build a board.  @p configs holds one CoreConfig per core of
      * the *global* core grid in row-major order (index =
@@ -303,7 +306,8 @@ class Board
     /** Aggregate energy inputs over every chip plus link traffic. */
     EnergyEvents energyEvents() const;
 
-    /** Energy decomposition since reset (per-chip constants). */
+    /** Energy decomposition since reset, under the default
+     *  EnergyParams. */
     EnergyBreakdown energy() const;
 
     /** Construction parameters. */

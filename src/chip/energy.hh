@@ -11,6 +11,8 @@
  * the tens of milliwatts, effective energy per synaptic event around
  * 25 pJ.  The calibration is documented in EXPERIMENTS.md; the model
  * reproduces published *scaling shapes*, not silicon measurements.
+ * Chips, boards and their stats documents price events with the
+ * default-constructed EnergyParams.
  */
 
 #ifndef NSCS_CHIP_ENERGY_HH

@@ -22,7 +22,9 @@
  *  5. A traffic matrix over logical cores feeds the placer; relative
  *     destination offsets are computed from the resulting
  *     coordinates.
- *  6. Unused grid cells receive empty core configurations.
+ *  6. Unused grid cells receive empty core configurations; a placed
+ *     core's PRNG seed is a fixed base (0x1234) plus its row-major
+ *     grid cell index.
  */
 
 #ifndef NSCS_PROG_COMPILER_HH
@@ -44,19 +46,18 @@ struct CompileOptions
     PlacementPolicy placement = PlacementPolicy::GreedyBfs;
     uint32_t gridWidth = 0;            //!< 0 = auto near-square
     uint32_t gridHeight = 0;           //!< 0 = auto near-square
-    uint16_t rngSeedBase = 0x1234;     //!< per-core PRNG seed base
     uint64_t placerSeed = 1;           //!< annealing seed
 
     /**
      * Board target in chips; 1x1 compiles for a single chip.  With a
      * larger board the logical grid spans boardWidth x boardHeight
      * identical chip tiles (explicit grid dimensions must divide
-     * evenly) and the placer weighs chip-boundary crossings with
-     * linkCostWeight, keeping talkative clusters on one chip.
+     * evenly) and the placer charges each chip-boundary crossing
+     * PlacerCostModel's default linkWeight, keeping talkative
+     * clusters on one chip.
      */
     uint32_t boardWidth = 1;
     uint32_t boardHeight = 1;
-    double linkCostWeight = 4.0;       //!< placement cost per crossing
 
     /**
      * Measured traffic profile from a trace run (nscs_run

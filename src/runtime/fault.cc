@@ -213,6 +213,10 @@ saveFaultPlan(const std::string &path, const FaultPlan &plan)
 FaultPlan
 makeRandomFaultPlan(const FaultCampaignSpec &spec, uint64_t seed)
 {
+    // Fixed event shapes (see FaultCampaignSpec).
+    constexpr uint32_t kSeuBits = 20;        // SEUs flip a bit below this
+    constexpr uint64_t kLinkWindow = 4;      // link window length, ticks
+    constexpr uint32_t kLinkDelayTicks = 3;  // extra park ticks per delay
     NSCS_ASSERT(spec.numCores > 0, "fault campaign needs cores");
     NSCS_ASSERT(spec.ticks > 0, "fault campaign needs a horizon");
     Xoshiro256 rng(seed);
@@ -265,38 +269,29 @@ makeRandomFaultPlan(const FaultCampaignSpec &spec, uint64_t seed)
         ev.tick = randomTick();
         ev.core = static_cast<uint32_t>(rng.below(spec.numCores));
         ev.neuron = static_cast<uint32_t>(rng.below(spec.numNeurons));
-        ev.bit = static_cast<uint32_t>(
-            rng.below(spec.potentialBits ? spec.potentialBits : 1));
-        ev.transient = spec.transientSeu;
+        ev.bit = static_cast<uint32_t>(rng.below(kSeuBits));
+        ev.transient = true;
         plan.events.push_back(ev);
     }
-    auto makeWindow = [&](FaultEvent &ev) {
-        ev.tick = randomTick();
-        ev.untilTick = ev.tick + (spec.linkWindow ? spec.linkWindow : 1);
-    };
-    for (uint32_t i = 0; i < spec.nLinkDrop; ++i) {
-        FaultEvent ev;
-        ev.kind = FaultKind::LinkDrop;
-        makeWindow(ev);
-        randomLink(ev);
-        ev.transient = spec.transientLinks;
-        plan.events.push_back(ev);
-    }
-    for (uint32_t i = 0; i < spec.nLinkDup; ++i) {
-        FaultEvent ev;
-        ev.kind = FaultKind::LinkDuplicate;
-        makeWindow(ev);
-        randomLink(ev);
-        ev.transient = spec.transientLinks;
-        plan.events.push_back(ev);
-    }
-    for (uint32_t i = 0; i < spec.nLinkDelay; ++i) {
-        FaultEvent ev;
-        ev.kind = FaultKind::LinkDelay;
-        makeWindow(ev);
-        randomLink(ev);
-        ev.delayTicks = spec.linkDelayTicks ? spec.linkDelayTicks : 1;
-        plan.events.push_back(ev);
+    // Drop and duplicate windows are transient; a delay window parks
+    // packets instead.
+    const std::pair<FaultKind, uint32_t> windows[] = {
+        {FaultKind::LinkDrop, spec.nLinkDrop},
+        {FaultKind::LinkDuplicate, spec.nLinkDup},
+        {FaultKind::LinkDelay, spec.nLinkDelay}};
+    for (const auto &[kind, count] : windows) {
+        for (uint32_t i = 0; i < count; ++i) {
+            FaultEvent ev;
+            ev.kind = kind;
+            ev.tick = randomTick();
+            ev.untilTick = ev.tick + kLinkWindow;
+            randomLink(ev);
+            if (kind == FaultKind::LinkDelay)
+                ev.delayTicks = kLinkDelayTicks;
+            else
+                ev.transient = true;
+            plan.events.push_back(ev);
+        }
     }
     for (uint32_t i = 0; i < spec.nDeadLink; ++i) {
         FaultEvent ev;

@@ -113,7 +113,10 @@ bool saveFaultPlan(const std::string &path, const FaultPlan &plan);
  * Shape of a randomly generated Monte-Carlo fault campaign: how many
  * events of each kind to scatter over a tick horizon and a device
  * geometry.  Counts, not probabilities, so a sweep's workload is
- * identical across seeds.
+ * identical across seeds.  Each event's own shape is fixed: SEUs
+ * flip a potential bit below 20, link drop/duplicate/delay windows
+ * last 4 ticks, a delay parks packets 3 extra ticks, and SEU, drop
+ * and duplicate events are transient (they raise alarms).
  */
 struct FaultCampaignSpec {
     uint64_t ticks = 100;      //!< horizon events are scattered over
@@ -122,7 +125,6 @@ struct FaultCampaignSpec {
     uint32_t boardH = 1;       //!< board grid height in chips
     uint32_t numAxons = 256;   //!< per-core crossbar rows
     uint32_t numNeurons = 256; //!< per-core crossbar columns
-    uint32_t potentialBits = 20; //!< SEU flips target bits below this
     uint32_t nDeadCore = 0;
     uint32_t nStuckWord = 0;
     uint32_t nSeu = 0;
@@ -130,10 +132,6 @@ struct FaultCampaignSpec {
     uint32_t nLinkDup = 0;
     uint32_t nLinkDelay = 0;
     uint32_t nDeadLink = 0;
-    uint32_t linkWindow = 4;   //!< width of drop/dup/delay windows
-    uint32_t linkDelayTicks = 3; //!< extra park ticks for LinkDelay
-    bool transientLinks = true;  //!< mark link drop/dup events transient
-    bool transientSeu = true;    //!< mark SEU flips transient
 };
 
 /**

@@ -244,7 +244,7 @@ TEST(FaultLink, ReliableLinkRetransmitsDroppedPackets)
     ref->run(ticks);
 
     // The integrators take ~16 ticks to reach threshold, so the
-    // window sits in steady state.  Width 2 < maxRetries keeps every
+    // window sits in steady state.  Width 2 < kMaxRetries keeps every
     // retransmission chain within budget: a packet dropped at 20 and
     // 21 passes on its second retry at 22, two ticks after its fire
     // tick — still before its min_delay-3 delivery tick.
@@ -265,6 +265,72 @@ TEST(FaultLink, ReliableLinkRetransmitsDroppedPackets)
     EXPECT_EQ(fs.alarms, 0u);  // protocol recovered; no rollback path
     EXPECT_EQ(faulty->recoveryStats().rollbacks, 0u);
     EXPECT_EQ(faulty->recorder().spikes(), ref->recorder().spikes());
+}
+
+/**
+ * A 2x1 board of one-core chips whose chip-0 neuron 0 fires once, at
+ * tick 0 (one input spike, threshold 1), into chip 1: exactly one
+ * packet crosses chip 0's east link, in tick 0's merge.  The link
+ * drops everything in [0, @p dropTicks).
+ */
+Board
+onePacketBoard(uint64_t dropTicks)
+{
+    CoreGeometry g;
+    g.numAxons = 16;
+    g.numNeurons = 16;
+    g.delaySlots = 16;
+    CoreConfig src = CoreConfig::make(g);
+    src.connect(0, 0);
+    src.neurons[0].synWeight = {1, 1, 1, 1};
+    src.neurons[0].threshold = 1;
+    src.dests[0].kind = NeuronDest::Kind::Core;
+    src.dests[0].dx = 1;
+    src.dests[0].delay = 8;
+
+    FaultEvent drop;
+    drop.kind = FaultKind::LinkDrop;
+    drop.tick = 0;
+    drop.untilTick = dropTicks;
+    drop.chip = 0;
+    drop.dir = Board::East;
+    drop.transient = true;
+    BoardParams bp;
+    bp.width = 2;
+    bp.height = 1;
+    bp.chip.width = 1;
+    bp.chip.height = 1;
+    bp.chip.coreGeom = g;
+    bp.link.reliable = true;
+    bp.faultPlan = planOf({drop});
+    Board board(bp, {src, CoreConfig::make(g)});
+    board.injectInput(0, 0, 0);
+    return board;
+}
+
+TEST(FaultLink, ReliableLinkGivesUpAfterMaxRetries)
+{
+    // Dropped at ticks 0..kMaxRetries: the first attempt and every
+    // retry are lost, and the packet is abandoned with an alarm.
+    Board lost = onePacketBoard(Board::kMaxRetries + 1);
+    lost.run(Board::kMaxRetries + 4);
+    ASSERT_EQ(lost.counters().fabricPackets, 1u);
+    const FaultStats &fs = lost.faultStats();
+    EXPECT_EQ(fs.linkDrops, Board::kMaxRetries + 1);
+    EXPECT_EQ(fs.retries, Board::kMaxRetries);
+    EXPECT_EQ(fs.unrecoveredDrops, 1u);
+    EXPECT_EQ(fs.alarms, 1u);
+    EXPECT_EQ(lost.counters().linkPackets, 0u);
+
+    // One tick shorter, the last retry crosses.
+    Board saved = onePacketBoard(Board::kMaxRetries);
+    saved.run(Board::kMaxRetries + 4);
+    const FaultStats &ss = saved.faultStats();
+    EXPECT_EQ(ss.linkDrops, Board::kMaxRetries);
+    EXPECT_EQ(ss.retries, Board::kMaxRetries);
+    EXPECT_EQ(ss.unrecoveredDrops, 0u);
+    EXPECT_EQ(ss.alarms, 0u);
+    EXPECT_EQ(saved.counters().linkPackets, 1u);
 }
 
 TEST(FaultLink, ReliableLinkDedupsDuplicatedPackets)

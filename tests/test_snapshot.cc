@@ -1038,7 +1038,6 @@ sweepBoardSim()
     bp.link.extraDelay = 2;
     bp.link.coalesce = 4;
     bp.link.reliable = true;
-    bp.link.dedupWindow = 4;
     bp.faultPlan = sweepPlan({drop});
     auto sim = std::make_unique<Simulator>(bp, net.cores);
     sim->addSource(std::make_unique<PoissonSource>(net.driven, 0.15, 7));
@@ -1144,6 +1143,71 @@ TEST(SnapshotRejects, EveryBoardLeafMutationIsRejectedOrRuns)
     ASSERT_TRUE(board.has("dedupRings"));
     ASSERT_GT(board.at("faultStats").at("linkDrops").asInt(), 0);
     expectMutationsRejectedOrRun(snap, sweepBoardSim);
+}
+
+TEST(SnapshotRejects, BoardPendingPacketProtocolFields)
+{
+    // A parked packet's seq (field 7), checksum (8) and retries (9)
+    // must be values the merge could have set.  Reliable links: a
+    // checksum sealed over the packet, a seq below nextSeq and at
+    // most kMaxRetries retries.
+    auto donor = sweepBoardSim();
+    donor->run(8);
+    const JsonValue snap = donor->snapshot();
+    std::string err;
+    ASSERT_TRUE(sweepBoardSim()->restore(snap, &err)) << err;
+    const JsonValue &device = snap.at("device");
+    ASSERT_GT(device.at("pending").size(), 0u);
+    const JsonValue &packets = device.at("pending").at(0).at("packets");
+    const auto packetField = [&](size_t i, int64_t v) {
+        return withBucket(snap, 0, "packets",
+                          withElement(packets, i, JsonValue::integer(v)));
+    };
+    const int64_t seq = packets.at(7).asInt();
+    const int64_t checksum = packets.at(8).asInt();
+    const std::pair<std::string, JsonValue> reliable[] = {
+        {"seq=nextSeq",
+         packetField(7, device.at("nextSeq").asInt())},
+        {"nextSeq=seq",
+         withMember(snap, "device",
+                    withMember(device, "nextSeq",
+                               JsonValue::integer(seq)))},
+        {"checksum+1", packetField(8, (checksum + 1) & 0xffffffff)},
+        {"retries=kMaxRetries+1",
+         packetField(9, int64_t{Board::kMaxRetries} + 1)},
+    };
+    for (const auto &[what, doc] : reliable) {
+        err.clear();
+        EXPECT_FALSE(sweepBoardSim()->restore(doc, &err)) << what;
+        EXPECT_FALSE(err.empty()) << what;
+    }
+
+    // Unreliable links never set the three fields.
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 11);
+    LinkParams link;
+    link.packetsPerTick = 6;
+    link.extraDelay = 2;
+    auto make = [&] {
+        return bench::makeCorticalBoardSim(w, EngineKind::Event, 2, 2,
+                                           0, link);
+    };
+    auto plain = make();
+    plain->run(kSplit);
+    const JsonValue plainSnap = plain->snapshot();
+    ASSERT_TRUE(make()->restore(plainSnap, &err)) << err;
+    const JsonValue &plainPending = plainSnap.at("device").at("pending");
+    ASSERT_GT(plainPending.size(), 0u);
+    const JsonValue &plainPackets = plainPending.at(0).at("packets");
+    for (size_t field : {7, 8, 9}) {
+        err.clear();
+        EXPECT_FALSE(make()->restore(
+            withBucket(plainSnap, 0, "packets",
+                       withElement(plainPackets, field,
+                                   JsonValue::integer(1))),
+            &err))
+            << "field " << field;
+        EXPECT_FALSE(err.empty()) << "field " << field;
+    }
 }
 
 // ---------------------------------------------------------------------------

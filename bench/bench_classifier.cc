@@ -28,12 +28,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
 
 #include "apps/classifier.hh"
 #include "apps/dataset.hh"
 #include "apps/trainer.hh"
+#include "board/board.hh"
 #include "chip/chip.hh"
 #include "util/json.hh"
 #include "util/table.hh"
@@ -54,8 +56,14 @@ int
 main(int argc, char **argv)
 {
     uint32_t requests = 64;
-    if (argc > 1)
-        requests = static_cast<uint32_t>(std::stoul(argv[1]));
+    if (argc > 1) {
+        uint64_t v = 0;
+        if (argc > 2 || !parseCount(argv[1], UINT32_MAX, v) || v == 0) {
+            std::cerr << "usage: bench_classifier [requests-per-config]\n";
+            return 2;
+        }
+        requests = static_cast<uint32_t>(v);
+    }
 
     std::cout <<
         "== T3: classification accuracy / energy table ==\n"

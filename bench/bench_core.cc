@@ -67,6 +67,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -444,8 +445,11 @@ int
 main(int argc, char **argv)
 {
     uint64_t ticks = 1000;
-    if (argc > 1)
-        ticks = std::stoull(argv[1]);
+    if (argc > 2 || (argc == 2 && (!parseCount(argv[1], INT64_MAX, ticks) ||
+                                   ticks == 0))) {
+        std::cerr << "usage: bench_core [ticks-per-run]\n";
+        return 2;
+    }
 
     std::cout <<
         "== I3: integrate-phase microbenchmark ==\n"

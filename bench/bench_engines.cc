@@ -21,13 +21,23 @@
  * multi-threaded one (ChipParams::threads >= 2) on a 64-core chip at
  * busy activity, where per-tick evaluation dominates and parallel
  * core evaluation pays off.  Spike output is bit-identical by
- * construction; only wall clock changes.
+ * construction; only wall clock changes.  A third (A2c) runs the
+ * scalar and the batched integrate path.
+ *
+ * Checked shape, on counts only (the times are printed, not
+ * checked): the engines' outputs agree, Event's evaluations and core
+ * activations rise with rate, Event evaluates under 1/50 of what
+ * Clock does at 0.1 Hz and exactly as much at 100 Hz, and the scalar
+ * and batched integrate paths of A2c count the same synaptic events,
+ * all of them batched.
  */
 
 #include <algorithm>
 #include <iostream>
+#include <string>
 #include <vector>
 
+#include "bench/shape.hh"
 #include "bench/workload.hh"
 #include "util/table.hh"
 
@@ -47,6 +57,14 @@ main()
     const uint64_t chunks = 10;
     const uint64_t chunkTicks = 50;
 
+    /** One rate's counts. */
+    struct Row
+    {
+        double hz;
+        bool sameOutput;
+        uint64_t clockEvals, eventEvals, activations;
+    };
+    std::vector<Row> rows;
     TextTable t({"rate(Hz)", "clock ticks/s", "event ticks/s",
                  "event evals", "event activations", "speedup med",
                  "speedup min-max"});
@@ -76,24 +94,22 @@ main()
             event_s += es;
             speedups.push_back(cs / es);
         }
-        if (clock->recorder().spikes() != event->recorder().spikes()) {
-            std::cerr << "clock and event outputs differ at rate "
-                      << rate << "\n";
-            return 1;
-        }
         std::sort(speedups.begin(), speedups.end());
         const double med =
             (speedups[chunks / 2 - 1] + speedups[chunks / 2]) / 2;
 
-        uint64_t evals = 0;
-        for (uint32_t c = 0; c < event->chip().numCores(); ++c)
-            evals += event->chip().core(c).counters().evals;
+        const uint64_t evals = event->chip().coreCounters().evals;
+        rows.push_back({rate * 1000,
+                        clock->recorder().spikes() ==
+                            event->recorder().spikes(),
+                        clock->chip().coreCounters().evals, evals,
+                        event->chip().counters().coreActivations});
         const double ticks = static_cast<double>(chunks * chunkTicks);
         t.addRow({fmtF(rate * 1000, 2),
                   fmtF(ticks / clock_s, 1),
                   fmtF(ticks / event_s, 1),
                   fmtInt(evals),
-                  fmtInt(event->chip().counters().coreActivations),
+                  fmtInt(rows.back().activations),
                   fmtF(med, 2) + "x",
                   fmtF(speedups.front(), 2) + "-" +
                       fmtF(speedups.back(), 2) + "x"});
@@ -136,6 +152,7 @@ main()
 
     TextTable q({"integrate", "ticks/s", "sops", "hit rate", "speedup"});
     double scalar_tps = 0;
+    CoreCounters counts[2];  // scalar, batched
     for (bool fast : {false, true}) {
         CorticalParams wp;
         wp.gridW = wp.gridH = 8;
@@ -152,11 +169,9 @@ main()
                     {.batchedIntegrate = false, .batchedUpdate = true});
         RunPerf perf = sim->run(pticks);
 
-        uint64_t sops = 0, batched = 0;
-        for (uint32_t c = 0; c < sim->chip().numCores(); ++c) {
-            sops += sim->chip().core(c).counters().sops;
-            batched += sim->chip().core(c).counters().sopsBatched;
-        }
+        const CoreCounters &cc = counts[fast] =
+            sim->chip().coreCounters();
+        const uint64_t sops = cc.sops, batched = cc.sopsBatched;
         double tps = perf.ticksPerSecond();
         if (!fast)
             scalar_tps = tps;
@@ -168,5 +183,36 @@ main()
                   fmtF(tps / scalar_tps, 2) + "x"});
     }
     std::cout << q.str();
-    return 0;
+
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const Row &r = rows[i];
+        const std::string at = " at " + fmtF(r.hz, 2) + " Hz";
+        shapeCheck(r.sameOutput, "clock and event outputs differ" + at);
+        // Counts are deterministic: evaluations read 404,224 at
+        // 0.1 Hz up to 32,768,000 at 100 Hz, and activations 1,579 up
+        // to 128,000, each strictly rising.
+        shapeCheck(i == 0 || (r.eventEvals > rows[i - 1].eventEvals &&
+                              r.activations > rows[i - 1].activations),
+                   "event evaluations or activations do not rise" + at);
+    }
+    // Sparse: 404,224 evaluations against Clock's 32,768,000 at
+    // 0.1 Hz, 1/81; checked at 1/50.
+    const Row &sparse = rows.front();
+    shapeCheck(sparse.eventEvals * 50 < sparse.clockEvals,
+               "event evaluates " + fmtInt(sparse.eventEvals) +
+               " neurons at 0.1 Hz, not under 1/50 of clock's " +
+               fmtInt(sparse.clockEvals));
+    // Busy: every core is woken every tick, so Event evaluates what
+    // Clock does.
+    const Row &busy = rows.back();
+    shapeCheck(busy.eventEvals == busy.clockEvals,
+               "event evaluates " + fmtInt(busy.eventEvals) +
+               " neurons at 100 Hz, not clock's " +
+               fmtInt(busy.clockEvals));
+    shapeCheck(counts[1].sops == counts[0].sops &&
+                   counts[1].sopsBatched == counts[1].sops,
+               "A2c: scalar counts " + fmtInt(counts[0].sops) +
+               " sops, batched " + fmtInt(counts[1].sops) + " with " +
+               fmtInt(counts[1].sopsBatched) + " batched");
+    return shapeOk();
 }

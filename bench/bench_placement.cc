@@ -10,22 +10,22 @@
  *
  * Expected shape: traffic-aware placement cuts mean hops and
  * interconnect energy versus row-major; annealing refines greedy.
- *
- * Usage: bench_placement [--check].  With --check the program exits
- * non-zero unless greedy-bfs and anneal each come in below row-major
+ * Checked shape: greedy-bfs and anneal each come in below row-major
  * on mean hops, mesh latency and hop-energy share.
  */
 
-#include <cstring>
 #include <iostream>
+#include <string>
 #include <vector>
 
+#include "bench/shape.hh"
 #include "prog/compiler.hh"
 #include "prog/network.hh"
 #include "runtime/simulator.hh"
 #include "util/table.hh"
 
 using namespace nscs;
+using namespace nscs::bench;
 
 namespace {
 
@@ -66,41 +66,9 @@ struct PolicyResult
     double hopShare = 0;
 };
 
-/** The --check shape: every traffic-aware policy below row-major on
- *  each metric.  @return the number of violations, each printed. */
 int
-checkShape(const std::vector<PolicyResult> &results)
+main()
 {
-    const PolicyResult &row_major = results.front();
-    int failures = 0;
-    for (size_t i = 1; i < results.size(); ++i) {
-        const PolicyResult &r = results[i];
-        const struct { const char *name; double got, base; } metrics[] = {
-            {"mean hops", r.meanHops, row_major.meanHops},
-            {"mesh latency", r.meshLatency, row_major.meshLatency},
-            {"hop energy share", r.hopShare, row_major.hopShare},
-        };
-        for (const auto &m : metrics) {
-            if (m.got < m.base)
-                continue;
-            std::cout << "CHECK FAILED: " << placementPolicyName(r.policy)
-                      << " " << m.name << " " << m.got
-                      << " is not below row-major's " << m.base << "\n";
-            ++failures;
-        }
-    }
-    return failures;
-}
-
-int
-main(int argc, char **argv)
-{
-    const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
-    if (argc > 2 || (argc == 2 && !check)) {
-        std::cerr << "usage: bench_placement [--check]\n";
-        return 2;
-    }
-
     std::cout <<
         "== A1: placement policy ablation ==\n"
         "(shape target: traffic-aware placement cuts hops, mesh\n"
@@ -151,9 +119,19 @@ main(int argc, char **argv)
                  "chain-local, so locality-aware\n placement wins; "
                  "mesh latency measured on the cycle-accurate "
                  "transport)\n";
-    if (!check)
-        return 0;
-    const int failures = checkShape(results);
-    std::cout << (failures ? "shape check FAILED\n" : "shape check passed\n");
-    return failures ? 1 : 0;
+    const PolicyResult &row_major = results.front();
+    for (size_t i = 1; i < results.size(); ++i) {
+        const PolicyResult &r = results[i];
+        const struct { const char *name; double got, base; } metrics[] = {
+            {"mean hops", r.meanHops, row_major.meanHops},
+            {"mesh latency", r.meshLatency, row_major.meshLatency},
+            {"hop energy share", r.hopShare, row_major.hopShare},
+        };
+        for (const auto &m : metrics)
+            shapeCheck(m.got < m.base,
+                       std::string(placementPolicyName(r.policy)) + " " +
+                       m.name + " " + fmtF(m.got, 4) +
+                       " is not below row-major's " + fmtF(m.base, 4));
+    }
+    return shapeOk();
 }

@@ -23,6 +23,7 @@
 #include "apps/classifier.hh"
 #include "apps/dataset.hh"
 #include "apps/trainer.hh"
+#include "board/board.hh"
 #include "util/table.hh"
 
 using namespace nscs;
@@ -30,17 +31,25 @@ using namespace nscs;
 int
 main(int argc, char **argv)
 {
-    uint32_t classes = 10;
-    uint32_t per_class = 40;
-    uint32_t instances = 1;
-    if (argc > 1)
-        classes = static_cast<uint32_t>(std::atoi(argv[1]));
-    if (argc > 2)
-        per_class = static_cast<uint32_t>(std::atoi(argv[2]));
-    if (argc > 3)
-        instances = static_cast<uint32_t>(std::atoi(argv[3]));
-    if (instances == 0)
-        instances = 1;
+    // argv[i] as a count in [lo, hi], or dflt when absent; anything
+    // else is a usage error.
+    auto count = [&](int i, uint32_t dflt, uint64_t lo,
+                     uint64_t hi) -> uint32_t {
+        uint64_t v = dflt;
+        if (argc > 4 ||
+            (i < argc && (!parseCount(argv[i], hi, v) || v < lo))) {
+            std::cerr << "usage: digit_classifier [classes] [per_class] "
+                         "[instances]\n";
+            std::exit(2);
+        }
+        return static_cast<uint32_t>(v);
+    };
+    const uint32_t classes = count(1, 10, 1, 256);
+    // Every fifth sample of a class is held out for test, so two is
+    // the fewest that leave one to train on.
+    const uint32_t per_class = count(2, 40, 2, 1000);
+    // nscs_run's bound on instance lanes.
+    const uint32_t instances = count(3, 1, 1, 1u << 16);
 
     std::cout << "generating " << classes << "-class synthetic 8x8 "
               << "digits (" << per_class << " samples/class)...\n";

@@ -7,9 +7,10 @@
  *   build/examples/neuron_behaviors [ticks]
  */
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
 
+#include "board/board.hh"
 #include "neuron/behaviors.hh"
 #include "runtime/trace.hh"
 
@@ -19,8 +20,14 @@ int
 main(int argc, char **argv)
 {
     uint32_t ticks = 120;
-    if (argc > 1)
-        ticks = static_cast<uint32_t>(std::atoi(argv[1]));
+    if (argc > 1) {
+        uint64_t v = 0;
+        if (argc > 2 || !parseCount(argv[1], UINT32_MAX, v)) {
+            std::cerr << "usage: neuron_behaviors [ticks]\n";
+            return 2;
+        }
+        ticks = static_cast<uint32_t>(v);
+    }
 
     for (Behavior b : allBehaviors()) {
         BehaviorPreset preset = behaviorPreset(b);

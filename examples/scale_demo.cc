@@ -13,6 +13,7 @@
  * bit-identical to the single-chip run in every configuration.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -22,6 +23,29 @@
 
 using namespace nscs;
 using namespace nscs::bench;
+
+namespace {
+
+[[noreturn]] void
+usage()
+{
+    std::cerr << "usage: scale_demo [gridSide] [ticks] [--board WxH] "
+                 "[--threads N]\n";
+    std::exit(2);
+}
+
+/** @return argument @p text as a count in [@p lo, @p hi]; anything
+ *  else is a usage error. */
+uint64_t
+countArg(const char *text, uint64_t lo, uint64_t hi)
+{
+    uint64_t v = 0;
+    if (!parseCount(text, hi, v) || v < lo)
+        usage();
+    return v;
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -33,24 +57,22 @@ main(int argc, char **argv)
     int pos = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--board") == 0 && i + 1 < argc) {
-            if (!parseGridSpec(argv[++i], board_w, board_h)) {
-                std::cerr << "bad --board\n";
-                return 2;
-            }
+            if (!parseGridSpec(argv[++i], board_w, board_h))
+                usage();
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
                    i + 1 < argc) {
-            threads = static_cast<uint32_t>(std::atoi(argv[++i]));
+            // nscs_run's bound on worker lanes.
+            threads = static_cast<uint32_t>(countArg(argv[++i], 0, 1024));
         } else if (pos == 0) {
-            side = static_cast<uint32_t>(std::atoi(argv[i]));
+            // 9-bit packet offsets address at most 256 cores a side.
+            side = static_cast<uint32_t>(countArg(argv[i], 1, 256));
             ++pos;
         } else if (pos == 1) {
-            ticks = static_cast<uint64_t>(std::atoll(argv[i]));
+            ticks = countArg(argv[i], 1, INT64_MAX);
             ++pos;
         } else {
-            std::cerr << "unexpected argument '" << argv[i] << "'\n"
-                      << "usage: scale_demo [gridSide] [ticks] "
-                         "[--board WxH] [--threads N]\n";
-            return 2;
+            std::cerr << "unexpected argument '" << argv[i] << "'\n";
+            usage();
         }
     }
     const bool board_mode = board_w * board_h > 1;

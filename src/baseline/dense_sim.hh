@@ -9,7 +9,8 @@
  * the same integer semantics as the architecture (so deterministic
  * networks produce identical spike trains when the compiler inserted
  * no splitter relays), but the execution style is the conventional
- * software one, which is what benches F4/A2 compare against.
+ * software one.  It is the compiler's IR-level reference: tests run a
+ * network here and through compile() on the chip and compare.
  *
  * Stochastic networks are supported with a single private PRNG whose
  * draw order differs from the per-core hardware streams, so

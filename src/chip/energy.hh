@@ -9,8 +9,10 @@
  * point (1 M neurons at 20 Hz mean rate, 128 active synapses per
  * spike, 1 ms ticks) lands near the published figures: total power in
  * the tens of milliwatts, effective energy per synaptic event around
- * 25 pJ.  The calibration is documented in EXPERIMENTS.md; the model
- * reproduces published *scaling shapes*, not silicon measurements.
+ * 25 pJ.  EnergyModel.CalibrationAnchors holds the nominal point to
+ * the published bands, and paper.bench_power (experiment F3) holds
+ * simulated counts to them; the model reproduces published *scaling
+ * shapes*, not silicon measurements.
  * Chips, boards and their stats documents price events with the
  * default-constructed EnergyParams.
  */

@@ -4,8 +4,9 @@
  * verification claim: the functional reference simulator and the
  * cycle-level chip must produce identical output spike streams for
  * every legal model, including stochastic ones, under every engine
- * and transport combination.  The conventional (DenseSim) baseline
- * must agree with the chip on deterministic, splitter-free networks.
+ * and transport combination.  DenseSim, the compiler's IR-level
+ * reference, runs the network IR directly and must agree with the
+ * compiled chip on deterministic, splitter-free networks.
  */
 
 #include <gtest/gtest.h>

@@ -51,23 +51,24 @@ Simulator::run(uint64_t ticks)
     while (now() < target) {
         maybeCheckpoint();
         const uint64_t t = now();
-        inputScratch_.clear();
+        wordScratch_.clear();
         for (size_t si = 0; si < sources_.size(); ++si) {
-            const size_t before = inputScratch_.size();
-            sources_[si]->spikesFor(t, inputScratch_);
+            const size_t before = wordScratch_.size();
+            sources_[si]->wordsFor(t, wordScratch_);
             if (sourceInstances_[si] != 0)
-                for (size_t k = before; k < inputScratch_.size(); ++k)
-                    inputScratch_[k].instance = sourceInstances_[si];
+                for (size_t k = before; k < wordScratch_.size(); ++k)
+                    wordScratch_[k].instance = sourceInstances_[si];
         }
         if (chip_) {
-            chip_->injectInputs(inputScratch_, t);
+            chip_->injectWords(wordScratch_.data(), wordScratch_.size(), t);
             chip_->tick();
             if (!chip_->outputs().empty()) {
                 recorder_.recordAll(chip_->outputs());
                 chip_->clearOutputs();
             }
         } else {
-            board_->injectInputs(inputScratch_, t);
+            board_->injectWords(wordScratch_.data(), wordScratch_.size(),
+                                t);
             board_->tick();
             if (!board_->outputs().empty()) {
                 recorder_.recordAll(board_->outputs());
@@ -319,7 +320,7 @@ Simulator::footprintBytes() const
     bytes += chip_ ? chip_->footprintBytes()
                    : board_->footprintBytes();
     bytes += recorder_.footprintBytes();
-    bytes += inputScratch_.capacity() * sizeof(InputSpike);
+    bytes += wordScratch_.capacity() * sizeof(InputWord);
     bytes += sourceInstances_.capacity() * sizeof(uint32_t);
     bytes += checkpointBlob_.capacity();
     bytes += handled_.capacity() * sizeof(uint32_t);

@@ -11,11 +11,14 @@
  * With a third argument B > 1 the deployment also runs in throughput
  * mode: B replica instance lanes share the compiled crossbars, one
  * request per lane per hardware pass, and the same test set is
- * re-evaluated batched — same predictions, B requests per pass.
+ * re-evaluated batched — B requests per pass.  Every sample's batched
+ * prediction must equal its deploy-per-request prediction; the
+ * program exits 1 on any difference.
  *
  *   build/examples/digit_classifier [classes] [per_class] [instances]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -94,51 +97,76 @@ main(int argc, char **argv)
 
     if (instances > 1) {
         // Throughput mode: the same model deployed once with B
-        // instance lanes, requests mapped onto free lanes by
-        // evaluate().  The baseline is the serving model batching
-        // replaces — an independent deployment per request.
-        // Accuracy is identical by the determinism contract; what
-        // changes is requests per second.
+        // instance lanes, one request per lane per classifyBatch
+        // pass.  The baseline is the serving model batching
+        // replaces — an independent deployment per request.  Every
+        // prediction is identical by the determinism contract, and
+        // checked here; what changes is requests per second.
         std::cout << "\nthroughput mode: " << instances
                   << " instance lanes, one shared deployment\n";
         using clock = std::chrono::steady_clock;
+        const std::vector<Sample> &samples = test.samples;
+        auto accuracy = [&](const std::vector<uint32_t> &preds) {
+            size_t correct = 0;
+            for (size_t i = 0; i < preds.size(); ++i)
+                correct += preds[i] == samples[i].label;
+            return static_cast<double>(correct) /
+                static_cast<double>(preds.size());
+        };
 
         auto s0 = clock::now();
-        uint32_t seq_correct = 0;
-        for (const Sample &s : test.samples) {
+        std::vector<uint32_t> seq_preds;
+        for (const Sample &s : samples) {
             SpikingClassifier one(qm, opt);
-            if (one.classify(s) == s.label)
-                ++seq_correct;
+            seq_preds.push_back(one.classify(s));
         }
         auto s1 = clock::now();
         double seq_s =
             std::chrono::duration<double>(s1 - s0).count();
-        double seq_rate = seq_s > 0.0
-            ? test.samples.size() / seq_s : 0.0;
-        double seq_acc = static_cast<double>(seq_correct) /
-            static_cast<double>(test.samples.size());
+        double seq_rate = seq_s > 0.0 ? samples.size() / seq_s : 0.0;
 
         ClassifierOptions bopt = opt;
         bopt.instances = instances;
         auto b0 = clock::now();
         SpikingClassifier batched(qm, bopt);
-        EvalResult bres = batched.evaluate(test);
+        std::vector<uint32_t> bat_preds;
+        for (size_t i = 0; i < samples.size(); i += instances) {
+            const std::vector<Sample> batch(
+                samples.begin() + static_cast<ptrdiff_t>(i),
+                samples.begin() + static_cast<ptrdiff_t>(
+                    std::min<size_t>(i + instances, samples.size())));
+            for (uint32_t p : batched.classifyBatch(batch))
+                bat_preds.push_back(p);
+        }
         auto b1 = clock::now();
         double bat_s =
             std::chrono::duration<double>(b1 - b0).count();
-        double bat_rate = bat_s > 0.0 ? bres.samples / bat_s : 0.0;
+        double bat_rate = bat_s > 0.0 ? samples.size() / bat_s : 0.0;
 
         TextTable tp({"mode", "accuracy", "req/s"});
         tp.addRow({"deploy-per-request (B=1)",
-                   fmtF(100 * seq_acc, 1) + "%",
+                   fmtF(100 * accuracy(seq_preds), 1) + "%",
                    fmtF(seq_rate, 1)});
         tp.addRow({"batched (B=" + std::to_string(instances) + ")",
-                   fmtF(100 * bres.accuracy, 1) + "%",
+                   fmtF(100 * accuracy(bat_preds), 1) + "%",
                    fmtF(bat_rate, 1)});
         std::cout << tp.str();
-        if (bres.accuracy != seq_acc)
-            std::cout << "WARNING: batched accuracy diverged from "
-                         "sequential — determinism contract broken\n";
+        size_t diverged = 0;
+        for (size_t i = 0; i < samples.size(); ++i) {
+            if (bat_preds[i] == seq_preds[i])
+                continue;
+            if (diverged++ == 0)
+                std::cerr << "sample " << i << ": batched predicts "
+                          << bat_preds[i] << ", deploy-per-request "
+                          << seq_preds[i] << "\n";
+        }
+        if (diverged) {
+            std::cerr << "ERROR: " << diverged << " of " << samples.size()
+                      << " batched predictions differ from "
+                         "deploy-per-request — determinism contract "
+                         "broken\n";
+            return 1;
+        }
     }
     return 0;
 }

@@ -84,18 +84,13 @@ SpikingClassifier::scheduleBatch(const Sample *samples, size_t n,
                                  uint64_t t0)
 {
     const size_t words = (opt_.window + 63) / 64;
-    encodeMasks_.assign(n * qm_.dim * words, 0);
+    encodeMasks_.resize(n * qm_.dim * words);
     for (size_t i = 0; i < n; ++i) {
         NSCS_ASSERT(samples[i].features.size() == qm_.dim,
                     "sample dim %zu != model dim %u",
                     samples[i].features.size(), qm_.dim);
-        for (uint32_t f = 0; f < qm_.dim; ++f) {
-            if (source_->targets(f).empty())
-                continue;
-            encodeRateMask(samples[i].features[f], opt_.window,
-                           encodeMasks_.data() +
-                               (i * qm_.dim + f) * words);
-        }
+        encodeRateMasks(samples[i].features.data(), qm_.dim, opt_.window,
+                        encodeMasks_.data() + i * qm_.dim * words);
     }
     return source_->load(t0, opt_.window, n, encodeMasks_);
 }

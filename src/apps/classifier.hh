@@ -112,9 +112,9 @@ class SpikingClassifier
 
     /**
      * Load @p n samples (one per lane, lane i = samples[i]) into the
-     * source as the pass starting at @p t0: each feature's rate code
-     * becomes ceil(window / 64) offset words.  @return the spikes
-     * the pass injects.
+     * source as the pass starting at @p t0: one encodeRateMasks call
+     * per sample turns each feature's rate code into ceil(window /
+     * 64) offset words.  @return the spikes the pass injects.
      */
     uint64_t scheduleBatch(const Sample *samples, size_t n,
                            uint64_t t0);

@@ -1,9 +1,9 @@
 #include "apps/encoder.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hh"
+#include "util/simd.hh"
 
 namespace nscs {
 
@@ -25,26 +25,19 @@ encodeRate(double value, uint32_t window)
 }
 
 void
+encodeRateMasks(const double *values, size_t n, uint32_t window,
+                uint64_t *words)
+{
+    for (size_t k = 0; k < n; ++k)
+        NSCS_ASSERT(values[k] >= 0.0 && values[k] <= 1.0,
+                    "rate value %f outside [0, 1]", values[k]);
+    simd::ops().encodeRates(values, n, window, words);
+}
+
+void
 encodeRateMask(double value, uint32_t window, uint64_t *words)
 {
-    NSCS_ASSERT(value >= 0.0 && value <= 1.0,
-                "rate value %f outside [0, 1]", value);
-    // Same error-diffusion recurrence as encodeRate, its accumulator
-    // carried from word to word: bit t set iff encodeRate would emit
-    // offset t.
-    double acc = 0.0;
-    for (uint32_t base = 0; base < window; base += 64) {
-        const uint32_t n = std::min<uint32_t>(64, window - base);
-        uint64_t mask = 0;
-        for (uint32_t t = 0; t < n; ++t) {
-            acc += value;
-            if (acc >= 1.0 - 1e-12) {
-                mask |= 1ull << t;
-                acc -= 1.0;
-            }
-        }
-        *words++ = mask;
-    }
+    encodeRateMasks(&value, 1, window, words);
 }
 
 std::vector<uint32_t>

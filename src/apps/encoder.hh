@@ -6,6 +6,7 @@
 #ifndef NSCS_APPS_ENCODER_HH
 #define NSCS_APPS_ENCODER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -21,13 +22,20 @@ namespace nscs {
 std::vector<uint32_t> encodeRate(double value, uint32_t window);
 
 /**
- * Bitmask variant: writes ceil(window / 64) words to @p words, where
- * bit b of words[w] is set iff encodeRate(value, window) would emit
- * offset 64 * w + b (bits past the window are 0).  The recurrence
- * runs once across all words, so the train is the same as
- * encodeRate's for any window.  Lets a batch scheduler walk offsets
- * across many trains without materialising them.
+ * Bitmask variant over @p n values: writes n trains of
+ * ceil(window / 64) words each, train k at words + k * ceil(window /
+ * 64), where bit b of a train's word w is set iff encodeRate(values[k],
+ * window) would emit offset 64 * w + b (bits past the window are 0).
+ * The recurrence runs once across all words, so each train is the
+ * same as encodeRate's for any window.  One call runs the dispatched
+ * simd::Ops::encodeRates kernel, which encodes several trains per
+ * vector.  Lets a batch scheduler walk offsets across many trains
+ * without materialising them.
  */
+void encodeRateMasks(const double *values, size_t n, uint32_t window,
+                     uint64_t *words);
+
+/** encodeRateMasks of the one value @p value. */
 void encodeRateMask(double value, uint32_t window, uint64_t *words);
 
 /** Bernoulli rate code: spike each tick with probability v. */

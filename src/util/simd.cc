@@ -9,9 +9,10 @@
  * stays runnable on hosts without the extensions — the cpuid probe
  * decides what actually executes.  NEON is aarch64 baseline and
  * needs no attribute.  Every variant implements the identical
- * integer arithmetic; tails that don't fill a vector run the scalar
- * reference (the AVX-512 count-lane kernels mask them instead) so a
- * level's output never depends on the word count.
+ * arithmetic; tails that don't fill a vector run the scalar
+ * reference (the AVX-512 count-lane kernels mask them instead, and
+ * the rate encoders pad them with zero values) so a level's output
+ * never depends on the word count.
  *
  * No x86 vector body returns or calls out with the upper vector
  * state dirty.  Everything outside these bodies is baseline-SSE
@@ -320,6 +321,41 @@ drawRowScalar(uint64_t *succ, const uint64_t *row, const uint64_t *stoch,
     return {draws, cursor};
 }
 
+/** The rate encoder's fire level (apps/encoder.hh's encodeRate). */
+constexpr double kRateFire = 1.0 - 1e-12;
+
+/** encodeRates' reference: one error-diffusion recurrence per value,
+ *  its accumulator carried from word to word. */
+void
+encodeRatesScalar(const double *values, size_t n, uint32_t window,
+                  uint64_t *words)
+{
+    for (size_t k = 0; k < n; ++k) {
+        const double v = values[k];
+        double acc = 0.0;
+        for (uint32_t base = 0; base < window; base += 64) {
+            const uint32_t len = std::min<uint32_t>(64, window - base);
+            uint64_t mask = 0;
+            for (uint32_t t = 0; t < len; ++t) {
+                acc += v;
+                if (acc >= kRateFire) {
+                    mask |= uint64_t{1} << t;
+                    acc -= 1.0;
+                }
+            }
+            *words++ = mask;
+        }
+    }
+}
+
+/**
+ * Trains a vector body of encodeRates encodes at once: four vectors,
+ * so each vector's add-compare-subtract chain overlaps the other
+ * three.  A short block runs its missing trains on value 0 and
+ * stores only the real ones.
+ */
+constexpr size_t kRateVectors = 4;
+
 #ifdef NSCS_SIMD_X86
 
 // ---------------------------------------------------------------
@@ -498,6 +534,60 @@ applyCountsAvx2(const CountApply &a, uint32_t n)
     return events;
 }
 
+/** One tick of encodeRates on four lanes: acc += v, and the lanes
+ *  that reach the fire level set @p bit in @p bits and subtract one. */
+__attribute__((target("avx2"))) inline void
+rateTick256(__m256d &acc, __m256d v, __m256i &bits, __m256i bit)
+{
+    const __m256d one = _mm256_set1_pd(1.0);
+    acc = _mm256_add_pd(acc, v);
+    const __m256d fired =
+        _mm256_cmp_pd(acc, _mm256_set1_pd(kRateFire), _CMP_GE_OQ);
+    acc = _mm256_blendv_pd(acc, _mm256_sub_pd(acc, one), fired);
+    bits = _mm256_or_si256(bits,
+                           _mm256_and_si256(_mm256_castpd_si256(fired), bit));
+}
+
+/** encodeRates for AVX2: 4 recurrences per vector, kRateVectors
+ *  vectors per block. */
+__attribute__((target("avx2"))) void
+encodeRatesAvx2(const double *values, size_t n, uint32_t window,
+                uint64_t *words)
+{
+    constexpr size_t kLanes = 4, kBlock = kLanes * kRateVectors;
+    const size_t per = (window + 63) / 64;
+    for (size_t k0 = 0; k0 < n; k0 += kBlock) {
+        const size_t m = std::min(kBlock, n - k0);
+        alignas(32) double vals[kBlock];
+        for (size_t k = 0; k < kBlock; ++k)
+            vals[k] = k < m ? values[k0 + k] : 0.0;
+        const __m256d v0 = _mm256_load_pd(vals);
+        const __m256d v1 = _mm256_load_pd(vals + 4);
+        const __m256d v2 = _mm256_load_pd(vals + 8);
+        const __m256d v3 = _mm256_load_pd(vals + 12);
+        __m256d a0 = _mm256_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+        for (uint32_t base = 0; base < window; base += 64) {
+            const uint32_t len = std::min<uint32_t>(64, window - base);
+            __m256i b0 = _mm256_setzero_si256(), b1 = b0, b2 = b0, b3 = b0;
+            __m256i bit = _mm256_set1_epi64x(1);
+            for (uint32_t t = 0; t < len; ++t) {
+                rateTick256(a0, v0, b0, bit);
+                rateTick256(a1, v1, b1, bit);
+                rateTick256(a2, v2, b2, bit);
+                rateTick256(a3, v3, b3, bit);
+                bit = _mm256_add_epi64(bit, bit);
+            }
+            alignas(32) uint64_t out[kBlock];
+            store256(out, b0);
+            store256(out + 4, b1);
+            store256(out + 8, b2);
+            store256(out + 12, b3);
+            for (size_t k = 0; k < m; ++k)
+                words[(k0 + k) * per + base / 64] = out[k];
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // AVX-512 kernels: 16 x i32 per vector (AVX-512F), and drawRow's
 // 64 x u8 body, which needs VBMI2 and BW (probed at first use).
@@ -664,6 +754,57 @@ applyCountsAvx512(const CountApply &a, uint32_t n)
     return events;
 }
 
+/** rateTick256 on eight lanes. */
+__attribute__((target("avx512f"))) inline void
+rateTick512(__m512d &acc, __m512d v, __m512i &bits, __m512i bit)
+{
+    acc = _mm512_add_pd(acc, v);
+    const __mmask8 fired =
+        _mm512_cmp_pd_mask(acc, _mm512_set1_pd(kRateFire), _CMP_GE_OQ);
+    acc = _mm512_mask_sub_pd(acc, fired, acc, _mm512_set1_pd(1.0));
+    bits = _mm512_mask_or_epi64(bits, fired, bits, bit);
+}
+
+/** encodeRates for AVX-512: 8 recurrences per vector, kRateVectors
+ *  vectors per block. */
+__attribute__((target("avx512f"))) void
+encodeRatesAvx512(const double *values, size_t n, uint32_t window,
+                  uint64_t *words)
+{
+    constexpr size_t kLanes = 8, kBlock = kLanes * kRateVectors;
+    const size_t per = (window + 63) / 64;
+    for (size_t k0 = 0; k0 < n; k0 += kBlock) {
+        const size_t m = std::min(kBlock, n - k0);
+        alignas(64) double vals[kBlock];
+        for (size_t k = 0; k < kBlock; ++k)
+            vals[k] = k < m ? values[k0 + k] : 0.0;
+        const __m512d v0 = _mm512_load_pd(vals);
+        const __m512d v1 = _mm512_load_pd(vals + 8);
+        const __m512d v2 = _mm512_load_pd(vals + 16);
+        const __m512d v3 = _mm512_load_pd(vals + 24);
+        __m512d a0 = _mm512_setzero_pd(), a1 = a0, a2 = a0, a3 = a0;
+        for (uint32_t base = 0; base < window; base += 64) {
+            const uint32_t len = std::min<uint32_t>(64, window - base);
+            __m512i b0 = _mm512_setzero_si512(), b1 = b0, b2 = b0, b3 = b0;
+            __m512i bit = _mm512_set1_epi64(1);
+            for (uint32_t t = 0; t < len; ++t) {
+                rateTick512(a0, v0, b0, bit);
+                rateTick512(a1, v1, b1, bit);
+                rateTick512(a2, v2, b2, bit);
+                rateTick512(a3, v3, b3, bit);
+                bit = _mm512_add_epi64(bit, bit);
+            }
+            alignas(64) uint64_t out[kBlock];
+            _mm512_store_si512(out, b0);
+            _mm512_store_si512(out + 8, b1);
+            _mm512_store_si512(out + 16, b2);
+            _mm512_store_si512(out + 24, b3);
+            for (size_t k = 0; k < m; ++k)
+                words[(k0 + k) * per + base / 64] = out[k];
+        }
+    }
+}
+
 /** drawRow for AVX-512 with VBMI2 and BW: one expand-load places the
  *  word's run of stream bytes on its target lanes, and one unsigned
  *  byte compare against the |weight| lanes gives the success mask. */
@@ -761,7 +902,8 @@ updateStripNeon(const UpdateStrip &s, uint32_t n)
 const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
                         andPopcountScalar, updateStripScalar,
                         applyWordScalar, countRowScalar,
-                        applyCountsScalar, drawRowScalar};
+                        applyCountsScalar, drawRowScalar,
+                        encodeRatesScalar};
 
 #ifdef NSCS_SIMD_X86
 // drawRow's vector body needs a byte expand (VBMI2), so AVX2 runs the
@@ -769,19 +911,23 @@ const Ops kScalarOps = {foldRowScalar, orAccumulateScalar,
 const Ops kAvx2Ops = {foldRowScalar, orAccumulateScalar,
                       andPopcountScalar, updateStripAvx2,
                       applyWordScalar, countRowAvx2,
-                      applyCountsAvx2, drawRowScalar};
+                      applyCountsAvx2, drawRowScalar,
+                      encodeRatesAvx2};
 const Ops kAvx512Ops = {foldRowScalar, orAccumulateScalar,
                         andPopcountScalar, updateStripAvx512,
                         applyWordScalar, countRowAvx512,
-                        applyCountsAvx512, drawRowAvx512};
+                        applyCountsAvx512, drawRowAvx512,
+                        encodeRatesAvx512};
 #endif
 #ifdef NSCS_SIMD_NEON
-// countRow, applyCounts and drawRow stay scalar on NEON until a
-// vector body has been measured against them on aarch64 hardware.
+// countRow, applyCounts, drawRow and encodeRates stay scalar on NEON
+// until a vector body has been measured against them on aarch64
+// hardware.
 const Ops kNeonOps = {foldRowScalar, orAccumulateScalar,
                       andPopcountScalar, updateStripNeon,
                       applyWordScalar, countRowScalar,
-                      applyCountsScalar, drawRowScalar};
+                      applyCountsScalar, drawRowScalar,
+                      encodeRatesScalar};
 #endif
 
 Level

@@ -4,18 +4,19 @@
  *
  * The simulator's hot vector work — the narrow (int32) batched
  * neuron-update strip, the count-lane integrate gear's row count and
- * batched synaptic apply, and the stochastic row draw that serves
- * both the integrate gear's synapses and the update's stochastic
- * leaks (neuron/batch.hh) — is expressed here
+ * batched synaptic apply, the stochastic row draw that serves both
+ * the integrate gear's synapses and the update's stochastic leaks
+ * (neuron/batch.hh), and the classifier's rate encoder
+ * (apps/encoder.hh) — is expressed here
  * once per instruction-set level: a portable scalar reference, AVX2
  * and AVX-512 variants on x86-64 (compiled with per-function target
  * attributes, so the translation unit builds with the project's
  * baseline flags) and NEON on aarch64.  A level may serve the scalar
  * reference for a kernel whose vector body has not been measured
- * (NEON's countRow and applyCounts) or needs an extension the level
- * does not imply (drawRow's AVX-512 body needs VBMI2 and BW, probed
- * at first use; AVX2, NEON and an AVX-512 host without them run the
- * scalar body).
+ * (NEON's countRow, applyCounts and encodeRates) or needs an
+ * extension the level does not imply (drawRow's AVX-512 body needs
+ * VBMI2 and BW, probed at first use; AVX2, NEON and an AVX-512 host
+ * without them run the scalar body).
  *
  * foldRow, orAccumulate, andPopcount and applyWord have no caller in
  * the simulator (foldRow and applyWord are the carry-save fold and
@@ -34,12 +35,14 @@
  *    available level in one binary).  The active level lives in an
  *    atomic, so concurrent tick engines observe a coherent table.
  *
- * Determinism contract: every kernel is pure integer arithmetic with
- * the same operation set at every level, so all levels produce
- * bit-identical results — the differential suites
- * (tests/test_integrate_fast.cc, tests/test_update_fast.cc) prove it
- * per level.  Intrinsics are confined to src/util/simd.cc by the
- * linter's `simd-guard` rule.
+ * Determinism contract: every kernel runs the same operation set at
+ * every level — pure integer arithmetic, apart from encodeRates'
+ * per-lane double recurrence, whose adds, compares and subtracts are
+ * exact IEEE operations in a fixed order — so all levels produce
+ * bit-identical results.  The differential suites
+ * (tests/test_integrate_fast.cc, tests/test_update_fast.cc,
+ * tests/test_util.cc) prove it per level.  Intrinsics are confined
+ * to src/util/simd.cc by the linter's `simd-guard` rule.
  */
 
 #ifndef NSCS_UTIL_SIMD_HH
@@ -238,6 +241,19 @@ struct Ops
     RowDraws (*drawRow)(uint64_t *succ, const uint64_t *row,
                         const uint64_t *stoch, const uint8_t *absWeight,
                         uint32_t n, uint32_t cursor);
+
+    /**
+     * Rate-code @p n values over a @p window-tick window into @p n
+     * trains of ceil(window / 64) words each, train k at
+     * words + k * ceil(window / 64): per value, acc starts at 0 and
+     * each tick t < window runs `acc += value`, and if
+     * `acc >= 1.0 - 1e-12`, sets bit t % 64 of word t / 64 and runs
+     * `acc -= 1.0`.  Bits at or past the window are 0.  Every lane
+     * runs exactly these double operations in this order (no FMA, no
+     * reassociation), so every level writes the same bits.
+     */
+    void (*encodeRates)(const double *values, size_t n, uint32_t window,
+                        uint64_t *words);
 };
 
 /** The probe result for this host (cached; ignores overrides). */

@@ -16,6 +16,7 @@
 #include <cpuid.h>
 #endif
 
+#include "apps/encoder.hh"
 #include "util/bitvec.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -428,6 +429,61 @@ TEST(SimdDispatch, UpdateStripMatchesScalarUnderLeakOff)
     }
 }
 
+/**
+ * encodeRates at every level against the scalar body and against
+ * encodeRate's spike list, over windows around the word boundaries
+ * and values that sit on, next to and between the fire level's
+ * edges: 0, 1, 1/3, 0.1, 0.73, a 1001-point grid on [0, 1] and the
+ * neighbours of 1 - 1e-12, where `>=` and `>` differ at the first
+ * tick.  Whole calls run the vector bodies' short last block;
+ * sub-ranges start off the block grid and cover every block length
+ * near a vector.  The word after the trains must stay untouched.
+ */
+TEST(SimdDispatch, EncodeRatesMatchesScalarAndEncodeRate)
+{
+    const double edge = 1.0 - 1e-12;
+    std::vector<double> values = {0.0,
+                                  1.0,
+                                  1.0 / 3.0,
+                                  0.1,
+                                  0.73,
+                                  edge,
+                                  std::nextafter(edge, 0.0),
+                                  std::nextafter(edge, 2.0)};
+    for (int k = 0; k <= 1000; ++k)
+        values.push_back(k / 1000.0);
+    const simd::Ops &ref = simd::opsFor(simd::Level::Scalar);
+    for (uint32_t window : {1u, 7u, 63u, 64u, 65u, 96u, 128u, 200u}) {
+        SCOPED_TRACE(window);
+        const size_t per = (window + 63) / 64;
+        std::vector<uint64_t> expect(values.size() * per, 0);
+        for (size_t k = 0; k < values.size(); ++k)
+            for (uint32_t t : encodeRate(values[k], window))
+                expect[k * per + t / 64] |= 1ull << (t % 64);
+        constexpr uint64_t kGuard = 0x5eed5eed5eed5eedull;
+        const auto run = [&](const simd::Ops &o, size_t first, size_t n) {
+            std::vector<uint64_t> out(n * per + 1, kGuard);
+            o.encodeRates(values.data() + first, n, window, out.data());
+            EXPECT_EQ(out.back(), kGuard) << "n " << n;
+            out.pop_back();
+            return out;
+        };
+        ASSERT_EQ(run(ref, 0, values.size()), expect);
+        for (simd::Level l : simd::availableLevels()) {
+            SCOPED_TRACE(simd::levelName(l));
+            const simd::Ops &o = simd::opsFor(l);
+            ASSERT_EQ(run(o, 0, values.size()), expect);
+            for (size_t n : {1u, 3u, 4u, 5u, 8u, 9u, 15u, 16u, 17u, 31u,
+                             32u, 33u, 47u}) {
+                const std::vector<uint64_t> want(
+                    expect.begin() + static_cast<ptrdiff_t>(3 * per),
+                    expect.begin() + static_cast<ptrdiff_t>((3 + n) * per));
+                ASSERT_EQ(run(o, 3, n), want) << "n " << n;
+            }
+        }
+    }
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 /** XINUSE bits of the upper vector state: YMM_Hi128 (bit 2) and
  *  ZMM_Hi256 (bit 6).  While either is set, legacy-SSE code runs
@@ -500,6 +556,8 @@ TEST(SimdDispatch, EveryKernelReturnsWithCleanUpperState)
     std::vector<uint64_t> touched(kLanes / 64), out(kLanes / 64),
         planes(4 * (kLanes / 64));
     const std::vector<uint8_t> absWeight(kLanes, 128);
+    const std::vector<double> rates(40, 0.3);
+    std::vector<uint64_t> trains(40 * 3);
 
     simd::ApplyWord word{};
     word.v = v.data();
@@ -534,6 +592,12 @@ TEST(SimdDispatch, EveryKernelReturnsWithCleanUpperState)
             o.andPopcount(ones.data(), ones.data(), kLanes / 64);
         }));
         expectClean("applyWord", upperLeftBy([&] { o.applyWord(word, 64); }));
+        for (size_t n : {size_t{40}, size_t{1}, size_t{0}}) {
+            SCOPED_TRACE(n);
+            expectClean("encodeRates", upperLeftBy([&] {
+                o.encodeRates(rates.data(), n, 130, trains.data());
+            }));
+        }
         for (uint32_t n : {64u, 61u, 5u, 0u}) {
             SCOPED_TRACE(n);
             expectClean("updateStrip",

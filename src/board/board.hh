@@ -28,7 +28,20 @@
  *     destination through tables, with no division: its source cell
  *     is the chip's origin plus the chip's per-core (x, y) entry
  *     (Chip::coreXY), and the per-global-core coreHome_ table names
- *     the target's (chip, local core).  A packet follows the board's
+ *     the target's (chip, local core).  A spike on a *quiet* (source
+ *     chip, destination chip) pair — links without budget, transit
+ *     delay or the reliable protocol, and a live route over no link a
+ *     fault-plan window names — deposits into its destination chip
+ *     right there, with no packet object and no walk: on such a route
+ *     nothing can stall, drop, delay or duplicate it.  The pair keeps
+ *     only counts: its coalesced packets per (destination chip,
+ *     delivery tick), and once per source chip each pair's packet
+ *     count added to every link of its route.  That is exact, not an
+ *     approximation: a scheduler deposit is an OR whose per-tick
+ *     deposit and collision counts do not depend on order, a fresh
+ *     spike delivers after this tick so it is never late, and link
+ *     counters are sums.  Every other pair makes packets that follow
+ *     the rest of this point.  A packet follows the board's
  *     route table (buildRouteTable): shortest paths over the live
  *     links, by hop count — X-then-Y dimension order on a healthy
  *     fabric — or by measured congestion when a traffic profile is
@@ -467,6 +480,16 @@ class Board
     // (dstChip, deliveryTick - now), or -1 (coalesce > 1).
     std::vector<BoardPacket> batch_;
     std::vector<int32_t> openPacket_;
+
+    // Quiet pairs (see the file comment).  Derived state like
+    // routes_: buildRoutes() sets the flags, never serialized.  The
+    // per-source-chip scratch is O(chips): packets per destination
+    // chip and the destinations whose count is nonzero.  On a quiet
+    // pair an openPacket_ entry counts the open packet's spikes
+    // instead of naming a batch_ packet.
+    std::vector<uint8_t> quietPair_;      //!< src * numChips + dst
+    std::vector<uint32_t> quietPackets_;  //!< per destination chip
+    std::vector<uint32_t> quietDsts_;
 };
 
 } // namespace nscs

@@ -248,6 +248,26 @@ TEST(BoardLink, FootprintAndStatsCoverFabric)
     EXPECT_GT(doc.at("board").at("egressSpikes").asInt(), 0);
     EXPECT_GT(doc.at("links").at("chip(0,0).east").at("packets").asInt(),
               0);
+
+    // A quiet 2x2 relay whose pacemakers target the diagonal chip:
+    // every packet crosses two links and is counted on each.
+    BoardParams bp = relayBoardParams(LinkParams{});
+    bp.height = 2;
+    std::vector<CoreConfig> cfgs = relayConfigs(4, 4, true);
+    for (uint32_t n = 0; n < 4; ++n)
+        cfgs[0].dests[n].dy = 1;
+    const CoreConfig idle = CoreConfig::make(cfgs[0].geom);
+    Board square(bp, {cfgs[0], idle, idle, cfgs[1]});
+    square.run(20);
+    const JsonValue sq = square.stats();
+    const JsonValue &links = sq.at("links");
+    int64_t sum = 0;
+    for (const std::string &name : links.keys())
+        sum += links.at(name).at("packets").asInt();
+    EXPECT_EQ(links.size(), 2u);
+    EXPECT_EQ(sum, sq.at("board").at("linkPackets").asInt());
+    EXPECT_EQ(sum, 2 * sq.at("board").at("fabricPackets").asInt());
+    EXPECT_FALSE(square.outputs().empty());
 }
 
 // ---------------------------------------------------------------------------

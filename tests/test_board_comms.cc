@@ -10,11 +10,12 @@
  * bit-identical spike stream, and all of them match the same network
  * on one monolithic chip.  The remaining tests pin the mechanism
  * details: coalesced packets as the unit of budget/stall/drop/retry,
- * trace determinism and profile round-trip, the route table's
- * XY-equivalence under uniform load and its divert-around-hot-link
- * behavior, the placer's keep-better guarantee under measured
- * weights, and snapshot round-trips with coalesced packets parked
- * mid-flight.
+ * quiet pairs (deposited at resolve time) against the same pairs
+ * forced onto the walk, trace determinism and profile round-trip,
+ * the route table's XY-equivalence under uniform load and its
+ * divert-around-hot-link behavior, the placer's keep-better
+ * guarantee under measured weights, and snapshot round-trips with
+ * coalesced packets parked mid-flight.
  */
 
 #include <gtest/gtest.h>
@@ -496,6 +497,137 @@ TEST(BoardCommsCoalesce, ResetAndRestoreLeaveNoStaleState)
     driveBoard(restored, inputs, ticks);
     EXPECT_EQ(restored.outputs(), fresh.outputs());
     EXPECT_EQ(boardCounterList(restored), boardCounterList(fresh));
+}
+
+// --- quiet pairs against walked pairs --------------------------------------
+
+/** One quiet-vs-walked run: the link and the events both boards share. */
+struct QuietCase
+{
+    uint32_t coalesce = 0;
+    uint32_t threads = 0;
+    bool faults = false;     //!< a dead link and a real drop window
+    uint64_t restoreAt = 0;  //!< save and restore at this tick (0: none)
+};
+
+/**
+ * A quiet fabric moves spikes as deposits and counts, a walked one as
+ * packets.  A fault-plan window that never opens flags every link, so
+ * it forces every pair onto the walk without changing what any packet
+ * meets; the two boards must agree tick by tick on the output stream,
+ * the board, chips and cores counters, every link's counters and
+ * every chip's state.  The net is the contract matrix's tapped 4x4
+ * net with four synapses per sink row, so deposits reach neurons, on
+ * a 4x4 board of one-core chips, so routes run up to six hops.  With
+ * faults, a link dies mid-run (routes and quiet flags rebuild) and
+ * one link drops packets for a window, so quiet and walked pairs mix
+ * in one tick.
+ */
+void
+expectQuietMatchesWalked(const QuietCase &qc)
+{
+    const uint64_t ticks = 48;
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 7);
+    const uint32_t axons = CoreGeometry{}.numAxons;
+    for (CoreConfig &cfg : w.cores)
+        for (uint32_t a = axons / 2; a < axons; ++a)
+            for (uint32_t k = 0; k < 4; ++k)
+                cfg.connect(a, 3 * ((a * 4 + k) % 85));
+    const auto inputs = poissonSchedule(w, ticks);
+
+    BoardParams bp;
+    bp.width = 4;
+    bp.height = 4;
+    bp.chip.width = 1;
+    bp.chip.height = 1;
+    bp.chip.coreGeom = CoreGeometry{};
+    bp.chip.engine = EngineKind::Event;
+    bp.link.coalesce = qc.coalesce;
+    bp.threads = qc.threads;
+    const auto event = [](FaultPlan &plan, FaultKind kind, uint64_t tick,
+                          uint64_t until, uint32_t chip, uint32_t dir) {
+        FaultEvent ev;
+        ev.kind = kind;
+        ev.id = static_cast<uint32_t>(plan.events.size());
+        ev.tick = tick;
+        ev.untilTick = until;
+        ev.chip = chip;
+        ev.dir = dir;
+        ev.delayTicks = 1;
+        plan.events.push_back(ev);
+    };
+    FaultPlan quietPlan;
+    if (qc.faults) {
+        event(quietPlan, FaultKind::DeadLink, 20, 0, 5, Board::East);
+        event(quietPlan, FaultKind::LinkDrop, 8, 40, 10, Board::West);
+    }
+    FaultPlan walkedPlan = quietPlan;
+    for (uint32_t link = 0; link < 16 * 4; ++link)
+        event(walkedPlan, FaultKind::LinkDelay, 1000000000, 0, link / 4,
+              link % 4);
+    bp.faultPlan = std::make_shared<const FaultPlan>(quietPlan);
+    auto quiet = std::make_unique<Board>(bp, w.cores);
+    bp.faultPlan = std::make_shared<const FaultPlan>(walkedPlan);
+    auto walked = std::make_unique<Board>(bp, w.cores);
+
+    const auto restored = [&](const Board &donor) {
+        JsonValue snap;
+        donor.saveState(snap);
+        BoardParams rp = bp;
+        rp.faultPlan = donor.params().faultPlan;
+        auto board = std::make_unique<Board>(rp, w.cores);
+        EXPECT_TRUE(board->restoreState(snap));
+        return board;
+    };
+    const auto state = [](const Chip &chip) {
+        JsonValue v;
+        chip.saveState(v);
+        return v.dump();
+    };
+    while (quiet->now() < ticks) {
+        const uint64_t t = quiet->now();
+        if (qc.restoreAt != 0 && t == qc.restoreAt) {
+            quiet = restored(*quiet);
+            walked = restored(*walked);
+        }
+        quiet->injectInputs(inputs[t], t);
+        walked->injectInputs(inputs[t], t);
+        quiet->tick();
+        walked->tick();
+        ASSERT_EQ(quiet->outputs(), walked->outputs()) << "tick " << t;
+        const JsonValue qs = quiet->stats();
+        const JsonValue ws = walked->stats();
+        for (const char *group : {"board", "chips", "cores"})
+            ASSERT_EQ(qs.at(group).dump(), ws.at(group).dump())
+                << group << " at tick " << t;
+        ASSERT_EQ(boardCounterList(*quiet), boardCounterList(*walked))
+            << "tick " << t;
+        for (uint32_t c = 0; c < quiet->numChips(); ++c)
+            ASSERT_EQ(state(quiet->chip(c)), state(walked->chip(c)))
+                << "chip " << c << " at tick " << t;
+    }
+    const BoardCounters &bc = quiet->counters();
+    EXPECT_GT(bc.linkPackets, bc.fabricPackets);  // multi-hop routes
+    if (qc.coalesce > 1) {
+        EXPECT_GT(bc.packetsCoalesced, 0u);
+    }
+    if (qc.faults) {
+        EXPECT_GT(quiet->faultStats().linkDrops, 0u);
+        EXPECT_EQ(quiet->faultStats().deadLinks, 1u);
+    }
+    EXPECT_FALSE(quiet->outputs().empty());
+}
+
+TEST(BoardCommsQuiet, QuietPairsMatchWalkedPairs)
+{
+    expectQuietMatchesWalked({0, 0, false, 0});
+    expectQuietMatchesWalked({16, 2, false, 0});
+}
+
+TEST(BoardCommsQuiet, QuietPairsMatchWalkedPairsUnderFaults)
+{
+    expectQuietMatchesWalked({0, 0, true, 0});
+    expectQuietMatchesWalked({16, 2, true, 27});
 }
 
 // --- trace + profile -------------------------------------------------------

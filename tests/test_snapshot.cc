@@ -862,6 +862,36 @@ TEST(SnapshotRejects, BoardPendingPacketOutOfRange)
     }
     EXPECT_TRUE(payloadEdited) << "no coalesced payload in flight";
 
+    // A stalled packet (queuedLink, field 5, not -1) waits at the chip
+    // its link leaves (atChip, field 0), short of its destination
+    // (dstChip, field 1).  Moving it to another chip, or its
+    // destination onto its chip, leaves the stall counts intact.
+    bool stallEdited = false;
+    for (size_t b = 0; b < pending.size() && !stallEdited; ++b) {
+        const JsonValue &flat = pending.at(b).at("packets");
+        for (size_t i = 0; i < flat.size(); i += 11) {
+            if (flat.at(i + 5).asInt() < 0)
+                continue;
+            const int64_t at = flat.at(i).asInt();
+            const int64_t dst = flat.at(i + 1).asInt();
+            int64_t other = 0;
+            while (other == at || other == dst)
+                ++other;
+            const auto field = [&](size_t f, int64_t v) {
+                return withBucket(
+                    snap, b, "packets",
+                    withElement(flat, i + f, JsonValue::integer(v)));
+            };
+            edits.emplace_back("stalled packet off its link's chip",
+                               field(0, other));
+            edits.emplace_back("stalled packet at its destination",
+                               field(1, at));
+            stallEdited = true;
+            break;
+        }
+    }
+    EXPECT_TRUE(stallEdited) << "no stalled packet in flight";
+
     for (const auto &[what, doc] : edits) {
         err.clear();
         EXPECT_FALSE(make()->restore(doc, &err)) << what;

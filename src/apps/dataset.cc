@@ -90,26 +90,6 @@ makeGaussianDigits(uint32_t classes, uint32_t side,
 }
 
 Dataset
-makeXor(uint32_t per_class, double noise, uint64_t seed)
-{
-    Xoshiro256 rng(seed);
-    Dataset ds;
-    ds.numClasses = 2;
-    ds.featureDim = 2;
-    for (uint32_t i = 0; i < per_class * 2; ++i) {
-        Sample s;
-        bool qx = rng.chance(0.5);
-        bool qy = rng.chance(0.5);
-        s.label = (qx != qy) ? 1 : 0;
-        double x = (qx ? 0.75 : 0.25) + rng.normal(0.0, noise);
-        double y = (qy ? 0.75 : 0.25) + rng.normal(0.0, noise);
-        s.features = {clamp01(x), clamp01(y)};
-        ds.samples.push_back(std::move(s));
-    }
-    return ds;
-}
-
-Dataset
 makeBars(uint32_t side, uint32_t per_class, double noise,
          uint64_t seed)
 {

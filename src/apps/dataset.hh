@@ -45,12 +45,6 @@ Dataset makeGaussianDigits(uint32_t classes, uint32_t side,
                            uint64_t seed);
 
 /**
- * XOR in the unit square with jitter: label = quadrant parity.
- * The classic not-linearly-separable sanity task (featureDim 2).
- */
-Dataset makeXor(uint32_t per_class, double noise, uint64_t seed);
-
-/**
  * Bars: side x side images containing one horizontal bar; the label
  * is the row carrying the bar (side classes).  A linearly separable
  * variant of the classic neuromorphic bars demo.

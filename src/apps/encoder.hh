@@ -1,6 +1,6 @@
 /**
  * @file
- * Spike encoders and decoders: analog values <-> spike trains.
+ * Rate encoders: analog values in [0, 1] -> evenly spaced spike trains.
  */
 
 #ifndef NSCS_APPS_ENCODER_HH
@@ -9,8 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "util/rng.hh"
 
 namespace nscs {
 
@@ -34,34 +32,6 @@ std::vector<uint32_t> encodeRate(double value, uint32_t window);
  */
 void encodeRateMasks(const double *values, size_t n, uint32_t window,
                      uint64_t *words);
-
-/** encodeRateMasks of the one value @p value. */
-void encodeRateMask(double value, uint32_t window, uint64_t *words);
-
-/** Bernoulli rate code: spike each tick with probability v. */
-std::vector<uint32_t> encodeRateStochastic(double value,
-                                           uint32_t window,
-                                           Xoshiro256 &rng);
-
-/**
- * Time-to-first-spike code: one spike at round((1-v) * (window-1));
- * strong values spike early.  Values <= 0 produce no spike.
- */
-std::vector<uint32_t> encodeTimeToSpike(double value, uint32_t window);
-
-/**
- * Population code: @p units Gaussian tuning curves with centres
- * evenly spaced in [0, 1] and width sigma; unit i emits a
- * deterministic rate-coded train of its activation.
- */
-std::vector<std::vector<uint32_t>> encodePopulation(double value,
-                                                    uint32_t units,
-                                                    double sigma,
-                                                    uint32_t window);
-
-/** Decode a rate-coded train: spikes / window. */
-double decodeRate(const std::vector<uint32_t> &spikes,
-                  uint32_t window);
 
 } // namespace nscs
 

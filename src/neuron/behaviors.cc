@@ -1,6 +1,5 @@
 #include "neuron/behaviors.hh"
 
-#include <cmath>
 #include <deque>
 
 #include "neuron/neuron.hh"
@@ -217,32 +216,6 @@ runBehavior(const BehaviorPreset &preset, uint32_t ticks)
         }
     }
     return trace;
-}
-
-double
-meanIsi(const std::vector<uint32_t> &spikes)
-{
-    if (spikes.size() < 2)
-        return 0.0;
-    double total = static_cast<double>(spikes.back() - spikes.front());
-    return total / static_cast<double>(spikes.size() - 1);
-}
-
-double
-isiCv(const std::vector<uint32_t> &spikes)
-{
-    if (spikes.size() < 3)
-        return 0.0;
-    double mean = meanIsi(spikes);
-    if (mean <= 0.0)
-        return 0.0;
-    double var = 0.0;
-    for (size_t i = 1; i < spikes.size(); ++i) {
-        double isi = static_cast<double>(spikes[i] - spikes[i - 1]);
-        var += (isi - mean) * (isi - mean);
-    }
-    var /= static_cast<double>(spikes.size() - 2);
-    return std::sqrt(var) / mean;
 }
 
 } // namespace nscs

@@ -91,12 +91,6 @@ struct BehaviorTrace
 /** Run a preset for @p ticks ticks on the host-level runner. */
 BehaviorTrace runBehavior(const BehaviorPreset &preset, uint32_t ticks);
 
-/** Mean inter-spike interval of a spike train (0 when < 2 spikes). */
-double meanIsi(const std::vector<uint32_t> &spikes);
-
-/** Coefficient of variation of the ISIs (0 when < 3 spikes). */
-double isiCv(const std::vector<uint32_t> &spikes);
-
 } // namespace nscs
 
 #endif // NSCS_NEURON_BEHAVIORS_HH

@@ -52,17 +52,6 @@ validateNeuronParams(const NeuronParams &p, const char *ctx)
 }
 
 bool
-usesRandomness(const NeuronParams &p)
-{
-    if (p.leakStochastic || p.thresholdMaskBits > 0)
-        return true;
-    for (bool b : p.synStochastic)
-        if (b)
-            return true;
-    return false;
-}
-
-bool
 drawsPerTick(const NeuronParams &p)
 {
     return p.leakStochastic || p.thresholdMaskBits > 0;

@@ -130,9 +130,6 @@ struct NeuronParams
  */
 void validateNeuronParams(const NeuronParams &p, const char *ctx);
 
-/** @return true if any stochastic feature is enabled. */
-bool usesRandomness(const NeuronParams &p);
-
 /** @return true if the neuron must be evaluated every tick to stay
  *  bit-equivalent (per-tick PRNG draws). */
 bool drawsPerTick(const NeuronParams &p);

@@ -153,34 +153,4 @@ Mesh::idle() const
     return true;
 }
 
-size_t
-Mesh::occupancy() const
-{
-    size_t n = 0;
-    for (const auto &r : routers_)
-        n += r.occupancy();
-    return n;
-}
-
-const Router &
-Mesh::router(uint32_t x, uint32_t y) const
-{
-    NSCS_ASSERT(x < params_.width && y < params_.height,
-                "router (%u, %u) outside mesh", x, y);
-    return routers_[idx(x, y)];
-}
-
-void
-Mesh::reset()
-{
-    for (auto &r : routers_) {
-        for (auto &q : r.inBuf)
-            q.clear();
-        r.rrPtr = {};
-    }
-    deliveries_.clear();
-    stats_ = MeshStats{};
-    cycle_ = 0;
-}
-
 } // namespace nscs

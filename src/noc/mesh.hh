@@ -97,23 +97,14 @@ class Mesh
     /** True when no flit is buffered anywhere. */
     bool idle() const;
 
-    /** Total buffered flits (diagnostics). */
-    size_t occupancy() const;
-
     /** Statistics. */
     const MeshStats &stats() const { return stats_; }
 
     /** Construction parameters. */
     const MeshParams &params() const { return params_; }
 
-    /** Router at (@p x, @p y) (tests/diagnostics). */
-    const Router &router(uint32_t x, uint32_t y) const;
-
     /** Current cycle count. */
     uint64_t cycle() const { return cycle_; }
-
-    /** Clear all buffers, deliveries and statistics. */
-    void reset();
 
   private:
     uint32_t idx(uint32_t x, uint32_t y) const

@@ -93,16 +93,6 @@ struct Router
                 return false;
         return true;
     }
-
-    /** Total buffered flits. */
-    size_t
-    occupancy() const
-    {
-        size_t n = 0;
-        for (const auto &q : inBuf)
-            n += q.size();
-        return n;
-    }
 };
 
 } // namespace nscs

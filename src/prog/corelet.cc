@@ -7,30 +7,6 @@ namespace nscs {
 namespace corelets {
 
 Ports
-splitter(Network &net, const std::string &name, uint32_t fanout)
-{
-    if (fanout == 0)
-        fatal("splitter '%s' with fanout 0", name.c_str());
-    Ports ports;
-    ports.pop = net.addPopulation(name, fanout, relayNeuronParams());
-    for (uint32_t i = 0; i < fanout; ++i) {
-        ports.in.push_back({ports.pop, i});
-        ports.out.push_back({ports.pop, i});
-    }
-    return ports;
-}
-
-Ports
-merger(Network &net, const std::string &name)
-{
-    Ports ports;
-    ports.pop = net.addPopulation(name, 1, relayNeuronParams());
-    ports.in.push_back({ports.pop, 0});
-    ports.out.push_back({ports.pop, 0});
-    return ports;
-}
-
-Ports
 delayLine(Network &net, const std::string &name, uint32_t length)
 {
     if (length == 0)
@@ -41,62 +17,6 @@ delayLine(Network &net, const std::string &name, uint32_t length)
         net.connect({ports.pop, i}, {ports.pop, i + 1}, 0, 1);
     ports.in.push_back({ports.pop, 0});
     ports.out.push_back({ports.pop, length - 1});
-    return ports;
-}
-
-Ports
-rateScaler(Network &net, const std::string &name, uint32_t width,
-           uint8_t prob256)
-{
-    if (width == 0)
-        fatal("rateScaler '%s' with width 0", name.c_str());
-    NeuronParams p = relayNeuronParams();
-    p.synWeight[0] = prob256;
-    p.synStochastic[0] = true;
-    Ports ports;
-    ports.pop = net.addPopulation(name, width, p);
-    for (uint32_t i = 0; i < width; ++i) {
-        ports.in.push_back({ports.pop, i});
-        ports.out.push_back({ports.pop, i});
-    }
-    return ports;
-}
-
-Ports
-winnerTakeAll(Network &net, const std::string &name, uint32_t width,
-              int32_t threshold)
-{
-    if (width < 2)
-        fatal("winnerTakeAll '%s': width %u < 2", name.c_str(),
-              width);
-    if (threshold < 1)
-        fatal("winnerTakeAll '%s': threshold must be >= 1",
-              name.c_str());
-    // Channel neurons: excitation on type 0, mutual inhibition on
-    // type 1.  The inhibitory weight exceeds the excitatory one, so
-    // a firing channel suppresses its rivals' accumulated evidence;
-    // a mild decaying leak lets the loser recover once the winner's
-    // drive fades.
-    NeuronParams p;
-    p.synWeight = {2, -3, 0, 0};
-    p.threshold = threshold;
-    p.leak = -1;
-    p.negThreshold = static_cast<int32_t>(threshold) * 2;
-    p.negSaturate = true;
-    p.resetMode = ResetMode::Store;
-    p.resetPotential = 0;
-
-    Ports ports;
-    ports.pop = net.addPopulation(name, width, p);
-    for (uint32_t i = 0; i < width; ++i) {
-        // Delay 2 leaves splitter headroom when a channel is also
-        // marked as an output line (two branches -> one relay level).
-        for (uint32_t j = 0; j < width; ++j)
-            if (i != j)
-                net.connect({ports.pop, i}, {ports.pop, j}, 1, 2);
-        ports.in.push_back({ports.pop, i});
-        ports.out.push_back({ports.pop, i});
-    }
     return ports;
 }
 

@@ -30,34 +30,11 @@ struct Ports
 };
 
 /**
- * Explicit 1-to-k splitter: @p fanout relay neurons that all repeat
- * the driving spike one tick after integration.  (The compiler also
- * auto-splits; this corelet gives programs explicit control over
- * where the relays live.)  in = out = the k relays.
- */
-Ports splitter(Network &net, const std::string &name, uint32_t fanout);
-
-/**
- * OR-merger: one neuron that fires when any of its drivers spiked
- * this tick.  Multiple simultaneous driver spikes still produce a
- * single output spike.
- */
-Ports merger(Network &net, const std::string &name);
-
-/**
  * Delay line of @p length relays in series: the output fires
  * length-1 ticks after the head integrates (plus the caller's edge
  * delay into the head).  in = head, out = tail.
  */
 Ports delayLine(Network &net, const std::string &name, uint32_t length);
-
-/**
- * Stochastic rate scaler: @p width parallel relays that each pass an
- * input spike with probability prob256/256 (the hardware stochastic
- * synapse).  in[i]/out[i] pair up.
- */
-Ports rateScaler(Network &net, const std::string &name, uint32_t width,
-                 uint8_t prob256);
 
 /**
  * k-of-n majority gate: one neuron that fires exactly when at least
@@ -66,16 +43,6 @@ Ports rateScaler(Network &net, const std::string &name, uint32_t width,
  * Requires 1 <= k <= 256.
  */
 Ports majority(Network &net, const std::string &name, uint32_t k);
-
-/**
- * Winner-take-all over @p width channels: channel i's excitatory
- * drive (connect into in[i], type 0) competes through mutual
- * inhibition; out[i] spikes only while channel i dominates.  The
- * race resolves within a few ticks of the inhibitory loop delay.
- * @p threshold sets the evidence needed before any channel fires.
- */
-Ports winnerTakeAll(Network &net, const std::string &name,
-                    uint32_t width, int32_t threshold = 4);
 
 } // namespace corelets
 } // namespace nscs

@@ -74,16 +74,6 @@ Network::connect(NeuronRef src, NeuronRef dst, uint8_t type_class,
 }
 
 void
-Network::connectAllToAll(PopId src, PopId dst, uint8_t type_class,
-                         uint8_t delay)
-{
-    uint32_t ns = popSize(src), nd = popSize(dst);
-    for (uint32_t i = 0; i < ns; ++i)
-        for (uint32_t j = 0; j < nd; ++j)
-            connect({src, i}, {dst, j}, type_class, delay);
-}
-
-void
 Network::connectOneToOne(PopId src, PopId dst, uint8_t type_class,
                          uint8_t delay)
 {

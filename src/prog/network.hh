@@ -75,10 +75,6 @@ class Network
     void connect(NeuronRef src, NeuronRef dst, uint8_t type_class,
                  uint8_t delay = 1);
 
-    /** Every (i, j) pair between two populations. */
-    void connectAllToAll(PopId src, PopId dst, uint8_t type_class,
-                         uint8_t delay = 1);
-
     /** (i, i) pairs; sizes must match. */
     void connectOneToOne(PopId src, PopId dst, uint8_t type_class,
                          uint8_t delay = 1);

@@ -80,7 +80,7 @@ struct FaultEvent {
     /** Window end (exclusive); events without untilTick last 1 tick. */
     uint64_t windowEnd() const { return untilTick ? untilTick : tick + 1; }
 
-    /** Field-wise equality (plan round-trip tests). */
+    /** Field-wise equality. */
     bool operator==(const FaultEvent &other) const = default;
 };
 
@@ -88,12 +88,9 @@ struct FaultEvent {
 struct FaultPlan {
     std::vector<FaultEvent> events;
 
-    /** Serialize to the versioned nscs-fault-plan JSON document. */
-    JsonValue toJson() const;
-
     /**
-     * Parse a toJson() document.  @return false with @p err set on a
-     * malformed document or unsupported version.
+     * Parse a versioned nscs-fault-plan JSON document.  @return false
+     * with @p err set on a malformed document or unsupported version.
      */
     static bool fromJson(const JsonValue &v, FaultPlan &out,
                          std::string &err);
@@ -105,9 +102,6 @@ struct FaultPlan {
 /** Load a fault plan file; false with @p err set on failure. */
 bool loadFaultPlan(const std::string &path, FaultPlan &out,
                    std::string &err);
-
-/** Write @p plan to @p path; false on I/O failure. */
-bool saveFaultPlan(const std::string &path, const FaultPlan &plan);
 
 /**
  * Shape of a randomly generated Monte-Carlo fault campaign: how many

@@ -328,20 +328,4 @@ Simulator::footprintBytes() const
     return bytes;
 }
 
-void
-Simulator::reset()
-{
-    if (chip_)
-        chip_->reset();
-    else
-        board_->reset();
-    recorder_.clear();
-    haveCheckpoint_ = false;
-    checkpointTick_ = 0;
-    checkpointBlob_.clear();
-    handled_.clear();
-    alarmScratch_.clear();
-    recovery_ = RecoveryStats{};
-}
-
 } // namespace nscs

@@ -128,11 +128,6 @@ class Simulator
     /** Recorded output spikes (const). */
     const SpikeRecorder &recorder() const { return recorder_; }
 
-    /** Reset device, recorder and performance counters; drops the
-     *  held checkpoint and recovery stats (sources keep their own
-     *  state and are not reset). */
-    void reset();
-
     /** Next tick to execute, whichever device backs the run. */
     uint64_t now() const { return chip_ ? chip_->now() : board_->now(); }
 
@@ -160,7 +155,7 @@ class Simulator
      * geometry and source count are validated).  On a mismatch or a
      * malformed document returns false and, when @p err is non-null,
      * stores the reason; the simulator's state is then unspecified —
-     * reset() it before further use.
+     * build a new one, or restore a good document, before further use.
      */
     bool restore(const JsonValue &snap, std::string *err = nullptr);
 

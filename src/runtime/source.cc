@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <map>
 
 #include "util/logging.hh"
 
@@ -53,40 +52,12 @@ SpikeSource::wordsFor(uint64_t t, std::vector<InputWord> &out)
 
 PoissonSource::PoissonSource(std::vector<InputSpike> targets,
                              double rate, uint64_t seed)
-    : targets_(std::move(targets)),
-      groupPlanes_((targets_.size() + 63) / 64, 0),
-      rng_(seed)
-{
-    // Every group shares one entry, built by broadcasting each
-    // threshold bit to all 64 lanes.
-    const uint64_t thr = drawThreshold(rate);
-    Planes &p = planes_.emplace_back();
-    for (size_t k = 0; k < p.size(); ++k)
-        p[k] = (thr >> k & 1) ? ~0ull : 0;
-    compileSegments();
-}
-
-PoissonSource::PoissonSource(std::vector<InputSpike> targets,
-                             std::vector<double> rates, uint64_t seed)
     : targets_(std::move(targets)), rng_(seed)
 {
-    NSCS_ASSERT(targets_.size() == rates.size(),
-                "targets (%zu) and rates (%zu) size mismatch",
-                targets_.size(), rates.size());
-    std::map<Planes, uint32_t> entryOf;
-    for (size_t base = 0; base < rates.size(); base += 64) {
-        Planes p{};
-        const size_t lanes = std::min<size_t>(64, rates.size() - base);
-        for (size_t j = 0; j < lanes; ++j)
-            for (uint64_t thr = drawThreshold(rates[base + j]); thr;
-                 thr &= thr - 1)
-                p[std::countr_zero(thr)] |= 1ull << j;
-        auto [it, fresh] = entryOf.try_emplace(
-            p, static_cast<uint32_t>(planes_.size()));
-        if (fresh)
-            planes_.push_back(p);
-        groupPlanes_.push_back(it->second);
-    }
+    // Broadcast each threshold bit to all 64 lanes.
+    const uint64_t thr = drawThreshold(rate);
+    for (size_t k = 0; k < planes_.size(); ++k)
+        planes_[k] = (thr >> k & 1) ? ~0ull : 0;
     compileSegments();
 }
 
@@ -126,12 +97,12 @@ PoissonSource::drawGroups(Emit &&emit)
     // draw loop; the member is written back once.
     Xoshiro256 rng = rng_;
     const size_t n = targets_.size();
+    const uint64_t *p = planes_.data();
     uint64_t draws = 0;
-    for (size_t g = 0; g < groupPlanes_.size(); ++g) {
+    for (size_t g = 0; g * 64 < n; ++g) {
         const size_t base = g * 64;
         const uint64_t lanes =
             n - base >= 64 ? ~0ull : (1ull << (n - base)) - 1;
-        const uint64_t *p = planes_[groupPlanes_[g]].data();
         // Bit 53 of every draw-built value is 0: a lane whose
         // threshold is 2^53 fires before any draw.
         uint64_t fire = p[53] & lanes;

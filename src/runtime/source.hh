@@ -109,38 +109,37 @@ class SpikeSource
 };
 
 /**
- * Independent Bernoulli spiking per target per tick: target i fires
- * with probability rate[i] (spikes/tick, <= 1).
+ * Independent Bernoulli spiking per target per tick: every target
+ * fires with probability rate (spikes/tick, <= 1).
  *
- * Definition.  Target i has the integer threshold
- * T_i = ceil(rate[i] * 2^53), 54 bits wide (T_i = 2^53 at rate 1).
- * Targets form groups of 64 lanes in target order (the last group
- * may be shorter), and each group decides its lanes by a bit-serial
- * comparison U_i < T_i, most significant bit first.  Bit 53 of every
- * U_i is 0, so a lane whose T_i has bit 53 set fires at once; each
- * following xoshiro draw then hands its bit j to lane j as the next
+ * Definition.  The rate has the integer threshold
+ * T = ceil(rate * 2^53), 54 bits wide (T = 2^53 at rate 1).  Targets
+ * form groups of 64 lanes in target order (the last group may be
+ * shorter), and each group decides its lanes by a bit-serial
+ * comparison U_i < T, most significant bit first.  Bit 53 of every
+ * U_i is 0, so when T has bit 53 set every lane fires at once;
+ * otherwise each xoshiro draw hands its bit j to lane j as the next
  * bit of U_j (bits 52 down to 0).  A lane fires at its first 0-bit
- * against a 1-bit of T_i, drops out at its first 1-bit against a
+ * against a 1-bit of T, drops out at its first 1-bit against a
  * 0-bit, and the group stops drawing as soon as no lane is undecided
- * (or after 53 draws, when the remaining lanes have U_i == T_i and
- * do not fire).  Groups draw in order, and the fired targets of each
+ * (or after 53 draws, when the remaining lanes have U_i == T and do
+ * not fire).  Groups draw in order, and the fired targets of each
  * group are appended in target order.
  *
  * Exactness.  Every bit a lane reads is a fresh uniform bit that no
  * other lane reads, and the lane decides on the first bit that
- * differs from T_i, as the full comparison of a uniform U_i on
- * [0, 2^53) would.  So target i fires with probability exactly
- * T_i / 2^53 = ceil(rate[i] * 2^53) / 2^53, the probability of
- * Xoshiro256::chance(rate[i]).  Lanes read disjoint bits and a
- * group's stopping point is decided by bits already read, so
- * targets are independent within a tick and across ticks.
+ * differs from T, as the full comparison of a uniform U_i on
+ * [0, 2^53) would.  So each target fires with probability exactly
+ * T / 2^53 = ceil(rate * 2^53) / 2^53, the probability of
+ * Xoshiro256::chance(rate).  Lanes read disjoint bits and a group's
+ * stopping point is decided by bits already read, so targets are
+ * independent within a tick and across ticks.
  *
  * Cost.  A lane stays undecided after k draws with probability
  * 2^-k, so a full group takes the expected maximum of 64 such
  * waiting times, about 7.3 draws, at any rate.  The hot loop works
- * on 64-bit planes: each group points at the 54 bit planes of its
- * lanes' thresholds, and groups with the same thresholds (all full
- * groups of a single-rate source) share one entry.
+ * on 64-bit planes: plane k holds bit k of T in every lane, and all
+ * groups share the one set of planes.
  *
  * Compatibility.  The source used to draw once per target per tick,
  * so a seed now gives a different (equally distributed) realization
@@ -150,13 +149,8 @@ class SpikeSource
 class PoissonSource : public SpikeSource
 {
   public:
-    /** Same rate for all targets. */
     PoissonSource(std::vector<InputSpike> targets, double rate,
                   uint64_t seed);
-
-    /** Per-target rates; sizes must match. */
-    PoissonSource(std::vector<InputSpike> targets,
-                  std::vector<double> rates, uint64_t seed);
 
     void spikesFor(uint64_t t, std::vector<InputSpike> &out) override;
     void wordsFor(uint64_t t, std::vector<InputWord> &out) override;
@@ -169,8 +163,8 @@ class PoissonSource : public SpikeSource
     uint64_t draws() const { return draws_; }
 
   private:
-    /** A group's thresholds as 54 bit planes: bit j of plane k is
-     *  bit k of lane j's threshold. */
+    /** The threshold as 54 bit planes: every bit of plane k is bit k
+     *  of T. */
     using Planes = std::array<uint64_t, 54>;
 
     /** Lanes of one group that deposit into one word: lane
@@ -192,8 +186,7 @@ class PoissonSource : public SpikeSource
     void drawGroups(Emit &&emit);
 
     std::vector<InputSpike> targets_;
-    std::vector<Planes> planes_;        //!< distinct group planes
-    std::vector<uint32_t> groupPlanes_; //!< group -> planes_ entry
+    Planes planes_;
     std::vector<Segment> segments_;     //!< every group's, in order
     /** Group g's segments are [groupSegments_[g], groupSegments_[g+1]). */
     std::vector<uint32_t> groupSegments_;

@@ -23,22 +23,6 @@ BitVec::set(size_t idx, bool value)
         words_[idx >> 6] &= ~mask;
 }
 
-bool
-BitVec::test(size_t idx) const
-{
-    NSCS_ASSERT(idx < nbits_, "BitVec::test(%zu) out of range %zu",
-                idx, nbits_);
-    return (words_[idx >> 6] >> (idx & 63)) & 1ull;
-}
-
-bool
-BitSpan::test(size_t idx) const
-{
-    NSCS_ASSERT(idx < nbits_, "BitSpan::test(%zu) out of range %zu",
-                idx, nbits_);
-    return (words_[idx >> 6] >> (idx & 63)) & 1ull;
-}
-
 void
 BitVec::reset()
 {

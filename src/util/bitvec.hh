@@ -52,9 +52,6 @@ class BitSpan
     /** The backing words. */
     const uint64_t *data() const { return words_; }
 
-    /** @return the value of bit @p idx (asserted in range). */
-    bool test(size_t idx) const;
-
     /** @return number of set bits. */
     size_t count() const;
 
@@ -103,9 +100,6 @@ class BitVec
 
     /** Clear all bits. */
     void reset();
-
-    /** @return the value of bit @p idx. */
-    bool test(size_t idx) const;
 
     /** @return number of set bits. */
     size_t count() const { return span().count(); }

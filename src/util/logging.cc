@@ -10,7 +10,7 @@ namespace nscs {
 
 namespace {
 
-// Atomic: warn()/inform() are legal from pool worker threads while a
+// Atomic: warn() is legal from pool worker threads while a
 // test toggles setQuiet() on the main thread.
 std::atomic<bool> quietFlag{false};
 
@@ -79,26 +79,9 @@ warn(const char *fmt, ...)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (quietFlag)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    report("info", fmt, ap);
-    va_end(ap);
-}
-
-void
 setQuiet(bool q)
 {
     quietFlag = q;
-}
-
-bool
-quiet()
-{
-    return quietFlag;
 }
 
 } // namespace nscs

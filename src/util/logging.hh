@@ -11,10 +11,9 @@
  *              error (bad configuration, invalid model file...).
  *              Exits with status 1.
  *
- * Two non-terminating reporters:
+ * One non-terminating reporter:
  *
  *  - warn():   functionality is questionable but the run continues.
- *  - inform(): purely informational status for the user.
  *
  * All take printf-style format strings.  NSCS_ASSERT(cond, ...) is a
  * panic-on-failure assertion that stays enabled in release builds; it
@@ -40,14 +39,8 @@ namespace nscs {
 /** Emit a non-fatal warning to stderr. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Emit an informational message to stderr. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Suppress / restore warn() and inform() output (used by tests). */
+/** Suppress / restore warn() output (used by tests). */
 void setQuiet(bool quiet);
-
-/** @return true while warn()/inform() output is suppressed. */
-bool quiet();
 
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)

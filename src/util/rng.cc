@@ -162,29 +162,4 @@ Xoshiro256::restoreState(const State &st)
     hasCachedNormal_ = st.hasCachedNormal;
 }
 
-uint64_t
-Xoshiro256::poisson(double lambda)
-{
-    NSCS_ASSERT(lambda >= 0.0, "poisson(lambda<0)");
-    if (lambda == 0.0)
-        return 0;
-    if (lambda < 30.0) {
-        // Knuth's product-of-uniforms method.
-        double limit = std::exp(-lambda);
-        uint64_t k = 0;
-        double p = uniform();
-        while (p > limit) {
-            ++k;
-            p *= uniform();
-        }
-        return k;
-    }
-    // Normal approximation with continuity correction; adequate for
-    // workload synthesis at high rates.
-    double draw = normal(lambda, std::sqrt(lambda));
-    if (draw < 0.0)
-        return 0;
-    return static_cast<uint64_t>(draw + 0.5);
-}
-
 } // namespace nscs

@@ -212,9 +212,6 @@ class Xoshiro256
         return mean + sigma * normal();
     }
 
-    /** Poisson draw (Knuth for small lambda, normal approx beyond). */
-    uint64_t poisson(double lambda);
-
     /**
      * Full generator state, exposed for snapshot serialization.  The
      * cached Box-Muller normal is carried as raw IEEE-754 bits so the

@@ -1,16 +1,8 @@
 #include "util/stats.hh"
 
-#include <cmath>
-
 #include "util/logging.hh"
 
 namespace nscs {
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
 
 Histogram::Histogram(double lo, double hi, size_t nbins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(nbins)),
@@ -57,15 +49,6 @@ Histogram::quantile(double q) const
             return lo_ + width_ * static_cast<double>(i + 1);
     }
     return stat_.max();
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : bins_)
-        b = 0;
-    underflow_ = overflow_ = count_ = 0;
-    stat_.reset();
 }
 
 JsonValue

@@ -20,8 +20,8 @@
 namespace nscs {
 
 /**
- * Streaming scalar statistic (Welford's algorithm): count, mean,
- * variance, min, max without storing samples.
+ * Streaming scalar statistic: count, mean, min, max without storing
+ * samples.
  */
 class RunningStat
 {
@@ -33,7 +33,6 @@ class RunningStat
         ++n_;
         double delta = x - mean_;
         mean_ += delta / static_cast<double>(n_);
-        m2_ += delta * (x - mean_);
         if (x < min_)
             min_ = x;
         if (x > max_)
@@ -46,16 +45,6 @@ class RunningStat
     /** Sample mean (0 when empty). */
     double mean() const { return n_ ? mean_ : 0.0; }
 
-    /** Population variance (0 when fewer than 2 samples). */
-    double
-    variance() const
-    {
-        return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0;
-    }
-
-    /** Population standard deviation. */
-    double stddev() const;
-
     /** Smallest sample (0 when empty). */
     double min() const { return n_ ? min_ : 0.0; }
 
@@ -65,13 +54,9 @@ class RunningStat
     /** Sum of all samples. */
     double sum() const { return mean_ * static_cast<double>(n_); }
 
-    /** Forget all samples. */
-    void reset() { *this = RunningStat(); }
-
   private:
     uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -114,9 +99,6 @@ class Histogram
      * samples report the exact observed max.
      */
     double quantile(double q) const;
-
-    /** Forget all samples. */
-    void reset();
 
   private:
     double lo_, hi_, width_;

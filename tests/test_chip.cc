@@ -134,15 +134,12 @@ TEST(ChipDeath, InjectOutsideWindowPanics)
     EXPECT_DEATH(chip.injectInput(0, 0, 2), "past");
 }
 
-TEST(Chip, RunAdvancesClockAndReset)
+TEST(Chip, RunAdvancesClock)
 {
     Chip chip(params1x1(), {relayCore()});
     chip.run(7);
     EXPECT_EQ(chip.now(), 7u);
     EXPECT_EQ(chip.counters().ticks, 7u);
-    chip.reset();
-    EXPECT_EQ(chip.now(), 0u);
-    EXPECT_EQ(chip.counters().ticks, 0u);
 }
 
 TEST(Chip, MeshStatsOnlyInCycleMode)

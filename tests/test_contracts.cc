@@ -153,7 +153,7 @@ laneSource(Row row, uint32_t lane)
             targets.push_back(it == m.inputs.end()
                                   ? std::vector<InputSpike>{}
                                   : it->second);
-            encodeRateMask(sample.features[f], kWindow, &trains[f]);
+            encodeRateMasks(&sample.features[f], 1, kWindow, &trains[f]);
         }
         auto src = std::make_unique<RateCodeSource>(std::move(targets));
         src->load(0, kWindow, 1, trains);

@@ -317,7 +317,7 @@ TEST(Encoder, RateMaskMatchesEncodeRate)
         const uint32_t words = (window + 63) / 64;
         for (double v : {0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.73, 1.0}) {
             std::vector<uint64_t> mask(words, ~0ull);
-            encodeRateMask(v, window, mask.data());
+            encodeRateMasks(&v, 1, window, mask.data());
             std::vector<uint64_t> expect(words, 0);
             for (uint32_t t : encodeRate(v, window))
                 expect[t / 64] |= 1ull << (t % 64);

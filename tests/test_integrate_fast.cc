@@ -1080,7 +1080,8 @@ TEST(IntegrateFast, BoardOutputsBitIdenticalAcrossLevels)
     auto run = [&](simd::Level lvl) {
         EXPECT_TRUE(simd::setActiveLevel(lvl));
         Board board(bp, {src, dst});
-        board.run(ticks);
+        for (uint64_t t = 0; t < ticks; ++t)
+            board.tick();
         return board.outputs();
     };
 

@@ -140,26 +140,5 @@ TEST(ParallelTick, RunPerfStaysSane)
     EXPECT_GT(par.perf.realTimeFactor(), 0.0);
 }
 
-TEST(ParallelTick, ResetKeepsParallelEngine)
-{
-    bench::CorticalWorkload w = bench::tappedWorkload(2, 2, 13);
-    auto sim = bench::makeCorticalSim(w, EngineKind::Event,
-                                      NocModel::Functional, 4);
-    sim->run(25);
-    std::vector<OutputSpike> first = sim->recorder().spikes();
-    ASSERT_FALSE(first.empty());
-    sim->reset();
-    // Sources keep their own state, so re-add a fresh simulator run
-    // by comparing against a brand-new serial simulator instead.
-    auto fresh = bench::makeCorticalSim(w, EngineKind::Event,
-                                        NocModel::Functional, 0);
-    fresh->run(25);
-    // Post-reset the chip itself must behave like a freshly built
-    // one (counters cleared, parallel path still selected).
-    EXPECT_EQ(sim->chip().counters().ticks, 0u);
-    EXPECT_EQ(sim->chip().now(), 0u);
-    EXPECT_EQ(fresh->recorder().spikes(), first);
-}
-
 } // namespace
 } // namespace nscs

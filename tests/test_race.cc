@@ -113,7 +113,7 @@ TEST(RaceStress, PoolSharedCounterHammer)
 
 TEST(RaceStress, LoggingQuietToggleVsWorkers)
 {
-    // warn()/inform() are documented as callable from worker lanes;
+    // warn() is documented as callable from worker lanes;
     // the quiet flag is an atomic precisely so a test harness can
     // flip it while workers log.  Keep output quiet for the run but
     // exercise both orders.

@@ -279,30 +279,6 @@ TEST(LongRun, TenThousandTicksBitStable)
     EXPECT_EQ(clock, event);
 }
 
-// --- reset mid-run -----------------------------------------------------------------
-
-TEST(Reset, MidRunResetReproducesFromScratch)
-{
-    CoreConfig cfg = relayCore();
-    cfg.neurons[5].leak = 1;
-    cfg.neurons[5].threshold = 9;
-    cfg.dests[5].kind = NeuronDest::Kind::Output;
-    cfg.dests[5].line = 0;
-
-    ChipParams p;
-    p.width = 1;
-    p.height = 1;
-    p.coreGeom = smallGeom();
-    Chip chip(p, {cfg});
-    chip.run(57);
-    auto first = chip.outputs();
-    ASSERT_FALSE(first.empty());
-
-    chip.reset();
-    chip.run(57);
-    EXPECT_EQ(chip.outputs(), first);
-}
-
 // --- degenerate configurations ------------------------------------------------------
 
 TEST(Degenerate, UnconnectedChipIsSilentAndCheap)

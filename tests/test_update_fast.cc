@@ -120,6 +120,13 @@ fuzzInputs(uint64_t seed, const CoreGeometry &g, uint64_t ticks,
     return in;
 }
 
+/** Bit @p j of a fired vector. */
+bool
+bitAt(const BitVec &v, size_t j)
+{
+    return (v.words()[j / 64] >> (j % 64)) & 1;
+}
+
 /**
  * Drive a core the way the Event engine does (mirrors test_core.cc):
  * run tick @p t only when its slot is non-empty or its wake is due.
@@ -293,7 +300,7 @@ TEST(UpdateFast, AllResetCombinationsMatchScalar)
                             << "mode=" << mode << " sat=" << sat
                             << " rev=" << rev << " leak=" << leak
                             << " v0=" << v0;
-                        ASSERT_EQ(fired.test(0), fs);
+                        ASSERT_EQ(bitAt(fired, 0), fs);
                     }
                 }
 }
@@ -461,7 +468,7 @@ TEST(UpdateFast, PrecomputedDrawsReproduceEta)
         BitVec fired(1);
         batchUpdateRange(lanes, &va, 0, 1, fired);
         bool fb = endOfTickUpdate(vb, p, &rng_b);
-        ASSERT_EQ(fired.test(0), fb) << "round " << t;
+        ASSERT_EQ(bitAt(fired, 0), fb) << "round " << t;
         ASSERT_EQ(va, vb) << "round " << t;
         ASSERT_EQ(rng_a.draws(), rng_b.draws()) << "round " << t;
     }
@@ -522,7 +529,7 @@ TEST(UpdateFast, NarrowProofEdgeMatchesScalar)
             batchUpdateRange(lanes, vb.data(), 0, n, fired);
             for (uint32_t j = 0; j < n; ++j) {
                 const bool fs = endOfTickUpdate(vs[j], params[j], &rng_s);
-                ASSERT_EQ(fired.test(j), fs)
+                ASSERT_EQ(bitAt(fired, j), fs)
                     << "v0=" << v0 << " round " << round << " j=" << j;
                 ASSERT_EQ(vb[j], vs[j])
                     << "v0=" << v0 << " round " << round << " j=" << j;
@@ -927,7 +934,7 @@ TEST(UpdateFast, LeakOnlyCohortMatchesScalarAtEveryLevel)
                             lanes.draw(rb[i]);
                             batchUpdateRange(lanes, vb[i].data(), 0, n, fired);
                             for (uint32_t j = 0; j < n; ++j)
-                                ASSERT_EQ(fired.test(j),
+                                ASSERT_EQ(bitAt(fired, j),
                                           endOfTickUpdate(vs[i][j], params[j],
                                                           &rs[i]))
                                     << "tick " << t << " lane " << i

@@ -218,32 +218,6 @@ TEST(Xoshiro, NormalMoments)
     EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(Xoshiro, PoissonMeanSmallLambda)
-{
-    Xoshiro256 rng(3);
-    double sum = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.poisson(2.5));
-    EXPECT_NEAR(sum / n, 2.5, 0.1);
-}
-
-TEST(Xoshiro, PoissonMeanLargeLambda)
-{
-    Xoshiro256 rng(4);
-    double sum = 0;
-    const int n = 5000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.poisson(100.0));
-    EXPECT_NEAR(sum / n, 100.0, 1.5);
-}
-
-TEST(Xoshiro, PoissonZeroLambda)
-{
-    Xoshiro256 rng(6);
-    EXPECT_EQ(rng.poisson(0.0), 0u);
-}
-
 // --- BitVec ----------------------------------------------------------------
 
 TEST(BitVec, SetTestClear)
@@ -254,13 +228,10 @@ TEST(BitVec, SetTestClear)
     v.set(0);
     v.set(64);
     v.set(129);
-    EXPECT_TRUE(v.test(0));
-    EXPECT_TRUE(v.test(64));
-    EXPECT_TRUE(v.test(129));
-    EXPECT_FALSE(v.test(1));
+    EXPECT_EQ(v.words(), (std::vector<uint64_t>{1, 1, 2}));
     EXPECT_EQ(v.count(), 3u);
     v.clear(64);
-    EXPECT_FALSE(v.test(64));
+    EXPECT_EQ(v.words(), (std::vector<uint64_t>{1, 0, 2}));
     EXPECT_EQ(v.count(), 2u);
     v.reset();
     EXPECT_TRUE(v.none());
@@ -292,7 +263,7 @@ TEST(BitVecDeath, OutOfRangePanics)
 {
     BitVec v(8);
     EXPECT_DEATH(v.set(8), "out of range");
-    EXPECT_DEATH((void)v.test(100), "out of range");
+    EXPECT_DEATH(v.clear(100), "out of range");
 }
 
 // --- SIMD dispatch ---------------------------------------------------------
@@ -662,15 +633,13 @@ TEST(Saturate, ClampIsMonotone)
 
 // --- stats -----------------------------------------------------------------
 
-TEST(RunningStat, MeanVarMinMax)
+TEST(RunningStat, MeanMinMax)
 {
     RunningStat s;
     for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         s.add(x);
     EXPECT_EQ(s.count(), 8u);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.variance(), 4.0, 1e-12);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
     EXPECT_EQ(s.min(), 2.0);
     EXPECT_EQ(s.max(), 9.0);
     EXPECT_NEAR(s.sum(), 40.0, 1e-9);
@@ -680,7 +649,6 @@ TEST(RunningStat, EmptyIsZero)
 {
     RunningStat s;
     EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.variance(), 0.0);
     EXPECT_EQ(s.min(), 0.0);
     EXPECT_EQ(s.max(), 0.0);
 }

@@ -297,7 +297,7 @@ const NameRule kNameRules[] = {
     // raw-io: library output goes through util/logging.
     {"raw-io", "printf", true,
      "direct stdout write; report through util/logging "
-     "(warn/inform/fatal/panic) or return data to the caller"},
+     "(warn/fatal/panic) or return data to the caller"},
     {"raw-io", "vprintf", true,
      "direct stdout write; use util/logging"},
     {"raw-io", "puts", true,
@@ -307,7 +307,7 @@ const NameRule kNameRules[] = {
     {"raw-io", "std::cout", false,
      "direct stdout write; use util/logging or return data"},
     {"raw-io", "std::cerr", false,
-     "direct stderr write; use util/logging (warn/inform) so tests "
+     "direct stderr write; use util/logging (warn) so tests "
      "can suppress it"},
     // priority-queue: the PR-3 self-event heap lesson.
     {"priority-queue", "std::priority_queue", false,

@@ -21,7 +21,7 @@
  *                      and deterministic.
  *  - raw-io:           no printf()/puts()/std::cout/std::cerr —
  *                      library code reports through util/logging
- *                      (warn/inform/fatal/panic) so output is
+ *                      (warn/fatal/panic) so output is
  *                      uniform and test-suppressible.  fprintf is
  *                      allowed only when targeting stderr (that is
  *                      what util/logging itself uses).

@@ -861,6 +861,7 @@ Board::restoreState(const JsonValue &in)
     const int64_t nCores = static_cast<int64_t>(chipW_) * chipH_;
     const int64_t axons = params_.chip.coreGeom.numAxons;
     const int64_t lanes = params_.chip.instances;
+    const uint64_t slots = params_.chip.coreGeom.delaySlots;
     const JsonValue &pending = in.at("pending");
     if (pending.type() != JsonValue::Type::Array)
         return false;
@@ -896,6 +897,11 @@ Board::restoreState(const JsonValue &in)
                 !readInt(flat.at(i + 8), p.checksum) ||
                 !readInt(flat.at(i + 9), p.retries) ||
                 !readInt(flat.at(i + 10), p.dupClone, 0, 1))
+                return false;
+            // The merge keeps a packet's delivery within delaySlots of
+            // the tick it resumes at; one past that window would land
+            // in the slot it aliases, early and not counted late.
+            if (p.deliveryTick >= tick && p.deliveryTick - tick >= slots)
                 return false;
             if (p.queuedLink >= 0) {
                 // A stall parks a packet on a link leaving the chip

@@ -288,9 +288,6 @@ class Board
     /** Chip access. */
     const Chip &chip(uint32_t idx) const { return *chips_[idx]; }
 
-    /** Mutable chip access (diagnostics/tests). */
-    Chip &chip(uint32_t idx) { return *chips_[idx]; }
-
     /** Total cores across all chips. */
     uint32_t numCores() const { return gw_ * gh_; }
 
@@ -346,9 +343,6 @@ class Board
      * every chip's core-level stats (all zero without a plan).
      */
     FaultStats faultStats() const;
-
-    /** True when fault injection has killed link @p link. */
-    bool linkDead(uint32_t link) const { return linkDead_[link] != 0; }
 
     /** Suppress plan event @p id board-wide (see Chip::suppressFault). */
     void suppressFault(uint32_t id);

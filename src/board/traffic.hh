@@ -119,8 +119,6 @@ struct RouteTable
     /** nextDir[at * numChips + dst]: a direction, or kNoRoute. */
     std::vector<uint8_t> nextDir;
 
-    bool empty() const { return nextDir.empty(); }
-
     /**
      * (direction, next chip) one hop from @p at toward @p dst, or
      * {kNoRoute, at} when no live path connects them.  The table

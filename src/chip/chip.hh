@@ -331,9 +331,6 @@ class Chip
     /** Every core's counters, summed. */
     CoreCounters coreCounters() const;
 
-    /** The pool every core's read-only neuron lanes are interned in. */
-    const LanePool &lanePool() const { return *lanePool_; }
-
     /** Mesh statistics (Cycle model; empty otherwise). */
     const MeshStats *meshStats() const;
 
@@ -363,9 +360,6 @@ class Chip
 
     /** Fault injection counters (all zero without a plan). */
     const FaultStats &faultStats() const { return faultStats_; }
-
-    /** True when fault injection has killed core @p core. */
-    bool coreDead(uint32_t core) const { return coreDead_[core] != 0; }
 
     /**
      * Suppress the plan event with originating-plan id @p id: it will

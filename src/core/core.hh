@@ -357,28 +357,16 @@ class Core
     /** Event counters (rngDraws refreshed on read). */
     const CoreCounters &counters() const;
 
-    /**
-     * Raw membrane potential of neuron @p n in instance @p inst as
-     * of doneThrough() (see settledPotential for a projected value).
-     */
-    int32_t
-    potential(uint32_t n, uint32_t inst = 0) const
-    {
-        return inst_[inst].v[n];
-    }
-
-    /** Membrane potential projected to the beginning of tick @p t
-     *  without mutating state: the catch-up catchUp(t) would apply
-     *  (valid while @p t does not pass nextWake()). */
+    /** Membrane potential of neuron @p n in instance @p inst projected
+     *  to the beginning of tick @p t without mutating state: the
+     *  catch-up catchUp(t) would apply (valid while @p t does not pass
+     *  nextWake()); at or before doneThrough() it is the raw value. */
     int32_t settledPotential(uint32_t n, uint64_t t,
                              uint32_t inst = 0) const;
 
     /** Choose the integrate and update gears (see CorePaths); may
      *  change at any tick boundary. */
     void setPaths(CorePaths p) { paths_ = p; }
-
-    /** The gears chosen by setPaths (default: both batched). */
-    CorePaths paths() const { return paths_; }
 
     /** Heap footprint of the runtime core in bytes, excluding the
      *  lane pool (its owner counts each pooled lane once). */
@@ -402,9 +390,6 @@ class Core
      * (catchUp first to move it), and the core wakes at that tick.
      */
     void flipPotentialBit(uint32_t n, uint32_t bit, uint32_t inst = 0);
-
-    /** Number of crossbar words currently overridden by faults. */
-    size_t xbarOverrideCount() const { return xbarOverrides_.size(); }
 
     // --- snapshot --------------------------------------------------------
 

@@ -123,12 +123,6 @@ class Scheduler
     /** Clear all slots. */
     void reset();
 
-    /** Number of slots. */
-    uint32_t delaySlots() const { return delaySlots_; }
-
-    /** Number of instance planes. */
-    uint32_t instances() const { return instances_; }
-
     /** Total deposits since construction/reset. */
     uint64_t deposits() const { return deposits_; }
 

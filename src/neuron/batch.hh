@@ -108,9 +108,6 @@ class LanePool
     /** The pooled byte lane equal to @p lane (see above). */
     PooledBytes intern(const std::vector<uint8_t> &lane);
 
-    /** Number of distinct lanes held. */
-    size_t size() const { return ints_.lanes.size() + bytes_.lanes.size(); }
-
     /** Heap footprint in bytes (each distinct lane once). */
     size_t footprintBytes() const;
 

@@ -131,12 +131,6 @@ class Neuron
     /** Current membrane potential. */
     int32_t potential() const { return v_; }
 
-    /** Parameter set. */
-    const NeuronParams &params() const { return params_; }
-
-    /** The private PRNG (testing / draw accounting). */
-    Lfsr16 &rng() { return rng_; }
-
   private:
     NeuronParams params_;
     int32_t v_;

@@ -100,12 +100,6 @@ class Mesh
     /** Statistics. */
     const MeshStats &stats() const { return stats_; }
 
-    /** Construction parameters. */
-    const MeshParams &params() const { return params_; }
-
-    /** Current cycle count. */
-    uint64_t cycle() const { return cycle_; }
-
   private:
     uint32_t idx(uint32_t x, uint32_t y) const
     {

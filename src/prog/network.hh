@@ -102,12 +102,6 @@ class Network
 
     // --- queries ---------------------------------------------------------
 
-    /** Number of populations. */
-    uint32_t numPopulations() const
-    {
-        return static_cast<uint32_t>(pops_.size());
-    }
-
     /** Population size. */
     uint32_t popSize(PopId pop) const;
 

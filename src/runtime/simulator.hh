@@ -125,17 +125,11 @@ class Simulator
     /** Recorded output spikes. */
     SpikeRecorder &recorder() { return recorder_; }
 
-    /** Recorded output spikes (const). */
-    const SpikeRecorder &recorder() const { return recorder_; }
-
     /** Next tick to execute, whichever device backs the run. */
     uint64_t now() const { return chip_ ? chip_->now() : board_->now(); }
 
     /** Source access (snapshot machinery). */
     SpikeSource &source(size_t i) { return *sources_[i]; }
-
-    /** Source access (const). */
-    const SpikeSource &source(size_t i) const { return *sources_[i]; }
 
     /** Instance lanes of the backing device. */
     uint32_t instances() const

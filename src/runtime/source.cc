@@ -196,41 +196,20 @@ PoissonSource::restoreState(const JsonValue &in)
 void
 ScheduleSource::add(uint64_t tick, InputSpike spike)
 {
-    // An add that lands below the sorted prefix's maximum lowers
-    // the prefix boundary to the first entry past the stray tick;
-    // the prefix stays sorted and never exceeds the tail's minimum,
-    // so the next query only has to sort the tail.
-    const bool clean = prefix_ == entries_.size();
-    if (clean && (entries_.empty() ||
-                  tick >= entries_.back().tick)) {
-        entries_.push_back(Entry{tick, spike});
-        ++prefix_;
-        return;
-    }
-    if (prefix_ > 0 && tick < entries_[prefix_ - 1].tick) {
-        auto end = entries_.begin() +
-            static_cast<ptrdiff_t>(prefix_);
-        auto it = std::upper_bound(entries_.begin(), end, tick,
-                                   [](uint64_t t, const Entry &e) {
-                                       return t < e.tick;
-                                   });
-        prefix_ = static_cast<size_t>(it - entries_.begin());
-    }
+    if (!entries_.empty() && tick < entries_.back().tick)
+        sorted_ = false;
     entries_.push_back(Entry{tick, spike});
 }
 
 void
 ScheduleSource::spikesFor(uint64_t t, std::vector<InputSpike> &out)
 {
-    if (prefix_ != entries_.size()) {
-        // Restore global tick order by sorting the dirty tail.
-        std::stable_sort(entries_.begin() +
-                             static_cast<ptrdiff_t>(prefix_),
-                         entries_.end(),
+    if (!sorted_) {
+        std::stable_sort(entries_.begin(), entries_.end(),
                          [](const Entry &a, const Entry &b) {
                              return a.tick < b.tick;
                          });
-        prefix_ = entries_.size();
+        sorted_ = true;
     }
     auto it = std::lower_bound(entries_.begin(), entries_.end(), t,
                                [](const Entry &e, uint64_t tick) {

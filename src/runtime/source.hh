@@ -197,14 +197,14 @@ class PoissonSource : public SpikeSource
 /**
  * Replays an explicit (tick -> spikes) schedule.
  *
- * Entries live in one flat vector kept in tick order, so add() is
- * O(1) when ticks arrive in order.  An out-of-order add dirties only
- * the vector's tail: the sorted-prefix boundary drops to the first
- * entry beyond the stray tick, and the next query stable-sorts just
- * the tail.  The stable sort preserves per-tick insertion order, so
- * emitted spike order (and with it the deterministic trace) is
- * unchanged.  Delivered entries are retained: checkpoint rollback
- * replays earlier ticks and must see the same schedule again.
+ * Entries live in one flat vector.  An add that lands below the last
+ * tick marks it unsorted, and the next query stable-sorts it once, so
+ * a schedule built before the run is sorted at most once.  The stable
+ * sort preserves per-tick insertion order, so emitted spike order
+ * (and with it the deterministic trace) does not depend on the order
+ * of the adds across ticks.  Delivered entries are retained:
+ * checkpoint rollback replays earlier ticks and must see the same
+ * schedule again.
  */
 class ScheduleSource : public SpikeSource
 {
@@ -216,9 +216,6 @@ class ScheduleSource : public SpikeSource
 
     void spikesFor(uint64_t t, std::vector<InputSpike> &out) override;
 
-    /** Total scheduled spikes. */
-    size_t size() const { return entries_.size(); }
-
   private:
     struct Entry
     {
@@ -227,12 +224,7 @@ class ScheduleSource : public SpikeSource
     };
 
     std::vector<Entry> entries_;
-    /**
-     * entries_[0, prefix_) is sorted by tick and every entry at or
-     * past prefix_ has a tick >= entries_[prefix_ - 1].tick, so
-     * sorting the tail alone restores global order.
-     */
-    size_t prefix_ = 0;
+    bool sorted_ = true;  //!< entries_ is in tick order
 };
 
 } // namespace nscs

@@ -33,7 +33,7 @@ bool wordsFromHex(const std::string &hex, uint64_t *out, size_t nbits);
 
 /**
  * Read-only view of @p nbits bits in caller-owned 64-bit words, which
- * the owner keeps clear at and beyond bit size().
+ * the owner keeps clear at and beyond bit @p nbits.
  */
 class BitSpan
 {
@@ -43,14 +43,8 @@ class BitSpan
     {
     }
 
-    /** Number of bits. */
-    size_t size() const { return nbits_; }
-
     /** Number of backing words. */
     size_t numWords() const { return (nbits_ + 63) / 64; }
-
-    /** The backing words. */
-    const uint64_t *data() const { return words_; }
 
     /** @return number of set bits. */
     size_t count() const;
@@ -94,9 +88,6 @@ class BitVec
 
     /** Set bit @p idx to @p value. */
     void set(size_t idx, bool value = true);
-
-    /** Clear bit @p idx. */
-    void clear(size_t idx) { set(idx, false); }
 
     /** Clear all bits. */
     void reset();

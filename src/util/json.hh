@@ -60,9 +60,6 @@ class JsonValue
     /** Node kind. */
     Type type() const { return type_; }
 
-    /** @return true for Null nodes. */
-    bool isNull() const { return type_ == Type::Null; }
-
     /** @return true for Int or Double nodes. */
     bool
     isNumber() const

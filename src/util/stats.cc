@@ -19,9 +19,7 @@ Histogram::add(double x)
     stat_.add(x);
     if (x < lo_) {
         ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
+    } else if (x < hi_) {
         auto i = static_cast<size_t>((x - lo_) / width_);
         if (i >= bins_.size())
             i = bins_.size() - 1;  // guard FP edge at hi

@@ -20,8 +20,7 @@
 namespace nscs {
 
 /**
- * Streaming scalar statistic: count, mean, min, max without storing
- * samples.
+ * Streaming scalar statistic: mean and max without storing samples.
  */
 class RunningStat
 {
@@ -33,66 +32,38 @@ class RunningStat
         ++n_;
         double delta = x - mean_;
         mean_ += delta / static_cast<double>(n_);
-        if (x < min_)
-            min_ = x;
         if (x > max_)
             max_ = x;
     }
 
-    /** Number of samples. */
-    uint64_t count() const { return n_; }
-
     /** Sample mean (0 when empty). */
     double mean() const { return n_ ? mean_ : 0.0; }
-
-    /** Smallest sample (0 when empty). */
-    double min() const { return n_ ? min_ : 0.0; }
 
     /** Largest sample (0 when empty). */
     double max() const { return n_ ? max_ : 0.0; }
 
-    /** Sum of all samples. */
-    double sum() const { return mean_ * static_cast<double>(n_); }
-
   private:
     uint64_t n_ = 0;
     double mean_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /**
- * Linear-bin histogram over [lo, hi) with an underflow and an
- * overflow bucket; supports quantile queries over binned data.
+ * Linear-bin histogram over [lo, hi) with an underflow bucket; a
+ * sample at or above hi counts only in the total.  Supports quantile
+ * queries over binned data.
  */
 class Histogram
 {
   public:
-    Histogram() : Histogram(0.0, 1.0, 10) {}
-
     /** @p nbins bins spanning [lo, hi). */
     Histogram(double lo, double hi, size_t nbins);
 
     /** Add one sample. */
     void add(double x);
 
-    /** Total samples (including under/overflow). */
-    uint64_t count() const { return count_; }
-
-    /** Count in bin @p i. */
-    uint64_t binCount(size_t i) const { return bins_[i]; }
-
-    /** Samples below lo. */
-    uint64_t underflow() const { return underflow_; }
-
-    /** Samples at or above hi. */
-    uint64_t overflow() const { return overflow_; }
-
     /** Mean of all samples (exact, tracked separately). */
     double mean() const { return stat_.mean(); }
-
-    /** Max of all samples (exact). */
-    double max() const { return stat_.max(); }
 
     /**
      * Approximate quantile (0..1) using bin upper edges; overflow
@@ -104,7 +75,6 @@ class Histogram
     double lo_, hi_, width_;
     std::vector<uint64_t> bins_;
     uint64_t underflow_ = 0;
-    uint64_t overflow_ = 0;
     uint64_t count_ = 0;
     RunningStat stat_;
 };

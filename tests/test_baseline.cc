@@ -307,8 +307,9 @@ TEST(LanePool, OneEntryApartCoresMatchReference)
         // The variants added lanes of their own to the shared pool,
         // and the rest stayed shared.
         const Core solo(model.cores[0]);
-        EXPECT_GT(chip.lanePool().size(), solo.lanePool().size());
-        EXPECT_LT(chip.lanePool().size(), 2 * solo.lanePool().size());
+        const size_t pooled = chip.core(0).lanePool().footprintBytes();
+        EXPECT_GT(pooled, solo.lanePool().footprintBytes());
+        EXPECT_LT(pooled, 2 * solo.lanePool().footprintBytes());
     }
 }
 

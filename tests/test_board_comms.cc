@@ -817,7 +817,7 @@ TEST(BoardCommsRouting, HotLinkDiverts)
     tp.links[3 * 4 + Board::North].packets = 10;
     RouteTable rt =
         buildRouteTable(2, 2, congestionLinkWeights(tp), {});
-    ASSERT_FALSE(rt.empty());
+    ASSERT_FALSE(rt.nextDir.empty());
     EXPECT_NE(rt.step(0, 1).first,
               static_cast<uint32_t>(Board::East));
     EXPECT_EQ(walkHops(rt, 0, 1, 4), 3u);

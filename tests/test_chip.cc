@@ -14,6 +14,7 @@
 #include "chip/chip.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "state_probe.hh"
 
 namespace nscs {
 namespace {
@@ -240,11 +241,11 @@ TEST(Chip, IdenticalCoresCountEachPooledLaneOnce)
     cp.width = 4;
     cp.height = 4;
     Chip chip(cp, std::vector<CoreConfig>(16, cfg));
-    EXPECT_EQ(chip.lanePool().size(), one.size());
-    EXPECT_EQ(chip.lanePool().footprintBytes(), one.footprintBytes());
+    const LanePool &pool = chip.core(0).lanePool();
+    EXPECT_EQ(pool.footprintBytes(), one.footprintBytes());
     size_t cores = 0;
     for (uint32_t c = 0; c < chip.numCores(); ++c) {
-        EXPECT_EQ(&chip.core(c).lanePool(), &chip.lanePool());
+        EXPECT_EQ(&chip.core(c).lanePool(), &pool);
         EXPECT_EQ(chip.core(c).footprintBytes(), solo.footprintBytes());
         cores += chip.core(c).footprintBytes();
     }
@@ -434,7 +435,7 @@ TEST(ChipWake, DeadCoreWithParkedSpikesNeverRuns)
     p.faultPlan = plan;
     Chip chip = runBothEngines(p, {c0, c1}, 20,
                                {{0, 0, 0}, {3, 1, 4}, {6, 0, 0}});
-    EXPECT_TRUE(chip.coreDead(1));
+    EXPECT_TRUE(coreKilled(chip, 1));
     EXPECT_TRUE(chip.outputs().empty());
     EXPECT_FALSE(chip.core(1).slotEmpty(8));  // relayed at tick 6
     EXPECT_EQ(chip.core(1).counters().ticksRun, 0u);

@@ -244,7 +244,7 @@ struct Fingerprint
 };
 
 Fingerprint
-fingerprint(const Simulator &sim)
+fingerprint(Simulator &sim)
 {
     return {sim.recorder().spikes(),
             sim.isBoard() ? sim.board().stats() : sim.chip().stats(),

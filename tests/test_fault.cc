@@ -31,6 +31,7 @@
 #include "runtime/fault.hh"
 #include "runtime/simulator.hh"
 #include "util/json.hh"
+#include "state_probe.hh"
 
 namespace nscs {
 namespace {
@@ -112,12 +113,12 @@ TEST(FaultInject, DeadCoreSilencesItsOutputsFromTheEventTick)
     faulty->run(ticks);
 
     EXPECT_EQ(faulty->chip().faultStats().deadCores, 1u);
-    EXPECT_TRUE(faulty->chip().coreDead(0));
+    EXPECT_TRUE(coreKilled(faulty->chip(), 0));
 
     // Core 0's output lines live below `neurons`; the fault-free run
     // keeps firing them past the kill tick, the faulty run goes
     // silent from the kill tick on.
-    auto lateCore0 = [&](const Simulator &sim) {
+    auto lateCore0 = [&](Simulator &sim) {
         uint64_t n = 0;
         for (const OutputSpike &s : sim.recorder().spikes())
             if (s.line < neurons && s.tick >= killAt)
@@ -471,7 +472,7 @@ TEST(FaultLink, DeadLinkReroutesWithoutChangingTheSpikeStream)
 
     const FaultStats &fs = faulty->board().faultStats();
     EXPECT_EQ(fs.deadLinks, 1u);
-    EXPECT_TRUE(faulty->board().linkDead(0 * 4 + 0));
+    EXPECT_TRUE(linkKilled(faulty->board(), 0 * 4 + 0));
     EXPECT_EQ(faulty->board().linkCounters()[0 * 4 + 0].packets, 0u);
     EXPECT_EQ(fs.unreachableDrops, 0u);
     EXPECT_EQ(faulty->recorder().spikes(), ref->recorder().spikes());
@@ -708,7 +709,7 @@ TEST(FaultInject, BoardPlanSlicesGlobalCoreIndices)
     faulty->run(ticks);
 
     EXPECT_EQ(faulty->board().faultStats().deadCores, 1u);
-    EXPECT_TRUE(faulty->board().chip(2).coreDead(1));
+    EXPECT_TRUE(coreKilled(faulty->board().chip(2), 1));
 }
 
 // ---------------------------------------------------------------------------

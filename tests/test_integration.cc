@@ -416,7 +416,9 @@ TEST(SimulatorFacade, PoissonAndScheduleSources)
         model.inputTargets("in"), 0.5, 77));
     auto sched = std::make_unique<ScheduleSource>();
     sched->add(3, model.inputTargets("in")[0]);
-    EXPECT_EQ(sched->size(), 1u);
+    std::vector<InputSpike> at3;
+    sched->spikesFor(3, at3);
+    EXPECT_EQ(at3.size(), 1u);
     sim.addSource(std::move(sched));
     sim.run(200);
     EXPECT_GT(sim.recorder().size(), 0u);

@@ -78,7 +78,8 @@ TEST(Network, PopulationBookkeeping)
     Network net;
     PopId a = net.addPopulation("a", 5, unitNeuron());
     PopId b = net.addPopulation("b", 3, unitNeuron(7));
-    EXPECT_EQ(net.numPopulations(), 2u);
+    EXPECT_EQ(a, 0u);
+    EXPECT_EQ(b, 1u);
     EXPECT_EQ(net.numNeurons(), 8u);
     EXPECT_EQ(net.popSize(a), 5u);
     EXPECT_EQ(net.popName(b), "b");

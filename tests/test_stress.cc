@@ -15,6 +15,7 @@
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/saturate.hh"
+#include "state_probe.hh"
 
 namespace nscs {
 namespace {
@@ -60,12 +61,12 @@ TEST(Saturation, MaxThresholdCrossingIsExact)
         core.tickDense(t, fired);
         if (!fired.empty())
             fire_tick = t;
-        ASSERT_LE(core.potential(0), satMax(20));
-        ASSERT_GE(core.potential(0), satMin(20));
+        ASSERT_LE(potentialOf(core, 0), satMax(20));
+        ASSERT_GE(potentialOf(core, 0), satMin(20));
     }
     // ceil(524287 / 255) events needed: fires at tick 2056 (0-based).
     EXPECT_EQ(fire_tick, 2056u);
-    EXPECT_EQ(core.potential(0), (3000 - 2057) * 255);
+    EXPECT_EQ(potentialOf(core, 0), (3000 - 2057) * 255);
 }
 
 TEST(Saturation, WithinTickIntegrationSaturates)
@@ -86,7 +87,7 @@ TEST(Saturation, WithinTickIntegrationSaturates)
         for (uint32_t a = 0; a < 3; ++a)
             core.deposit(t, a);
         core.tickDense(t, fired);
-        ASSERT_LE(core.potential(0), 127);
+        ASSERT_LE(potentialOf(core, 0), 127);
     }
     EXPECT_EQ(fired.size(), 50u);  // fires every tick, no wrap
 }
@@ -106,7 +107,7 @@ TEST(Saturation, NegativePinsAtFloor)
         core.deposit(t, 0);
         core.tickDense(t, fired);
     }
-    EXPECT_EQ(core.potential(0), satMin(20));
+    EXPECT_EQ(potentialOf(core, 0), satMin(20));
     EXPECT_TRUE(fired.empty());
 }
 

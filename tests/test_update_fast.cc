@@ -31,6 +31,7 @@
 #include "util/rng.hh"
 #include "util/saturate.hh"
 #include "util/simd.hh"
+#include "state_probe.hh"
 
 namespace nscs {
 namespace {
@@ -142,9 +143,9 @@ wakeDrivenTick(Core &core, uint64_t t, std::vector<uint32_t> &fired)
 enum class Drive { EveryTick, Wake };
 
 /**
- * Run @p fast (batched update) and @p scalar (reference) in lockstep
- * and assert identical observable state each tick, including the
- * ascending order of the fired vector.
+ * Run @p fast (the default gears, batched update on) and @p scalar
+ * (reference) in lockstep and assert identical observable state each
+ * tick, including the ascending order of the fired vector.
  */
 void
 runDifferential(Core &fast, Core &scalar, Drive drive, uint64_t seed,
@@ -187,7 +188,7 @@ runDifferential(Core &fast, Core &scalar, Drive drive, uint64_t seed,
     // The scalar reference never batches updates, and neither does a
     // wide core; a narrow one batches every evaluation.
     EXPECT_EQ(scalar.counters().evalsBatched, 0u);
-    if (fast.paths().batchedUpdate && narrowCore(fast.config()))
+    if (narrowCore(fast.config()))
         EXPECT_EQ(fast.counters().evalsBatched, fast.counters().evals);
     else
         EXPECT_EQ(fast.counters().evalsBatched, 0u);
@@ -672,7 +673,7 @@ TEST(UpdateFast, LongWakeDrivenRunMatchesScalar)
     EXPECT_EQ(core.counters().ticksRun, scalar.counters().ticksRun);
     EXPECT_LT(core.counters().ticksRun, ticks / 2);
     for (uint32_t n = 0; n < g.numNeurons; ++n)
-        EXPECT_EQ(core.settledPotential(n, ticks), every.potential(n));
+        EXPECT_EQ(core.settledPotential(n, ticks), potentialOf(every, n));
 }
 
 TEST(UpdateFast, FootprintIndependentOfSelfFirePredictions)
@@ -820,7 +821,7 @@ TEST(UpdateFast, DispatchLevelSweepBitIdentical)
         EXPECT_GT(core.counters().evalsBatched, 0u);
         draws = core.counters().rngDraws;
         for (uint32_t n = 0; n < cfg.geom.numNeurons; ++n)
-            pots.push_back(core.potential(n));
+            pots.push_back(potentialOf(core, n));
     };
 
     std::vector<std::vector<uint32_t>> ref_stream;

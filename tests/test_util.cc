@@ -230,7 +230,7 @@ TEST(BitVec, SetTestClear)
     v.set(129);
     EXPECT_EQ(v.words(), (std::vector<uint64_t>{1, 1, 2}));
     EXPECT_EQ(v.count(), 3u);
-    v.clear(64);
+    v.set(64, false);
     EXPECT_EQ(v.words(), (std::vector<uint64_t>{1, 0, 2}));
     EXPECT_EQ(v.count(), 2u);
     v.reset();
@@ -263,7 +263,7 @@ TEST(BitVecDeath, OutOfRangePanics)
 {
     BitVec v(8);
     EXPECT_DEATH(v.set(8), "out of range");
-    EXPECT_DEATH(v.clear(100), "out of range");
+    EXPECT_DEATH(v.set(100, false), "out of range");
 }
 
 // --- SIMD dispatch ---------------------------------------------------------
@@ -633,23 +633,19 @@ TEST(Saturate, ClampIsMonotone)
 
 // --- stats -----------------------------------------------------------------
 
-TEST(RunningStat, MeanMinMax)
+TEST(RunningStat, MeanAndMax)
 {
     RunningStat s;
     for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
         s.add(x);
-    EXPECT_EQ(s.count(), 8u);
     EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_EQ(s.min(), 2.0);
     EXPECT_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.sum(), 40.0, 1e-9);
 }
 
 TEST(RunningStat, EmptyIsZero)
 {
     RunningStat s;
     EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.min(), 0.0);
     EXPECT_EQ(s.max(), 0.0);
 }
 
@@ -662,12 +658,16 @@ TEST(Histogram, BinningAndOverflow)
     h.add(9.999);
     h.add(10.0);
     h.add(42.0);
-    EXPECT_EQ(h.count(), 6u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
+    // Six samples: the k-th smallest reads as its bin's upper edge,
+    // lo for the underflow and the exact max for the overflow, so
+    // these pin each bucket's count (underflow 1, bins 0, 5 and 9
+    // one each, overflow 2).
+    EXPECT_EQ(h.quantile(0.0), 0.0);
+    EXPECT_EQ(h.quantile(0.2), 1.0);
+    EXPECT_EQ(h.quantile(0.4), 6.0);
+    EXPECT_EQ(h.quantile(0.6), 10.0);
+    EXPECT_EQ(h.quantile(0.8), 42.0);
+    EXPECT_EQ(h.quantile(1.0), 42.0);
 }
 
 TEST(Histogram, QuantileOrdering)
@@ -755,7 +755,7 @@ TEST(Json, ScalarRoundTrip)
     EXPECT_DOUBLE_EQ(res.value.at("d").asDouble(), 2.5);
     EXPECT_EQ(res.value.at("s").asString(), "hi \"there\"\n");
     EXPECT_TRUE(res.value.at("b").asBool());
-    EXPECT_TRUE(res.value.at("n").isNull());
+    EXPECT_EQ(res.value.at("n").type(), JsonValue::Type::Null);
 }
 
 TEST(Json, ArraysNest)

@@ -359,11 +359,16 @@ class Board
     void saveState(JsonValue &out) const;
 
     /**
-     * Restore state saved by saveState().  Construction parameters
-     * must match the snapshot's origin; @return false on a
-     * structural mismatch (state is unspecified on failure).
+     * Parse state saved by saveState(), deriving link stall counts,
+     * the dead-link cursor and the routes; checkInvariants() holds
+     * the state rules.  Construction parameters must match the
+     * snapshot's origin; @return false on a structural mismatch.
      */
     bool restoreState(const JsonValue &in);
+
+    /** The first state rule the board or one of its chips breaks, or
+     *  "" when the state is one a tick leaves. */
+    std::string checkInvariants() const;
 
   private:
     /** A cross-chip spike in flight. */

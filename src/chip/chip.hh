@@ -52,6 +52,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "chip/energy.hh"
@@ -381,13 +382,18 @@ class Chip
     void saveState(JsonValue &out) const;
 
     /**
-     * Restore state saved by saveState().  Construction parameters
-     * (grid, geometry, engine, fault plan) must match the snapshot's
-     * origin; @return false on a structural mismatch (state is
-     * unspecified on failure).  Requires the Functional transport
-     * model — the Cycle mesh's in-flight flits are not serialized.
+     * Parse state saved by saveState(), deriving the fault cursor and
+     * the (empty) egress buffer; checkInvariants() holds the state
+     * rules.  Construction parameters (grid, geometry, engine, fault
+     * plan) must match the snapshot's origin; @return false on a
+     * structural mismatch (state is unspecified on failure).
+     * Functional transport only: mesh flits are not serialized.
      */
     bool restoreState(const JsonValue &in);
+
+    /** The first state rule the chip or one of its cores breaks, or
+     *  "" when the state is one a tick leaves. */
+    std::string checkInvariants() const;
 
   private:
     void routeSpike(uint32_t src_core, const InstanceFire &fire,
@@ -466,10 +472,10 @@ class Chip
     std::deque<PendingInject> pendingInject_;
 
     // Fault injection (ChipParams::faultPlan).  faultEvents_ is the
-    // chip-local slice, stable-sorted by tick; faultCursor_ advances
-    // past events whose tick has been reached, and faultSuppressed_
-    // (parallel to faultEvents_) marks events the recovery layer has
-    // neutralized.
+    // chip-local slice, stable-sorted by tick; faultCursor_ counts
+    // the events before now_ (applyDueFaults consumes them), and
+    // faultSuppressed_ (parallel to faultEvents_) marks events the
+    // recovery layer has neutralized.
     std::vector<FaultEvent> faultEvents_;
     size_t faultCursor_ = 0;
     std::vector<uint8_t> faultSuppressed_;

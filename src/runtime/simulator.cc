@@ -264,30 +264,30 @@ Simulator::restore(const JsonValue &snap, std::string *err)
                                  ", simulator has " + std::to_string(have));
     }
 
-    if (!snap.has("device") ||
-        !(chip_ ? chip_->restoreState(snap.at("device"))
-                : board_->restoreState(snap.at("device"))))
-        return fail(err, "device state rejected: snapshot is malformed "
-                         "or from a different model");
+    const bool parsed = snap.has("device") &&
+        (chip_ ? chip_->restoreState(snap.at("device"))
+               : board_->restoreState(snap.at("device")));
+    const std::string rule = !parsed
+        ? "snapshot is malformed or from a different model"
+        : chip_ ? chip_->checkInvariants() : board_->checkInvariants();
+    if (!rule.empty())
+        return fail(err, "device state rejected: " + rule);
 
     std::vector<OutputSpike> recorded;
-    if (snap.has("recorder") &&
+    if (!snap.has("recorder") ||
         !readOutputSpikes(snap.at("recorder"), recorded, instances()))
         return fail(err, "recorder state is malformed");
     recorder_.clear();
     recorder_.recordAll(recorded);
 
-    // A snapshot of a simulator without sources may omit the key.
-    const JsonValue none = JsonValue::array();
-    const JsonValue &sources =
-        snap.has("sources") ? snap.at("sources") : none;
-    if (sources.type() != JsonValue::Type::Array ||
-        sources.size() != sources_.size())
+    if (!snap.has("sources") ||
+        snap.at("sources").type() != JsonValue::Type::Array ||
+        snap.at("sources").size() != sources_.size())
         return fail(err, "snapshot carries no array of " +
                              std::to_string(sources_.size()) +
                              " source states");
     for (size_t i = 0; i < sources_.size(); ++i)
-        if (!sources_[i]->restoreState(sources.at(i)))
+        if (!sources_[i]->restoreState(snap.at("sources").at(i)))
             return fail(err, "source " + std::to_string(i) +
                                  " rejected its state");
     return true;

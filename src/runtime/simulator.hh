@@ -146,10 +146,11 @@ class Simulator
     /**
      * Restore a snapshot() document.  The simulator must be built
      * from the same model and parameters (target kind, engine,
-     * geometry and source count are validated).  On a mismatch or a
-     * malformed document returns false and, when @p err is non-null,
-     * stores the reason; the simulator's state is then unspecified —
-     * build a new one, or restore a good document, before further use.
+     * geometry and source count are validated) and the device must
+     * keep its checkInvariants().  Otherwise returns false and, when
+     * @p err is non-null, stores the reason; the simulator's state is
+     * then unspecified — build a new one, or restore a good document,
+     * before further use.
      */
     bool restore(const JsonValue &snap, std::string *err = nullptr);
 

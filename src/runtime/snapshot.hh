@@ -6,10 +6,8 @@
  * device (every neuron potential, each core's settled-through tick,
  * scheduler slot, LFSR position and in-flight board packet),
  * attached sources and the output recorder — as a versioned JSON
- * document.  The Event engine's wake state is not stored: each core
- * recomputes its wake tick from its restored state, and documents
- * that carry the former "agenda"/"lastWake" keys load with those
- * keys ignored.  Restoring a
+ * document.  Nothing the tick derives (wake ticks, fault cursors,
+ * link stall counts, routes) is stored.  Restoring a
  * snapshot into a freshly constructed Simulator with the same model
  * and parameters, then running on, is bit-identical to having run
  * the original straight through: the restore point is invisible in
@@ -26,13 +24,12 @@
  * in-flight flits are not serialized.
  *
  * Simulator::snapshot() writes a document and Simulator::restore()
- * reads one.  Every field is read through the checked field reader
- * of util/json.hh, so it is type- and range-checked: a malformed
- * document (a field of the wrong type, a negative counter, an index
- * past its table, a flag other than 0/1) is rejected with a
- * diagnostic, never half-trusted and never a crash.  Keys a document
- * may omit (the fault keys, the recorder, a counter) read as their
- * defaults.
+ * reads one: every field through the checked field reader of
+ * util/json.hh (a field of the wrong type, an index past its table
+ * is malformed), then the device's checkInvariants() (a state no
+ * tick leaves, such as a revived dead core, breaks a named rule).
+ * Either way it fails with a diagnostic, never half-trusted and
+ * never a crash.
  */
 
 #ifndef NSCS_RUNTIME_SNAPSHOT_HH
@@ -51,9 +48,13 @@ namespace nscs {
  *  v4 (one board router): an in-flight board packet is 11 fields;
  *  the dead-link sidestep count is gone, because packets route by a
  *  table over the live links, which restore rebuilds rather than
- *  reads.  Older documents are rejected with a version
- *  diagnostic. */
-inline constexpr int kSnapshotVersion = 4;
+ *  reads.
+ *  v5 (one validity rule): restore derives a chip's "faultCursor"
+ *  and "egress" and a board's "deadLinkCursor" and "linkQueued", so
+ *  they are gone; the fault, recorder and source keys and every
+ *  bucket's "payloads" are required.  Older documents are rejected
+ *  with a version diagnostic. */
+inline constexpr int kSnapshotVersion = 5;
 
 /** Snapshot document format tag. */
 inline constexpr const char *kSnapshotFormat = "nscs-snapshot";

@@ -2,17 +2,20 @@
  * @file
  * Test-side reads of device state that the library exposes through
  * settledPotential, span iteration and the snapshot documents rather
- * than through accessors of its own.
+ * than through accessors of its own, and a run that checks the
+ * device's invariants after every tick.
  */
 
 #ifndef NSCS_TESTS_STATE_PROBE_HH
 #define NSCS_TESTS_STATE_PROBE_HH
 
 #include <cstdint>
+#include <string>
 
 #include "board/board.hh"
 #include "chip/chip.hh"
 #include "core/core.hh"
+#include "runtime/simulator.hh"
 #include "util/bitvec.hh"
 #include "util/json.hh"
 
@@ -63,6 +66,39 @@ linkKilled(const Board &board, uint32_t link)
     JsonValue state;
     board.saveState(state);
     return state.at("linkDead").at(link).asInt() != 0;
+}
+
+/** Packets a board snapshot's @p device document holds parked in the
+ *  stall queue of @p link (packet field 5). */
+inline int64_t
+parkedPackets(const JsonValue &device, int64_t link)
+{
+    const JsonValue &pending = device.at("pending");
+    int64_t parked = 0;
+    for (size_t b = 0; b < pending.size(); ++b) {
+        const JsonValue &flat = pending.at(b).at("packets");
+        for (size_t i = 5; i < flat.size(); i += 11)
+            parked += flat.at(i).asInt() == link;
+    }
+    return parked;
+}
+
+/** Run @p sim @p ticks ticks, one at a time, and return the first
+ *  rule its device's checkInvariants() reports broken after a tick,
+ *  with that tick, or "" when every tick keeps them all. */
+inline std::string
+runChecked(Simulator &sim, uint64_t ticks)
+{
+    for (uint64_t i = 0; i < ticks; ++i) {
+        sim.run(1);
+        const std::string rule = sim.isBoard()
+            ? sim.board().checkInvariants()
+            : sim.chip().checkInvariants();
+        if (!rule.empty())
+            return "after tick " + std::to_string(sim.now() - 1) + ": " +
+                rule;
+    }
+    return "";
 }
 
 } // namespace nscs

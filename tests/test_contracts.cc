@@ -15,9 +15,10 @@
  * serial, the active SIMD level): the output stream, the device's
  * stats() document and the final Simulator::snapshot().  The base run
  * also snapshots at tick kSplit, so every cell checks as well that a
- * snapshot leaves the run untouched.  A cell exists only where its
- * row allows the axis (kCells), and every base run first checks that
- * its row is not degenerate (kLive).
+ * snapshot leaves the run untouched.  Every device run checks its
+ * checkInvariants() after each tick (runChecked).  A cell exists only
+ * where its row allows the axis (kCells), and every base run first
+ * checks that its row is not degenerate (kLive).
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 #include "runtime/fault.hh"
 #include "runtime/simulator.hh"
 #include "util/simd.hh"
+#include "state_probe.hh"
 
 namespace nscs {
 namespace {
@@ -255,7 +257,7 @@ Fingerprint
 runOf(Row row, const Variant &v)
 {
     auto sim = build(row, v);
-    sim->run(kTicks);
+    EXPECT_EQ(runChecked(*sim, kTicks), "");
     return fingerprint(*sim);
 }
 
@@ -383,10 +385,10 @@ Base
 baseRun(Row row)
 {
     auto sim = build(row, Variant{});
-    sim->run(kSplit);
+    EXPECT_EQ(runChecked(*sim, kSplit), "");
     Base base;
     base.mid = sim->snapshot();
-    sim->run(kTicks - kSplit);
+    EXPECT_EQ(runChecked(*sim, kTicks - kSplit), "");
     base.end = fingerprint(*sim);
 
     for (uint32_t lane = 0; lane < sim->instances(); ++lane)
@@ -517,7 +519,7 @@ TEST_P(Contract, Holds)
         std::string err;
         ASSERT_TRUE(sim->restore(base.mid, &err)) << err;
         ASSERT_EQ(sim->now(), kSplit);
-        sim->run(kTicks - kSplit);
+        EXPECT_EQ(runChecked(*sim, kTicks - kSplit), "");
         expectSame(fingerprint(*sim), base.end);
         break;
       }

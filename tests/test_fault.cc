@@ -549,7 +549,7 @@ TEST(FaultLink, LinkDyingUnderParkedPacketsReroutesThem)
     // fault-free run has packets parked in its stall queue.
     auto probe = congestedBoardSim(w, nullptr);
     auto queued = [&] {
-        return probe->snapshot().at("device").at("linkQueued").at(0).asInt();
+        return parkedPackets(probe->snapshot().at("device"), 0);
     };
     uint64_t killAt = 0;
     for (; killAt < ticks && queued() == 0; ++killAt)
@@ -561,7 +561,7 @@ TEST(FaultLink, LinkDyingUnderParkedPacketsReroutesThem)
 
     // Packets sit in the link's stall queue when it dies.
     const JsonValue snap = faulty->snapshot();
-    ASSERT_GT(snap.at("device").at("linkQueued").at(0).asInt(), 0);
+    ASSERT_GT(parkedPackets(snap.at("device"), 0), 0);
     const uint64_t carried = faulty->board().linkCounters()[0].packets;
     faulty->run(ticks - killAt);
 

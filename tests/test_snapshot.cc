@@ -11,16 +11,19 @@
  * stream table's wrap, and legacy keys.
  *
  * The rejection paths matter just as much: a snapshot from a
- * different format/version/target/engine/geometry, or with any field
- * of the wrong type or range, must be refused with a diagnostic,
- * never half-applied.  The stats document's counter groups are held
- * equal to the snapshot's counters.
+ * different format/version/target/engine/geometry, with any field
+ * of the wrong type or range, or holding a state no tick leaves
+ * (checkInvariants(), whose broken rule the diagnostic names), must
+ * be refused with a diagnostic, never half-applied.  The stats
+ * document's counter groups are held equal to the snapshot's
+ * counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -303,6 +306,14 @@ withCore0Lane0(const JsonValue &snap, JsonValue lane)
                       withMember(device, "cores", cores));
 }
 
+/** True when restore diagnostic @p err names state rule @p rule. */
+bool
+names(const std::string &err, const std::string &rule)
+{
+    return err.find("device state rejected: ") == 0 &&
+        err.find(rule) != std::string::npos;
+}
+
 /**
  * A one-core Event chip whose 16 rising-leak neurons each predict a
  * spontaneous fire (neuron n fires at tick 29 + n), so the core idles
@@ -362,12 +373,14 @@ TEST(SnapshotRejects, CoreDoneThroughAheadOfChip)
         snap, withMember(core, "doneThrough", JsonValue::integer(3)));
     EXPECT_TRUE(selfEventSim()->restore(behind, &err)) << err;
 
-    // ...a core that ran a tick the chip has not reached is not,
+    // ...a core that ran a tick the chip has not reached is not (and
+    // -1 is no tick at all),
     for (int64_t bad : {int64_t{6}, int64_t{1000}, int64_t{-1}}) {
         JsonValue doc = withCore0(
             snap, withMember(core, "doneThrough", JsonValue::integer(bad)));
         err.clear();
         EXPECT_FALSE(selfEventSim()->restore(doc, &err)) << bad;
+        EXPECT_TRUE(bad < 0 || names(err, "core 0: has run past")) << err;
         EXPECT_FALSE(err.empty()) << bad;
     }
 
@@ -379,7 +392,7 @@ TEST(SnapshotRejects, CoreDoneThroughAheadOfChip)
         withMember(device, "now", JsonValue::string(u64ToHex(40))));
     err.clear();
     EXPECT_FALSE(selfEventSim()->restore(late, &err));
-    EXPECT_FALSE(err.empty());
+    EXPECT_TRUE(names(err, "core 0: missed its wake")) << err;
 }
 
 TEST(SnapshotRejects, MissingDoneThrough)
@@ -421,7 +434,7 @@ TEST(SnapshotRejects, PotentialOutsideRails)
     EXPECT_TRUE(selfEventSim()->restore(on_rail, &err)) << err;
 
     // ...one past either rail is not, nor is a value that int32 would
-    // silently truncate.
+    // silently truncate (no register value at all).
     for (int64_t bad : {int64_t{524288}, int64_t{-524289},
                         int64_t{5000000}, int64_t{1} << 40}) {
         JsonValue doc = withCore0Lane0(
@@ -429,6 +442,9 @@ TEST(SnapshotRejects, PotentialOutsideRails)
                              withElement(v, 3, JsonValue::integer(bad))));
         err.clear();
         EXPECT_FALSE(selfEventSim()->restore(doc, &err)) << bad;
+        EXPECT_TRUE(bad > INT32_MAX ||
+                    names(err, "neuron 3 lies outside its rails"))
+            << err;
         EXPECT_FALSE(err.empty()) << bad;
     }
 }
@@ -847,8 +863,6 @@ TEST(SnapshotRejects, BoardPendingPacketOutOfRange)
     // The same three bounds on the first coalesced payload spike.
     bool payloadEdited = false;
     for (size_t b = 0; b < pending.size() && !payloadEdited; ++b) {
-        if (!pending.at(b).has("payloads"))
-            continue;
         const JsonValue &payloads = pending.at(b).at("payloads");
         for (size_t k = 0; k < payloads.size(); ++k) {
             const JsonValue &pl = payloads.at(k);
@@ -903,41 +917,21 @@ TEST(SnapshotRejects, BoardPendingPacketOutOfRange)
     }
     EXPECT_TRUE(stallEdited) << "no stalled packet in flight";
 
+    // An index out of range fails to parse; the others break a rule
+    // the tick keeps, and the diagnostic names it.
+    const std::map<std::string, std::string> rules = {
+        {"deliveryTick at bucket tick + delaySlots", "past delaySlots"},
+        {"bucket tick before now", "before now"},
+        {"stalled packet off its link's chip", "does not leave its chip"},
+        {"stalled packet at its destination", "does not leave its chip"}};
     for (const auto &[what, doc] : edits) {
         err.clear();
         EXPECT_FALSE(make()->restore(doc, &err)) << what;
         EXPECT_FALSE(err.empty()) << what;
+        const auto rule = rules.find(what);
+        EXPECT_TRUE(rule == rules.end() || names(err, rule->second))
+            << what << ": " << err;
     }
-}
-
-TEST(SnapshotRejects, ChipEgressRecord)
-{
-    // The merge drains every chip's egress within its tick, so a
-    // snapshot's egress array is empty; a record smuggled into it
-    // (here with instance 5 of 1 lane) is rejected, not replayed.
-    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 5);
-    auto donor = boardSim(w, EngineKind::Event);
-    donor->run(kSplit);
-    const JsonValue snap = donor->snapshot();
-    const JsonValue &device = snap.at("device");
-    const JsonValue &chip0 = device.at("chips").at(0);
-    ASSERT_EQ(chip0.at("egress").size(), 0u);
-    std::string err;
-    ASSERT_TRUE(boardSim(w, EngineKind::Event)->restore(snap, &err))
-        << err;
-
-    JsonValue egress = JsonValue::array();
-    for (int64_t v : {int64_t{0}, int64_t{1}, int64_t{0}, int64_t{3},
-                      static_cast<int64_t>(kSplit) + 40, int64_t{5}})
-        egress.append(JsonValue::integer(v));
-    JsonValue doc = withMember(
-        snap, "device",
-        withMember(device, "chips",
-                   withElement(device.at("chips"), 0,
-                               withMember(chip0, "egress", egress))));
-    err.clear();
-    EXPECT_FALSE(boardSim(w, EngineKind::Event)->restore(doc, &err));
-    EXPECT_FALSE(err.empty());
 }
 
 TEST(SnapshotRejects, GarbageDocument)
@@ -1056,10 +1050,10 @@ sweepChipSim()
 /**
  * 2x1 board of 2x1-core chips on reliable, coalescing links with a
  * one-packet budget and two transit ticks, an SEU and a window of
- * drops on chip 0's east link.
+ * drops on chip 0's east link; @p extra appended to the plan.
  */
 std::unique_ptr<Simulator>
-sweepBoardSim()
+sweepBoardSim(std::vector<FaultEvent> extra = {})
 {
     static const SweepNet net = sweepNet(4, 1);
     FaultEvent drop;
@@ -1079,7 +1073,8 @@ sweepBoardSim()
     bp.link.extraDelay = 2;
     bp.link.coalesce = 4;
     bp.link.reliable = true;
-    bp.faultPlan = sweepPlan({drop});
+    extra.insert(extra.begin(), drop);
+    bp.faultPlan = sweepPlan(std::move(extra));
     auto sim = std::make_unique<Simulator>(bp, net.cores);
     sim->addSource(std::make_unique<PoissonSource>(net.driven, 0.15, 7));
     return sim;
@@ -1114,7 +1109,8 @@ forEachReplacement(
 }
 
 /** Every single-node mutation of @p snap is rejected with a
- *  diagnostic or restores into a fresh make() and runs 5 ticks. */
+ *  diagnostic or restores into a fresh make() and runs 5 ticks, each
+ *  keeping the device's invariants. */
 template <typename MakeSim>
 void
 expectMutationsRejectedOrRun(const JsonValue &snap, MakeSim make)
@@ -1131,7 +1127,8 @@ expectMutationsRejectedOrRun(const JsonValue &snap, MakeSim make)
                 std::string err;
                 if (sim->restore(doc, &err)) {
                     const uint64_t now = sim->now();
-                    sim->run(5);
+                    EXPECT_EQ(runChecked(*sim, 5), "")
+                        << path << " = " << value.dump();
                     EXPECT_EQ(sim->now(), now + 5) << path;
                     ++restored;
                 } else {
@@ -1148,14 +1145,13 @@ expectMutationsRejectedOrRun(const JsonValue &snap, MakeSim make)
 TEST(SnapshotRejects, EveryChipLeafMutationIsRejectedOrRuns)
 {
     auto donor = sweepChipSim();
-    donor->run(8);
+    ASSERT_EQ(runChecked(*donor, 8), "");
     const JsonValue snap = donor->snapshot();
     std::string err;
     ASSERT_TRUE(sweepChipSim()->restore(snap, &err)) << err;
     // The fixture carries every chip-side key with content.
     const JsonValue &chip = snap.at("device");
     ASSERT_GT(snap.at("recorder").size(), 0u);
-    ASSERT_GT(chip.at("faultCursor").asInt(), 0);
     ASSERT_GT(chip.at("faultStats").at("seuFlips").asInt(), 0);
     ASSERT_GT(chip.at("cores").at(2).at("xbarOverrides").size(), 0u);
     ASSERT_EQ(chip.at("coreDead").at(3).asInt(), 1);
@@ -1165,7 +1161,7 @@ TEST(SnapshotRejects, EveryChipLeafMutationIsRejectedOrRuns)
 TEST(SnapshotRejects, EveryBoardLeafMutationIsRejectedOrRuns)
 {
     auto donor = sweepBoardSim();
-    donor->run(8);
+    ASSERT_EQ(runChecked(*donor, 8), "");
     const JsonValue snap = donor->snapshot();
     std::string err;
     ASSERT_TRUE(sweepBoardSim()->restore(snap, &err)) << err;
@@ -1175,15 +1171,16 @@ TEST(SnapshotRejects, EveryBoardLeafMutationIsRejectedOrRuns)
     ASSERT_GT(pending.size(), 0u);
     bool payloads = false;
     for (size_t b = 0; b < pending.size(); ++b)
-        payloads = payloads || pending.at(b).has("payloads");
+        for (size_t k = 0; k < pending.at(b).at("payloads").size(); ++k)
+            payloads = payloads || pending.at(b).at("payloads").at(k).size();
     EXPECT_TRUE(payloads);
     int64_t queued = 0;
-    for (size_t l = 0; l < board.at("linkQueued").size(); ++l)
-        queued += board.at("linkQueued").at(l).asInt();
+    for (size_t l = 0; l < 4 * board.at("chips").size(); ++l)
+        queued += parkedPackets(board, static_cast<int64_t>(l));
     EXPECT_GT(queued, 0);
     ASSERT_TRUE(board.has("dedupRings"));
     ASSERT_GT(board.at("faultStats").at("linkDrops").asInt(), 0);
-    expectMutationsRejectedOrRun(snap, sweepBoardSim);
+    expectMutationsRejectedOrRun(snap, [] { return sweepBoardSim(); });
 }
 
 TEST(SnapshotRejects, BoardPendingPacketProtocolFields)
@@ -1217,10 +1214,11 @@ TEST(SnapshotRejects, BoardPendingPacketProtocolFields)
         {"retries=kMaxRetries+1",
          packetField(9, int64_t{Board::kMaxRetries} + 1)},
     };
+    const std::string rule = "checksum, sequence number or retry count";
     for (const auto &[what, doc] : reliable) {
         err.clear();
         EXPECT_FALSE(sweepBoardSim()->restore(doc, &err)) << what;
-        EXPECT_FALSE(err.empty()) << what;
+        EXPECT_TRUE(names(err, rule)) << what << ": " << err;
     }
 
     // Unreliable links never set the three fields.
@@ -1247,8 +1245,105 @@ TEST(SnapshotRejects, BoardPendingPacketProtocolFields)
                                    JsonValue::integer(1))),
             &err))
             << "field " << field;
-        EXPECT_FALSE(err.empty()) << "field " << field;
+        EXPECT_TRUE(names(err, rule)) << "field " << field << ": " << err;
     }
+}
+
+TEST(SnapshotRejects, BoardChipTickMismatch)
+{
+    // Every chip ticks with its board, so a chip document ahead of
+    // the board's tick is no state a tick leaves (it used to load and
+    // then panic at the next inject, for a tick the chip had passed).
+    bench::CorticalWorkload w = bench::tappedWorkload(4, 4, 5);
+    for (uint32_t coalesce : {0u, 16u}) {
+        LinkParams link;
+        link.packetsPerTick = 6;
+        link.extraDelay = 2;
+        link.coalesce = coalesce;
+        auto make = [&] {
+            return bench::makeCorticalBoardSim(w, EngineKind::Event, 2, 2,
+                                               0, link);
+        };
+        auto donor = make();
+        donor->run(20);
+        const JsonValue snap = donor->snapshot();
+        std::string err;
+        ASSERT_TRUE(make()->restore(snap, &err)) << err;
+        const JsonValue &device = snap.at("device");
+        const JsonValue &chip0 = device.at("chips").at(0);
+        for (uint64_t now : {21u, 22u, 23u, 100u}) {
+            JsonValue doc = withMember(
+                snap, "device",
+                withMember(device, "chips",
+                           withElement(device.at("chips"), 0,
+                                       withMember(chip0, "now",
+                                                  JsonValue::string(
+                                                      u64ToHex(now))))));
+            err.clear();
+            EXPECT_FALSE(make()->restore(doc, &err)) << now;
+            EXPECT_TRUE(names(err, "chip 0: tick " + std::to_string(now) +
+                                       " differs from the board's tick 20"))
+                << err;
+        }
+    }
+}
+
+TEST(SnapshotRejects, RevivedDeadCore)
+{
+    // Core 3 dies at tick 4, and nothing brings it back: clearing its
+    // flag at tick 8 (which used to load and let it fire again), or
+    // killing core 0, which no event names, is refused.
+    auto donor = sweepChipSim();
+    donor->run(8);
+    const JsonValue snap = donor->snapshot();
+    std::string err;
+    ASSERT_TRUE(sweepChipSim()->restore(snap, &err)) << err;
+    const JsonValue &device = snap.at("device");
+    const JsonValue &dead = device.at("coreDead");
+    ASSERT_EQ(dead.at(3).asInt(), 1);
+    const auto withDead = [&](size_t c, int64_t flag) {
+        return withMember(
+            snap, "device",
+            withMember(device, "coreDead",
+                       withElement(dead, c, JsonValue::integer(flag))));
+    };
+    EXPECT_FALSE(sweepChipSim()->restore(withDead(3, 0), &err));
+    EXPECT_TRUE(names(err, "core 3: alive after its dead-core event"))
+        << err;
+    EXPECT_FALSE(sweepChipSim()->restore(withDead(0, 1), &err));
+    EXPECT_TRUE(names(err, "core 0: dead with no dead-core event")) << err;
+}
+
+TEST(SnapshotRejects, RevivedDeadLink)
+{
+    // The sweep board with chip 0's east link dead from tick 4: at
+    // tick 8 the link stays dead, and a live chip 1 west link cannot
+    // be dead.
+    FaultEvent kill;
+    kill.kind = FaultKind::DeadLink;
+    kill.tick = 4;
+    kill.chip = 0;
+    kill.dir = Board::East;
+    const auto make = [&] { return sweepBoardSim({kill}); };
+    auto donor = make();
+    donor->run(8);
+    const JsonValue snap = donor->snapshot();
+    std::string err;
+    ASSERT_TRUE(make()->restore(snap, &err)) << err;
+    const JsonValue &device = snap.at("device");
+    const JsonValue &dead = device.at("linkDead");
+    ASSERT_EQ(dead.at(Board::East).asInt(), 1);
+    const auto withDead = [&](size_t link, int64_t flag) {
+        return withMember(
+            snap, "device",
+            withMember(device, "linkDead",
+                       withElement(dead, link, JsonValue::integer(flag))));
+    };
+    EXPECT_FALSE(make()->restore(withDead(Board::East, 0), &err));
+    EXPECT_TRUE(names(err, "link 0: alive after its dead-link event"))
+        << err;
+    EXPECT_FALSE(make()->restore(withDead(4 + Board::West, 1), &err));
+    EXPECT_TRUE(names(err, "link 5: dead with no dead-link event")) << err;
 }
 
 // ---------------------------------------------------------------------------
